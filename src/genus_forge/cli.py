@@ -154,18 +154,52 @@ def cmd_hilbert(args) -> int:
     return 0
 
 
+# Caps on one coadjoint request, so that every accepted request finishes
+# well inside a minute.  Measured on a shared 2-core x86-64 VM:
+# - building an orbit lists all of W and recovers a reduced word for every
+#   coset; with --xi, A6 (|W| = 5040) takes 2.2 s and B5 (3840) 1.4 s, but
+#   A7 (40320) takes 23 s and B6 (46080) 30 s;
+# - a crosscheck over |I| = n..n+extra grows with n and with the degree:
+#   CP^6 with 2 extra degrees takes 15 s and A4 J=[1,2] (n = 7) 10 s, while
+#   A5 J=[1,2,3] (n = 9) takes 20 s with no extra degree.
+COADJOINT_MAX_RANK = {"A": 6, "B": 5}
+COADJOINT_MAX_ORBIT_DIM = 7      # n, when --crosscheck or --partition is given
+COADJOINT_MAX_EXTRA_DEGREES = 2  # |I| - n, for --extra-degrees and --partition
+
+
 def _build_orbit(args) -> OrbitSpec:
     if args.cpn is not None:
-        return cpn_orbit(args.cpn)
-    if args.grassmannian is not None:
-        return grassmannian_orbit(args.grassmannian)
-    if args.family is None or args.rank is None:
+        family, rank, build = "A", args.cpn, cpn_orbit
+    elif args.grassmannian is not None:
+        family, rank, build = "B", args.grassmannian, grassmannian_orbit
+    elif args.family is None or args.rank is None:
         raise ValueError("give either --cpn, --grassmannian, or family and rank")
-    return OrbitSpec(RootSystem(args.family, args.rank), args.J or [])
+    else:
+        family, rank = args.family, args.rank
+        build = lambda r: OrbitSpec(RootSystem(family, r), args.J or [])
+    cap = COADJOINT_MAX_RANK[family]
+    if rank > cap:
+        raise ValueError(f"rank {rank} exceeds the type-{family} cap "
+                         f"COADJOINT_MAX_RANK[{family!r}] = {cap}")
+    return build(rank)
 
 
 def cmd_coadjoint(args) -> int:
+    if not 0 <= args.extra_degrees <= COADJOINT_MAX_EXTRA_DEGREES:
+        raise ValueError(f"--extra-degrees must be between 0 and the cap "
+                         f"COADJOINT_MAX_EXTRA_DEGREES = "
+                         f"{COADJOINT_MAX_EXTRA_DEGREES}, got {args.extra_degrees}")
     orbit = _build_orbit(args)
+    if ((args.crosscheck or args.partition is not None)
+            and orbit.n > COADJOINT_MAX_ORBIT_DIM):
+        raise ValueError(f"orbit dimension n = {orbit.n} exceeds the cap "
+                         f"COADJOINT_MAX_ORBIT_DIM = {COADJOINT_MAX_ORBIT_DIM} "
+                         "for --crosscheck and --partition")
+    if (args.partition is not None
+            and sum(args.partition) - orbit.n > COADJOINT_MAX_EXTRA_DEGREES):
+        raise ValueError(f"partition of {sum(args.partition)} exceeds n + "
+                         f"COADJOINT_MAX_EXTRA_DEGREES = "
+                         f"{orbit.n + COADJOINT_MAX_EXTRA_DEGREES}")
     lines = [f"orbit: {orbit!r}",
              f"roots outside <J>: {orbit.complement_roots}",
              "cosets: " + ", ".join(
@@ -326,7 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_prec=False)
     p.set_defaults(fn=cmd_hilbert)
 
-    p = sub.add_parser("coadjoint", help="orbit cosets, fixed points, crosschecks")
+    p = sub.add_parser(
+        "coadjoint", help="orbit cosets, fixed points, crosschecks",
+        description="Cosets of W/W_J, fixed points at a circle direction, and "
+                    "the divided-difference vs localization crosscheck of q_I.",
+        epilog=f"Caps (exit 2 beyond them): rank <= "
+               f"{COADJOINT_MAX_RANK['A']} for type A and "
+               f"<= {COADJOINT_MAX_RANK['B']} for type B; orbit dimension "
+               f"n <= {COADJOINT_MAX_ORBIT_DIM} with --crosscheck or "
+               f"--partition; 0 <= --extra-degrees <= "
+               f"{COADJOINT_MAX_EXTRA_DEGREES}; a --partition of at most "
+               f"n + {COADJOINT_MAX_EXTRA_DEGREES}.")
     p.add_argument("family", nargs="?", choices=("A", "B"))
     p.add_argument("rank", nargs="?", type=_positive_int)
     p.add_argument("--J", type=int, nargs="*", help="simple-root indices")
@@ -339,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print q_I for this partition")
     p.add_argument("--crosscheck", action="store_true",
                    help="compare both q_I routes for |I| = n..n+extra")
-    p.add_argument("--extra-degrees", type=int, default=2)
+    p.add_argument("--extra-degrees", type=int, default=2,
+                   help="degrees above n to crosscheck (default 2, "
+                        f"at most {COADJOINT_MAX_EXTRA_DEGREES})")
     common(p, with_prec=False)
     p.set_defaults(fn=cmd_coadjoint)
 

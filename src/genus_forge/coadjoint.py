@@ -13,9 +13,15 @@ monomial symmetric polynomial m_I evaluated at those roots.  Both routes
 are implemented; `crosscheck_qI` insists they agree exactly.
 
 Weyl elements are stored as signed permutations (w(e_i) = s_i * e_{p_i});
-reduced words are recovered greedily by smallest-index right descents.
-All enumerations here are tiny (|W| <= 48 through B_3), so the group and
-its cosets are listed exhaustively.
+reduced words are recovered greedily by smallest-index right descents, on
+first use only.  The group and its cosets are listed exhaustively, so an
+orbit costs |W| elements plus one word recovery per coset: |W(A_m)| =
+(m+1)! and |W(B_m)| = 2^m m!, which is 120 at A_4 and 48 at B_3 but 40320
+at A_7.  Each q_I costs one m_I over the n roots outside <J> and n divided
+differences, and grows quickly with n and |I|.  Nothing here bounds a
+request; the CLI caps the rank, n and |I| - n (`COADJOINT_MAX_*` in
+`genus_forge.cli`) so that each accepted request finishes well inside a
+minute.
 """
 
 from __future__ import annotations
@@ -121,13 +127,21 @@ def _negative_root_set(rs: RootSystem) -> frozenset:
 class WeylElement:
     """A (signed) permutation w(e_i) = s_i * e_{p_i} with a reduced word."""
 
-    __slots__ = ("rs", "images", "word")
+    __slots__ = ("rs", "images", "_word")
 
     def __init__(self, rs: RootSystem, images: Sequence[tuple[int, int]],
                  word: Optional[tuple[int, ...]] = None) -> None:
         self.rs = rs
         self.images = tuple((int(p), int(s)) for p, s in images)
-        self.word = self._recover_word() if word is None else tuple(word)
+        self._word = None if word is None else tuple(word)
+
+    @property
+    def word(self) -> tuple[int, ...]:
+        """A reduced word, recovered on first access and then kept.  Eager
+        recovery would recurse: each step composes, building a new element."""
+        if self._word is None:
+            self._word = self._recover_word()
+        return self._word
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElement":
@@ -232,10 +246,13 @@ def _subgroup_generated(rs: RootSystem, J: Sequence[int]) -> set:
 class OrbitSpec:
     """A coadjoint orbit given by a root system and a subset J of simples."""
 
-    __slots__ = ("rs", "J", "complement_roots", "cosets", "longest_rep", "n")
+    __slots__ = ("rs", "J", "complement_roots", "cosets", "longest_rep", "n",
+                 "_q_by_partition")
 
     def __init__(self, rs: RootSystem, J: Iterable[int]) -> None:
         self.rs = rs
+        # q_I via divided differences, keyed by I; lives and dies with the orbit
+        self._q_by_partition: dict[tuple[int, ...], SparsePoly] = {}
         self.J = tuple(sorted(set(int(j) for j in J)))
         if any(not 1 <= j <= rs.rank for j in self.J):
             raise ValueError("J must consist of simple-root indices")
@@ -346,15 +363,24 @@ def divided_difference_word(rs: RootSystem, word: Sequence[int],
 
 def q_I_via_divided_diff(orbit: OrbitSpec, I: Sequence[int]) -> SparsePoly:
     """The pushforward of m_I(roots outside <J>) along the longest coset
-    representative; degree |I| - n, constant for |I| = n."""
+    representative; degree |I| - n, constant for |I| = n.
+
+    Computed once per (orbit, I) and kept on the orbit: it does not depend
+    on the circle direction, so a crosscheck at several directions reuses it.
+    """
     I = check_partition(I) if I else ()
+    cached = orbit._q_by_partition.get(I)
+    if cached is not None:
+        return cached
     values = [orbit.rs.root_polynomial(r) for r in orbit.complement_roots]
     if len(I) > len(values):
         raise ValueError("partition has more parts than available roots")
     poly = monomial_sym_eval(I, values)
     if not isinstance(poly, SparsePoly):
         poly = SparsePoly.constant(orbit.rs.variables(), poly)
-    return divided_difference_word(orbit.rs, orbit.longest_rep.word, poly)
+    poly = divided_difference_word(orbit.rs, orbit.longest_rep.word, poly)
+    orbit._q_by_partition[I] = poly
+    return poly
 
 
 def orbit_fixed_points(orbit: OrbitSpec, xi: Sequence[int]) -> FixedPointData:

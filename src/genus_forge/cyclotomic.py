@@ -256,6 +256,9 @@ class CyclotomicNumber:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it must hash like one
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.level, self.coeffs))
 
     # -- text form ----------------------------------------------------------

@@ -99,20 +99,47 @@ def _distinct_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def monomial_sym_eval(I: Sequence[int], values: Sequence):
-    """m_I at concrete values: the exponent vector I (padded with zeros) is
-    summed over all of its distinct rearrangements."""
+    """m_I at concrete values, by recursion on the last value v_k:
+
+        m_R(v_1..v_k) = m_R(v_1..v_{k-1})                 [only if |R| <= k-1]
+                      + sum over distinct parts e of R of
+                            v_k^e * m_{R minus e}(v_1..v_{k-1}),
+
+    tabulated level by level over the sub-multisets R of I.  This sums the
+    same monomials as the expansion over every distinct rearrangement of I
+    padded with zeros (`monomial_sym_poly`), with far fewer products.
+    """
     I = check_partition(I) if I else ()
-    if len(values) < len(I):
+    n = len(values)
+    if n < len(I):
         raise ValueError("monomial symmetric function needs at least "
                          f"{len(I)} values, got {len(values)}")
-    padded = tuple(I) + (0,) * (len(values) - len(I))
-    total = 0
-    for perm in _distinct_permutations(padded):
-        term = 1
-        for v, e in zip(values, perm):
-            if e:
-                term = term * v ** e
-        total = total + term
+    subs = {()}
+    for part in I:  # parts arrive non-increasing, so R + (part,) stays sorted
+        subs |= {R + (part,) for R in subs}
+    by_length: list[list[Partition]] = [[] for _ in range(len(I) + 1)]
+    for R in sorted(subs):
+        by_length[len(R)].append(R)
+    table: dict = {(): 1}  # m_R(v_1..v_k) for the R still needed at level k
+    for k, v in enumerate(values, start=1):
+        # an R shorter than len(I) - (n - k) cannot grow back to I in time
+        lo = max(len(I) - (n - k), 0)
+        powers: dict = {}
+        level: dict = {}
+        for length in range(lo, min(k, len(I)) + 1):
+            for R in by_length[length]:
+                total = table[R] if length < k else 0
+                for i, e in enumerate(R):
+                    if i and R[i - 1] == e:
+                        continue
+                    p = powers.get(e)
+                    if p is None:
+                        p = powers[e] = v ** e
+                    rest = R[:i] + R[i + 1:]
+                    total = total + (p * table[rest] if rest else p)
+                level[R] = total
+        table = level
+    total = table[I]
     if isinstance(total, int):
         return Fraction(total)
     return total

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from genus_forge.cli import main
+from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DIM,
+                             COADJOINT_MAX_RANK, main)
 from genus_forge.localization import Relation, cpn_fixed_points
 from genus_forge.modular import eisenstein_qexp, series_from_json
 
@@ -141,6 +143,65 @@ def test_coadjoint_usage_errors(capsys):
     capsys.readouterr()
     assert main(["coadjoint", "--cpn", "2", "--xi", "1", "1", "5"]) == 2
     assert "non-generic" in capsys.readouterr().err
+
+
+def test_coadjoint_extra_degrees_range(capsys):
+    # a negative value used to exit 0 after checking nothing
+    for bad in ("-1", str(COADJOINT_MAX_EXTRA_DEGREES + 1)):
+        assert main(["coadjoint", "A", "2", "--xi", "1", "2", "3", "--crosscheck",
+                     "--extra-degrees", bad]) == 2
+        assert "COADJOINT_MAX_EXTRA_DEGREES" in capsys.readouterr().err
+    assert main(["coadjoint", "A", "2", "--xi", "1", "2", "3", "--crosscheck",
+                 "--extra-degrees", "0"]) == 0
+    assert "[ok]" in capsys.readouterr().out
+
+
+def test_coadjoint_rank_cap(capsys):
+    assert COADJOINT_MAX_RANK == {"A": 6, "B": 5}
+    for argv in (["A", "7"], ["B", "6"], ["--cpn", "7"], ["--grassmannian", "6"]):
+        assert main(["coadjoint", *argv]) == 2
+        assert "COADJOINT_MAX_RANK" in capsys.readouterr().err
+    assert main(["coadjoint", "--grassmannian", "5"]) == 0
+    assert "n=9" in capsys.readouterr().out
+
+
+def test_coadjoint_orbit_dimension_cap(capsys):
+    # A4 with J = [1, 3] has n = 8; the cap applies only to q_I work
+    xi = ["--xi", "1", "3", "-2", "7", "-5"]
+    for extra in (["--crosscheck"], ["--partition", "4", "4"]):
+        assert main(["coadjoint", "A", "4", "--J", "1", "3", *xi, *extra]) == 2
+        assert "COADJOINT_MAX_ORBIT_DIM" in capsys.readouterr().err
+    assert main(["coadjoint", "A", "4", "--J", "1", "3", *xi]) == 0
+    capsys.readouterr()
+    assert main(["coadjoint", "A", "4", "--J", "1", "2", "--partition",
+                 str(COADJOINT_MAX_ORBIT_DIM)]) == 0
+    assert "q_[7] = " in capsys.readouterr().out
+
+
+def test_coadjoint_partition_degree_cap(capsys):
+    # A2 has n = 3, so |I| may reach 3 + COADJOINT_MAX_EXTRA_DEGREES = 5
+    assert main(["coadjoint", "A", "2", "--partition", "3", "2", "1"]) == 2
+    assert "COADJOINT_MAX_EXTRA_DEGREES" in capsys.readouterr().err
+    assert main(["coadjoint", "A", "2", "--partition", "3", "2"]) == 0
+
+
+# Recorded before the orbit layer was optimized; word order, coset order and
+# every q_I must not drift.
+_GOLDEN = {
+    "cpn4": ["--cpn", "4", "--xi", "5", "1", "-2", "3", "-4", "--crosscheck"],
+    "b3_j12": ["B", "3", "--J", "1", "2", "--xi", "3", "-1", "2", "--crosscheck",
+               "--extra-degrees", "1"],
+    "a3": ["A", "3", "--xi", "4", "-2", "1", "7", "--crosscheck"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_coadjoint_golden_output(name, fmt, capsys):
+    argv = ["coadjoint", *_GOLDEN[name]] + (["--json"] if fmt == "json" else [])
+    assert main(argv) == 0
+    golden = Path(__file__).parent / "data" / f"coadjoint_{name}.{fmt}"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_polytope_simplex(tmp_path, capsys):

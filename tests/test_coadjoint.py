@@ -49,14 +49,15 @@ def test_action_is_homomorphism():
 
 
 def test_word_recovery_roundtrip():
-    rs = RootSystem("B", 2)
-    for el in weyl_group(rs):
-        rebuilt = WeylElement(rs, el.images)   # forces word recovery
-        assert len(rebuilt.word) == el.length()
-        acc = WeylElement.identity(rs)
-        for j in rebuilt.word:
-            acc = acc.compose(WeylElement.simple(rs, j))
-        assert acc == el
+    for rs in (RootSystem("B", 2), RootSystem("A", 3), RootSystem("A", 4),
+               RootSystem("B", 3)):
+        for el in weyl_group(rs):
+            for w in (el, WeylElement(rs, el.images)):   # each recovers its word
+                assert len(w.word) == w.length() == el.length()
+                acc = WeylElement.identity(rs)
+                for j in w.word:
+                    acc = acc.compose(WeylElement.simple(rs, j))
+                assert acc.images == el.images
 
 
 def test_divided_difference_squares_to_zero():
@@ -137,6 +138,16 @@ def test_cp1_q_values():
     assert q_I_via_divided_diff(orbit, (1,)) == SparsePoly.constant(vs, 2)
     assert q_I_via_divided_diff(orbit, (2,)) == SparsePoly.zero(vs)
     assert q_I_via_divided_diff(orbit, (3,)) == 2 * (x1 - x2) ** 2
+
+
+def test_q_I_is_reused_per_orbit():
+    orbit = grassmannian_orbit(2)
+    for I in ((3,), (2, 1, 1), (4, 1)):
+        first = q_I_via_divided_diff(orbit, I)
+        assert q_I_via_divided_diff(orbit, list(I)) is first
+        assert q_I_via_divided_diff(grassmannian_orbit(2), I) == first
+    with pytest.raises(ValueError, match="more parts"):
+        q_I_via_divided_diff(orbit, (1, 1, 1, 1))
 
 
 def test_grassmannian_fixed_points_pinned():

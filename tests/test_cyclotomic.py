@@ -132,6 +132,16 @@ def test_rational_detection():
         z.rational_value()
 
 
+def test_hash_agrees_with_equality_against_rationals():
+    three = CyclotomicNumber.from_rational(3, 1)
+    assert three == 1
+    assert len({three, 1}) == 1
+    assert len({CyclotomicNumber.from_rational(5, Fraction(2, 3)), Fraction(2, 3)}) == 1
+    z = CyclotomicNumber.zeta(3)
+    assert hash(z + z.conjugate()) == hash(-1)   # rational by reduction
+    assert {z: "z"}[CyclotomicNumber.zeta(3)] == "z"
+
+
 def test_zero_division():
     with pytest.raises(ZeroDivisionError):
         CyclotomicNumber.from_rational(5, 0).inverse()

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus_forge.sparsepoly import SparsePoly
 from genus_forge.symfunc import (GenusSpec, all_partitions, check_partition,
@@ -61,6 +63,39 @@ def test_monomial_and_elementary_polys_agree_with_eval():
     for m in range(4):
         poly = elementary_sym_poly(m, vs)
         assert poly.evaluate(list(values)) == elementary_values(values)[m]
+
+
+_partitions = st.lists(st.integers(1, 3), max_size=4).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_monomial_sym_eval_matches_reference_over_fractions(data):
+    # repeated parts, the empty partition, and I shorter than the values
+    I = data.draw(_partitions)
+    values = data.draw(st.lists(st.fractions(-5, 5, max_denominator=6),
+                                min_size=len(I), max_size=len(I) + 3))
+    variables = tuple(f"v{i}" for i in range(len(values)))
+    fast = monomial_sym_eval(I, values)
+    assert isinstance(fast, Fraction)
+    assert fast == monomial_sym_poly(I, variables).evaluate(values)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_monomial_sym_eval_matches_reference_over_linear_forms(data):
+    xs = ("x1", "x2", "x3")
+    I = data.draw(_partitions)
+    forms = []
+    for _ in range(data.draw(st.integers(len(I), len(I) + 2))):
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+        forms.append(SparsePoly(xs, {tuple(int(i == j) for j in range(3)): c
+                                     for i, c in enumerate(coeffs)}))
+    variables = tuple(f"v{i}" for i in range(len(forms)))
+    reference = monomial_sym_poly(I, variables).evaluate(
+        forms, one=SparsePoly.constant(xs, 1))
+    assert monomial_sym_eval(I, forms) == reference
 
 
 def test_elementary_values_running_product():
