@@ -185,23 +185,75 @@ def test_coadjoint_partition_degree_cap(capsys):
     assert main(["coadjoint", "A", "2", "--partition", "3", "2"]) == 0
 
 
-# Recorded before the orbit layer was optimized; word order, coset order and
-# every q_I must not drift.
+_DATA = Path(__file__).parent / "data"
+
+# Recorded stdout, one file per (stem, format) in tests/data/, as
+# {stem: (exit code, argv)}.  The coadjoint files were recorded before the
+# orbit layer was optimized: word order, coset order and every q_I must not
+# drift.  The others pin every subcommand's text and JSON form, among them
+# negative leading coefficients and non-rational Q(zeta_N) coefficients,
+# so the rendering of signs is pinned too.  "{cp2}" and the like name the
+# input files written by _golden_inputs.
 _GOLDEN = {
-    "cpn4": ["--cpn", "4", "--xi", "5", "1", "-2", "3", "-4", "--crosscheck"],
-    "b3_j12": ["B", "3", "--J", "1", "2", "--xi", "3", "-1", "2", "--crosscheck",
-               "--extra-degrees", "1"],
-    "a3": ["A", "3", "--xi", "4", "-2", "1", "7", "--crosscheck"],
+    "coadjoint_cpn4": (0, ["coadjoint", "--cpn", "4", "--xi", "5", "1", "-2",
+                           "3", "-4", "--crosscheck"]),
+    "coadjoint_b3_j12": (0, ["coadjoint", "B", "3", "--J", "1", "2", "--xi", "3",
+                             "-1", "2", "--crosscheck", "--extra-degrees", "1"]),
+    "coadjoint_a3": (0, ["coadjoint", "A", "3", "--xi", "4", "-2", "1", "7",
+                         "--crosscheck"]),
+    "eisenstein_3_5": (0, ["eisenstein", "3", "5", "--prec", "4"]),
+    "qn_5": (0, ["qn", "5", "--x-order", "3", "--prec", "3"]),
+    "genus_cp2_4": (0, ["genus", "{cp2}", "4", "--prec", "4"]),
+    "genus_cp3_5": (0, ["genus", "{cp3}", "5", "--prec", "3"]),
+    "chiy_cp3_k4": (0, ["chiy", "{cp3}", "--k0", "4"]),
+    "chiy_cp3_k3": (1, ["chiy", "{cp3}", "--k0", "3"]),
+    "relations_cp2": (0, ["relations", "{cp2}", "3", "4", "7", "--verify",
+                          "--prec", "8"]),
+    "relations_cp2_raw": (0, ["relations", "{cp2}", "3", "4", "5", "--verify",
+                              "--raw", "--prec", "6"]),
+    "hilbert_cp1": (0, ["hilbert", "{cp1}", "2"]),
+    "hilbert_cp2": (0, ["hilbert", "{cp2}", "3"]),
+    "polytope_simplex": (0, ["polytope", "{simplex}"]),
+    "polytope_cube_k3": (1, ["polytope", "{cube}", "--k0", "3"]),
 }
 
 
-@pytest.mark.parametrize("fmt", ["txt", "json"])
-@pytest.mark.parametrize("name", sorted(_GOLDEN))
-def test_coadjoint_golden_output(name, fmt, capsys):
-    argv = ["coadjoint", *_GOLDEN[name]] + (["--json"] if fmt == "json" else [])
-    assert main(argv) == 0
-    golden = Path(__file__).parent / "data" / f"coadjoint_{name}.{fmt}"
+def _golden_inputs(tmp_path) -> dict:
+    from genus_forge.polytope import cube_f_vector, simplex_edges, simplex_f_vector
+    data = {"cp1": cpn_fixed_points(1, (1,)).to_json(),
+            "cp2": cpn_fixed_points(2, (1, 3)).to_json(),
+            "cp3": cpn_fixed_points(3, (1, 2, 5)).to_json(),
+            "simplex": {"f": simplex_f_vector(2),
+                        "edges": simplex_edges(2, dilation=3)},
+            "cube": {"f": cube_f_vector(2)}}
+    paths = {}
+    for name, payload in data.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    return paths
+
+
+def _check_golden(stem, fmt, capsys, paths=None):
+    code, argv = _GOLDEN[stem]
+    argv = [arg.format(**(paths or {})) for arg in argv]
+    assert main(argv + (["--json"] if fmt == "json" else [])) == code
+    golden = _DATA / f"{stem}.{fmt}"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name", sorted(stem.removeprefix("coadjoint_")
+                                        for stem in _GOLDEN
+                                        if stem.startswith("coadjoint_")))
+def test_coadjoint_golden_output(name, fmt, capsys):
+    _check_golden(f"coadjoint_{name}", fmt, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("stem", sorted(stem for stem in _GOLDEN
+                                        if not stem.startswith("coadjoint_")))
+def test_golden_output(stem, fmt, tmp_path, capsys):
+    _check_golden(stem, fmt, capsys, _golden_inputs(tmp_path))
 
 
 def test_polytope_simplex(tmp_path, capsys):
@@ -245,3 +297,4 @@ def test_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 10 and "FAIL" not in out
+    assert out == (_DATA / "selftest.txt").read_text(encoding="utf-8")
