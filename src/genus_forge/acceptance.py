@@ -25,15 +25,10 @@ from .localization import (build_relation, chern_number, chi_y_from_counts,
 from .modular import f_lambda_table, verify_lemma_eisenstein
 from .polytope import (betti_pattern, combinatorial_index, cube_f_vector,
                        h_divisibility, h_from_f, simplex_edges, simplex_f_vector)
-from .series import TruncSeries
 from .sparsepoly import SparsePoly
 from .symfunc import chi_y_power_series, genus_value, partitions_at_most
 
 DEFAULT_SEED = 2026
-
-
-def _series_is_zero(series: TruncSeries) -> bool:
-    return all(series.coeff(k) == 0 for k in range(series.cutoff))
 
 
 # 1 ------------------------------------------------------------------------------------
@@ -177,7 +172,7 @@ def criterion_toric_vanishing(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
                 seen.add(weights)
                 fpd = cpn_fixed_points(n, weights)
                 series = genus_qexp(fpd, N, 15)
-                if not _series_is_zero(series):
+                if series:
                     return False, f"n={n}, N={N}, weights={weights}: genus != 0"
                 for k in range(n + 1, n + 5):
                     rel = build_relation(fpd, N, k)

@@ -200,10 +200,11 @@ def cmd_coadjoint(args) -> int:
         raise ValueError(f"partition of {sum(args.partition)} exceeds n + "
                          f"COADJOINT_MAX_EXTRA_DEGREES = "
                          f"{orbit.n + COADJOINT_MAX_EXTRA_DEGREES}")
-    lines = [f"orbit: {orbit!r}",
-             f"roots outside <J>: {orbit.complement_roots}",
-             "cosets: " + ", ".join(
-                 "*".join(f"s{j}" for j in w.word) or "e" for w in orbit.cosets)]
+    lines = [f"orbit: {orbit!r}", f"roots outside <J>: {orbit.complement_roots}"]
+    if not args.json:
+        # each coset's word is recovered on demand; --json prints none of them
+        lines.append("cosets: " + ", ".join(
+            "*".join(f"s{j}" for j in w.word) or "e" for w in orbit.cosets))
     payload = {"orbit": orbit.to_json(), "n": orbit.n,
                "longest_word": list(orbit.longest_rep.word)}
     code = 0

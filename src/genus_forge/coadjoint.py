@@ -286,46 +286,17 @@ class OrbitSpec:
 
 
 def _span_positive_roots(rs: RootSystem, J: Sequence[int]) -> set:
-    """Positive roots lying in the integer span of the simple roots in J."""
-    simples = rs.simple_roots()
-    out = set()
-    for root in rs.positive_roots():
-        support = _simple_support(simples, root)
-        if support is not None and support <= set(J):
-            out.add(root)
-    return out
+    """Positive roots lying in the span of the simple roots in J.
 
-
-def _simple_support(simples: Sequence[tuple[int, ...]],
-                    root: Sequence[int]) -> Optional[set]:
-    """Indices (1-based) of the simples appearing in root's expansion."""
-    m = len(simples)
-    d = len(root)
-    # gaussian elimination on the d x (m+1) augmented system
-    rows = [[Fraction(simples[c][r]) for c in range(m)] + [Fraction(root[r])]
-            for r in range(d)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        pivot = next((r for r in range(row, d) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        lead = rows[row][col]
-        rows[row] = [v / lead for v in rows[row]]
-        for r in range(d):
-            if r != row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, d):
-        if rows[r][m]:
-            return None  # not in the span of the simple roots at all
-    coeff = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        coeff[col] = rows[r][m]
-    return {i + 1 for i, c in enumerate(coeff) if c}
+    In types A and B the k-th simple root is e_k - e_(k+1), or e_m for
+    k = m in type B, so the coefficient of simple root k in a root r is the
+    prefix sum r_1 + ... + r_k (Bourbaki, Lie Groups and Lie Algebras,
+    Ch. VI, Plates I-II).  A root lies in the span of J exactly when every
+    nonzero prefix sum has its index in J.
+    """
+    J = set(J)
+    return {root for root in rs.positive_roots()
+            if all(k in J for k in range(1, rs.rank + 1) if sum(root[:k]))}
 
 
 def cpn_orbit(n: int) -> OrbitSpec:

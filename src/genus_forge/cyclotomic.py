@@ -19,6 +19,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Union
 
+from .text import join_terms
+
 Scalar = Union[int, Fraction]
 
 _TERM_RE = re.compile(
@@ -264,27 +266,21 @@ class CyclotomicNumber:
     # -- text form ----------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        if not terms:
-            body = "0"
-        else:
-            parts = []
-            for i, c in terms:
-                if i == 0:
-                    t = str(c)
-                else:
-                    z = "z" if i == 1 else f"z^{i}"
-                    if c == 1:
-                        t = z
-                    elif c == -1:
-                        t = "-" + z
-                    else:
-                        t = f"{c}*{z}"
-                parts.append(t)
-            body = parts[0]
-            for t in parts[1:]:
-                body += " - " + t[1:] if t.startswith("-") else " + " + t
-        return f"({body}) @ Q(zeta_{self.level})"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if i == 0:
+                parts.append(str(c))
+                continue
+            z = "z" if i == 1 else f"z^{i}"
+            if c == 1:
+                parts.append(z)
+            elif c == -1:
+                parts.append("-" + z)
+            else:
+                parts.append(f"{c}*{z}")
+        return f"({join_terms(parts)}) @ Q(zeta_{self.level})"
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self.level}, {[str(c) for c in self.coeffs]})"

@@ -24,17 +24,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from math import comb, factorial, gcd, lcm, prod
+from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import CyclotomicNumber
-from .modular import eisenstein_qexp, f_lambda_table
+from .modular import eisenstein_qexp, f_lambda_table, nested_coeff
 from .series import TruncSeries, exp_series
 from .sparsepoly import SparsePoly
 from .symfunc import (Partition, check_partition, elementary_values,
                       monomial_sym_eval, partition_sort_key, partition_str,
                       partitions_at_most)
+from .text import join_terms
 
 
 class FixedPointData:
@@ -180,13 +180,6 @@ def action_type(fpd: FixedPointData, N: int) -> dict:
     return {"balanced": True, "type": residue}
 
 
-def _weight_product(weights: Sequence[int]) -> int:
-    prod = 1
-    for w in weights:
-        prod *= w
-    return prod
-
-
 def chern_number(fpd: FixedPointData, lam: Sequence[int]) -> Fraction:
     """C_lambda by localization; must come out an integer."""
     fpd.validate()
@@ -200,7 +193,7 @@ def chern_number(fpd: FixedPointData, lam: Sequence[int]) -> Fraction:
         num = Fraction(1)
         for part in lam:
             num *= elem[part]
-        total += num / _weight_product(weights)
+        total += num / prod(weights)
     if total.denominator != 1:
         raise ArithmeticError(f"localization integrality violated: "
                               f"C_{partition_str(lam)} = {total} is not an integer "
@@ -227,7 +220,7 @@ def relation_coefficient(fpd: FixedPointData, I: Sequence[int]) -> Fraction:
         raise ValueError("partition has more parts than there are weights")
     total = Fraction(0)
     for weights in fpd.points:
-        total += monomial_sym_eval(I, weights) / _weight_product(weights)
+        total += monomial_sym_eval(I, weights) / prod(weights)
     return total
 
 
@@ -264,8 +257,7 @@ class Relation:
         if not nums:
             return Relation(self.n, self.k, self.N, self.terms,
                             self.provenance + "; primitive")
-        content = Fraction(gcd(*nums) if len(nums) > 1 else abs(nums[0]),
-                           lcm(*dens) if len(dens) > 1 else dens[0])
+        content = Fraction(gcd(*nums), lcm(*dens))
         first = next(c for _, c in self.terms if c)
         if first < 0:
             content = -content
@@ -294,12 +286,7 @@ class Relation:
                 pieces.append(f"-{body}")
             else:
                 pieces.append(f"{c}*{body}")
-        if not pieces:
-            return "0 = 0"
-        text = pieces[0]
-        for p in pieces[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text + " = 0"
+        return join_terms(pieces) + " = 0"
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "N": self.N,
@@ -408,7 +395,7 @@ def _index_total(fpd: FixedPointData, numerators, order: int) -> TruncSeries:
             unit = unit * TruncSeries(
                 "s", {m: Fraction((-a) ** m, factorial(m + 1))
                       for m in range(order)}, order=order)
-        scale = Fraction(1, D ** n * _weight_product(weights))
+        scale = Fraction(1, D ** n * prod(weights))
         term = (num * unit.inverse() * scale).shift(-n)
         total = term if total is None else total + term
     return total
@@ -541,27 +528,15 @@ def divides_chi_y(chi_y: SparsePoly, k0: int) -> dict:
     return {"divisible": True, "quotient": quotient}
 
 
-def _power_sum_series(N: int, k_cut: int, q_precision: int,
-                      include_zero: bool) -> TruncSeries:
-    """S(z) = sum_j G_{j,N} z^j (with G_0 := 1 when include_zero)."""
-    one = CyclotomicNumber.from_rational(N, 1)
-    coeffs = {}
-    if include_zero:
-        coeffs[0] = TruncSeries("q", {0: one}, order=q_precision)
+def _power_sum_series(N: int, k_cut: int, q_precision: int) -> TruncSeries:
+    """S(z) = sum_j G_{j,N} z^j, with G_0 := 1."""
+    coeffs = {0: TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)},
+                             order=q_precision)}
     for j in range(1, k_cut):
         g = eisenstein_qexp(j, N, q_precision)
         if g:
             coeffs[j] = g
     return TruncSeries("z", coeffs, cutoff=k_cut)
-
-
-def _z_coeff(series: TruncSeries, j: int, N: int, q_precision: int) -> TruncSeries:
-    c = series.coeff(j)
-    if not isinstance(c, TruncSeries):
-        c = TruncSeries("q", {}, order=q_precision)
-    elif c.cutoff > q_precision:
-        c = c.truncate(order=q_precision)
-    return c
 
 
 def general_relation_cpn(n: int, N: int, k: int, q_precision: int) -> dict:
@@ -570,10 +545,9 @@ def general_relation_cpn(n: int, N: int, k: int, q_precision: int) -> dict:
     LHS: (-1)^(n+k+1) * [z^k] S(z)^n with S(z) = sum_j G_{j,N} z^j.
     RHS: sum_{l=0}^{n-1} binom(k-l-1, n-l-1) G_{k-l,N} [z^l] S(z)^n.
 
-    The power-series sum admits zero indices without fixing G_{0,N}; the
-    convention G_0 = 1 is tried first and the alternative (drop zero
-    indices) is attempted only if verification fails, with the winner
-    recorded in the report.
+    The sum over j starts at 0 with the convention G_{0,N} = 1.  The
+    convention is fixed: it is never chosen by which convention verifies,
+    and the report names it.  On failure the report carries both sides.
     """
     if N < 2:
         raise ValueError("Eisenstein level must be at least 2")
@@ -581,27 +555,15 @@ def general_relation_cpn(n: int, N: int, k: int, q_precision: int) -> dict:
         raise ValueError(f"N={N} does not divide n+1={n + 1}")
     if k < n:
         raise ValueError("relation degree k must be at least n")
-
-    def check(include_zero: bool):
-        S = _power_sum_series(N, k + 1, q_precision, include_zero)
-        Sn = S ** n
-        lhs = _z_coeff(Sn, k, N, q_precision) * Fraction((-1) ** (n + k + 1))
-        rhs = TruncSeries("q", {}, order=q_precision)
-        for ell in range(n):
-            g = eisenstein_qexp(k - ell, N, q_precision)
-            rhs = rhs + (g * _z_coeff(Sn, ell, N, q_precision)
-                         * comb(k - ell - 1, n - ell - 1))
-        return lhs, rhs
-
-    report = {"n": n, "N": N, "k": k, "q_precision": q_precision}
-    lhs, rhs = check(include_zero=True)
-    if lhs == rhs:
-        report.update(ok=True, zero_index_convention="G_0 = 1")
-        return report
-    lhs2, rhs2 = check(include_zero=False)
-    if lhs2 == rhs2:
-        report.update(ok=True, zero_index_convention="zero indices omitted")
-        return report
-    report.update(ok=False, zero_index_convention="none",
-                  lhs=str(lhs), rhs=str(rhs))
+    Sn = _power_sum_series(N, k + 1, q_precision) ** n
+    lhs = nested_coeff(Sn, k, q_precision) * Fraction((-1) ** (n + k + 1))
+    rhs = TruncSeries("q", {}, order=q_precision)
+    for ell in range(n):
+        g = eisenstein_qexp(k - ell, N, q_precision)
+        rhs = rhs + (g * nested_coeff(Sn, ell, q_precision)
+                     * comb(k - ell - 1, n - ell - 1))
+    report = {"n": n, "N": N, "k": k, "q_precision": q_precision,
+              "ok": lhs == rhs, "zero_index_convention": "G_0 = 1"}
+    if not report["ok"]:
+        report.update(lhs=str(lhs), rhs=str(rhs))
     return report

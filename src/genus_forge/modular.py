@@ -23,25 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
 
 from .cyclotomic import CyclotomicNumber
 from .series import TruncSeries, bernoulli
 from .symfunc import GenusSpec, Partition, f_lambda_values
-
-
-class EisensteinKey(NamedTuple):
-    weight: int
-    level: int
-    precision: int
-
-    def validate(self) -> None:
-        if self.weight < 1:
-            raise ValueError("Eisenstein weight must be positive")
-        if self.level < 2:
-            raise ValueError("Eisenstein level must be at least 2")
-        if self.precision < 1:
-            raise ValueError("q-precision must be positive")
 
 
 @lru_cache(maxsize=None)
@@ -51,7 +36,12 @@ def eisenstein_qexp(k: int, N: int, precision: int) -> TruncSeries:
     Constant term (1+z)/(2(1-z)) for k = 1 and B_k/k! for k > 1; for n >= 1
     the q^n coefficient is -sum_{d|n} (n/d)^(k-1) (z^-d + (-1)^k z^d)/(k-1)!.
     """
-    EisensteinKey(k, N, precision).validate()
+    if k < 1:
+        raise ValueError("Eisenstein weight must be positive")
+    if N < 2:
+        raise ValueError("Eisenstein level must be at least 2")
+    if precision < 1:
+        raise ValueError("q-precision must be positive")
     zeta = CyclotomicNumber.zeta(N)
     if k == 1:
         const = (1 + zeta) / (2 * (1 - zeta))
@@ -163,16 +153,20 @@ def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> QnExpans
                            * (one_q - qmono(zeta.inverse(), r))).inverse()
 
     qn = prefactor * numerator * denominator.inverse() * scalar
-    coeffs = []
-    for j in range(K):
-        c = qn.coeff(j)
-        if not isinstance(c, TruncSeries):
-            # identically-zero inner series are pruned inside the nest
-            c = TruncSeries("q", {}, order=q_precision)
-        elif c.cutoff > q_precision:
-            c = c.truncate(order=q_precision)
-        coeffs.append(c)
-    return QnExpansion(N, K, q_precision, coeffs)
+    return QnExpansion(N, K, q_precision,
+                       [nested_coeff(qn, j, q_precision) for j in range(K)])
+
+
+def nested_coeff(series: TruncSeries, j: int, q_precision: int) -> TruncSeries:
+    """Coefficient j of a series whose coefficients are q-series, as a
+    q-series trusted through q^(q_precision-1)."""
+    c = series.coeff(j)
+    if not isinstance(c, TruncSeries):
+        # identically-zero inner series are pruned inside the nest
+        return TruncSeries("q", {}, order=q_precision)
+    if c.cutoff > q_precision:
+        return c.truncate(order=q_precision)
+    return c
 
 
 def classical_x_series(N: int, x_order: int) -> TruncSeries:

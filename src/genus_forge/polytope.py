@@ -92,8 +92,7 @@ def affine_length(p: Sequence[int], q: Sequence[int]) -> int:
     primitive steps long."""
     if len(p) != len(q):
         raise ValueError("endpoints live in different dimensions")
-    diffs = [abs(a - b) for a, b in zip(p, q)]
-    g = gcd(*diffs) if len(diffs) > 1 else diffs[0]
+    g = gcd(*(a - b for a, b in zip(p, q)))
     if g == 0:
         raise ValueError("edge endpoints coincide")
     return g
@@ -155,14 +154,6 @@ def h_divisibility(h: Sequence[int], k0: int) -> dict:
     return {"divisible": True, "quotient": [int(v) for v in quot]}
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _pattern_for(case: int, n: int, m: int) -> list[int]:
     """The predicted even Betti numbers: the quotient template convolved
     with the all-ones vector of length k0.  (The flat vectors usually
@@ -171,7 +162,7 @@ def _pattern_for(case: int, n: int, m: int) -> list[int]:
     stays correct when the quotient is short.)"""
     template, k0 = {1: ([1], n + 1), 2: ([1, 1], n),
                     3: ([1, m, 1], n - 1), 4: ([1, m, m, 1], n - 2)}[case]
-    return _convolve(template, [1] * k0)
+    return product_f_vector(template, [1] * k0)
 
 
 def betti_pattern(n: int, k0: int, b: Sequence[int]) -> dict:

@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .cyclotomic import CyclotomicNumber
+from .text import join_terms
 
 _SCALARS = (int, Fraction)
 
@@ -83,18 +84,6 @@ class TruncSeries:
     def zero(cls, var: str, order, *, denom: int = 1, laurent: bool = False):
         return cls(var, {}, order=order, denom=denom, laurent=laurent)
 
-    @classmethod
-    def constant(cls, var: str, value, order, *, denom: int = 1, laurent: bool = False):
-        return cls(var, {0: value}, order=order, denom=denom, laurent=laurent)
-
-    @classmethod
-    def one(cls, var: str, order, *, denom: int = 1, laurent: bool = False):
-        return cls.constant(var, Fraction(1), order, denom=denom, laurent=laurent)
-
-    @classmethod
-    def variable(cls, var: str, order, *, denom: int = 1):
-        return cls(var, {denom: Fraction(1)}, order=order, denom=denom)
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -103,9 +92,6 @@ class TruncSeries:
         if self.cutoff % self.denom == 0:
             return self.cutoff // self.denom
         return Fraction(self.cutoff, self.denom)
-
-    def min_key(self):
-        return min(self.coeffs) if self.coeffs else None
 
     def coeff(self, key: int):
         """Coefficient at exponent key/denom (zero for absent trusted keys)."""
@@ -256,10 +242,6 @@ class TruncSeries:
         return TruncSeries(self.var, self.coeffs, cutoff=cut,
                            denom=self.denom, laurent=self.laurent)
 
-    def map_coefficients(self, fn) -> "TruncSeries":
-        return TruncSeries(self.var, {k: fn(c) for k, c in self.coeffs.items()},
-                           cutoff=self.cutoff, denom=self.denom, laurent=self.laurent)
-
     # -- text form ---------------------------------------------------------------
 
     def _render_exponent(self, key: int) -> str:
@@ -285,14 +267,9 @@ class TruncSeries:
                 parts.append(f"-{mono}")
             else:
                 parts.append(f"{text}*{mono}")
-        body = "0"
-        if parts:
-            body = parts[0]
-            for t in parts[1:]:
-                body += " - " + t[1:] if t.startswith("-") else " + " + t
         tail_exp = self.cutoff // self.denom if self.cutoff % self.denom == 0 \
             else f"({Fraction(self.cutoff, self.denom)})"
-        return f"{body} + O({self.var}^{tail_exp})"
+        return f"{join_terms(parts)} + O({self.var}^{tail_exp})"
 
     def __repr__(self) -> str:
         return f"<TruncSeries {self}>"

@@ -9,7 +9,9 @@ algorithm.  Instances are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+from .text import join_terms
 
 _SCALARS = (int, Fraction)
 
@@ -250,8 +252,6 @@ class SparsePoly:
     # -- text form -----------------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for exp in sorted(self.terms, key=_glex_key, reverse=True):
             c = self.terms[exp]
@@ -269,10 +269,7 @@ class SparsePoly:
                 parts.append("-" + "*".join(factors))
             else:
                 parts.append(f"{c}*" + "*".join(factors))
-        body = parts[0]
-        for t in parts[1:]:
-            body += " - " + t[1:] if t.startswith("-") else " + " + t
-        return body
+        return join_terms(parts)
 
     def __repr__(self) -> str:
         return f"<SparsePoly {self}>"

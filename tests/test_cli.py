@@ -5,6 +5,7 @@ import pytest
 
 from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DIM,
                              COADJOINT_MAX_RANK, main)
+from genus_forge.coadjoint import WeylElement, weyl_group
 from genus_forge.localization import Relation, cpn_fixed_points
 from genus_forge.modular import eisenstein_qexp, series_from_json
 
@@ -156,6 +157,19 @@ def test_coadjoint_extra_degrees_range(capsys):
     assert "[ok]" in capsys.readouterr().out
 
 
+def test_coadjoint_json_recovers_one_word(monkeypatch, capsys):
+    # --json prints no coset list, so only the longest representative's word
+    # is recovered (all 119 non-identity cosets of A4 used to be)
+    weyl_group.cache_clear()
+    calls = []
+    real = WeylElement._recover_word
+    monkeypatch.setattr(WeylElement, "_recover_word",
+                        lambda self: calls.append(self) or real(self))
+    assert main(["coadjoint", "A", "4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1 and payload["longest_word"] == list(calls[0].word)
+
+
 def test_coadjoint_rank_cap(capsys):
     assert COADJOINT_MAX_RANK == {"A": 6, "B": 5}
     for argv in (["A", "7"], ["B", "6"], ["--cpn", "7"], ["--grassmannian", "6"]):
@@ -278,9 +292,10 @@ def test_polytope_divisibility_failure(tmp_path, capsys):
 
 def test_polytope_empty_input(tmp_path, capsys):
     path = tmp_path / "empty.json"
-    path.write_text("{}")
-    assert main(["polytope", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for data in ({}, {"edges": [[[], []]]}):   # the edge used to raise IndexError
+        path.write_text(json.dumps(data))
+        assert main(["polytope", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_env_precision_override(monkeypatch, capsys):

@@ -31,6 +31,20 @@ def test_root_counts():
     assert len(RootSystem("B", 3).positive_roots()) == 9
 
 
+def test_root_coefficients_are_prefix_sums():
+    # the orbit's root supports rest on this: in types A and B the coefficient
+    # of simple root k in a positive root is the prefix sum r_1 + ... + r_k
+    for rs in [RootSystem("A", m) for m in range(1, 8)] + [
+            RootSystem("B", m) for m in range(1, 7)]:
+        simples = rs.simple_roots()
+        for root in rs.positive_roots():
+            c = [sum(root[:k]) for k in range(1, rs.rank + 1)]
+            assert min(c) >= 0
+            rebuilt = tuple(sum(ck * alpha[i] for ck, alpha in zip(c, simples))
+                            for i in range(rs.dim))
+            assert rebuilt == root
+
+
 def test_root_system_validation():
     with pytest.raises(ValueError):
         RootSystem("C", 2)

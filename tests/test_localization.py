@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from genus_forge import localization
 from genus_forge.localization import (FixedPointData, Relation, action_type,
                                       build_relation, chern_number,
                                       chi_y_from_counts, cpn_fixed_points,
@@ -241,6 +242,17 @@ def test_divides_chi_y():
 def test_general_relation_report():
     report = general_relation_cpn(2, 3, 4, 10)
     assert report["ok"] and report["zero_index_convention"] == "G_0 = 1"
+
+
+def test_general_relation_failure_keeps_the_convention(monkeypatch):
+    # a wrong G[1,3] breaks the identity; the report says so, with both
+    # sides, and names no convention but G_0 = 1
+    real = localization.eisenstein_qexp
+    monkeypatch.setattr(localization, "eisenstein_qexp",
+                        lambda k, N, prec: real(k, N, prec) + (k == 1))
+    report = general_relation_cpn(2, 3, 4, 10)
+    assert not report["ok"] and report["zero_index_convention"] == "G_0 = 1"
+    assert report["lhs"] != report["rhs"]
 
 
 def test_product_fixed_points():
