@@ -3,7 +3,10 @@
 Subcommands: eisenstein, qn, genus, chiy, relations, hilbert, coadjoint,
 polytope, selftest.  Exit codes are a stable contract: 0 success, 1 a
 verification failed (nonzero residual, route disagreement, failed
-self-test), 2 usage or validation error (argparse's own convention).
+self-test), 2 usage or validation error (argparse's own convention) or a
+stdout pipe closed by its reader.  Input files are checked as they are
+loaded: a value of the wrong JSON shape is rejected, never coerced, and
+fixed-point data must have q_I = 0 for |I| < n, as every manifold does.
 
 The default q-precision is 15, overridable with GENUS_FORGE_PREC or
 --prec.  All output is plain text, or JSON under --json, with entries
@@ -24,7 +27,8 @@ from .coadjoint import (OrbitSpec, RootSystem, cpn_orbit, crosscheck_qI,
                         q_I_via_divided_diff)
 from .localization import (FixedPointData, build_relation, chi_y_from_counts,
                            divides_chi_y, genus_qexp, genus_via_chern,
-                           hilbert_polynomial, verify_relation)
+                           hilbert_polynomial, json_int_list, relation_coefficient,
+                           verify_relation)
 from .modular import eisenstein_qexp, qn_expansion_via_product, series_to_json
 from .polytope import (FHVectors, betti_pattern, combinatorial_index,
                        h_divisibility)
@@ -48,7 +52,15 @@ def _default_precision() -> int:
 
 def _load_fixed_points(path: str) -> FixedPointData:
     with open(path, "r", encoding="utf-8") as fh:
-        return FixedPointData.from_json(json.load(fh)).validate()
+        fpd = FixedPointData.from_json(json.load(fh))
+    for k in range(fpd.n):
+        for I in partitions_at_most(k, fpd.n):
+            value = relation_coefficient(fpd, I)
+            if value:
+                raise ValueError(f"not the fixed points of a manifold: "
+                                 f"q_{partition_str(I)} = {value}, but q_I = 0 "
+                                 f"for every |I| < n = {fpd.n}")
+    return fpd
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -242,18 +254,26 @@ def cmd_coadjoint(args) -> int:
 def cmd_polytope(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"input JSON must be an object, got {json.dumps(data)}")
     lines, payload = [], {}
     code = 0
     k0 = args.k0
     if "edges" in data:
-        edges = [(tuple(p), tuple(q)) for p, q in data["edges"]]
+        edges = data["edges"]
+        if not (isinstance(edges, list)
+                and all(isinstance(e, list) and len(e) == 2 for e in edges)):
+            raise ValueError('"edges" must be a list of [p, q] pairs, '
+                             f"got {json.dumps(edges)}")
+        edges = [tuple(tuple(json_int_list(v, "edge endpoint")) for v in e)
+                 for e in edges]
         index = combinatorial_index(edges)
         payload["index"] = index
         lines.append(f"combinatorial index = {index}")
         if k0 is None:
             k0 = index
     if "f" in data:
-        f = [int(v) for v in data["f"]]
+        f = json_int_list(data["f"], '"f"')
         fh_vectors = FHVectors(len(f) - 1, f)
         payload.update(fh_vectors.describe())
         lines.append(f"f = {fh_vectors.f}")
@@ -407,7 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

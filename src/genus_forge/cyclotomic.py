@@ -1,14 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 An element is stored in canonical form: a vector of phi(N) Fraction
-coefficients with respect to the power basis 1, zeta, ..., zeta^(phi(N)-1),
-reduced modulo the N-th cyclotomic polynomial Phi_N.  Equality is exact
-equality of coefficient vectors, so values coming from different computation
-routes can be compared directly.
+coefficients with respect to the power basis 1, zeta, ..., zeta^(phi(N)-1).
+Equality is exact equality of coefficient vectors, so values coming from
+different computation routes can be compared directly.  There is one
+reduction rule: a power of zeta, a product, an inverse or a Galois image is
+written as a dense polynomial in zeta (exponents folded mod N) and reduced
+once, to its remainder modulo the N-th cyclotomic polynomial Phi_N.
 
-All values are immutable; the module-level caches are populated lazily and
-are safe for concurrent read-through use (entries are only ever added, never
-mutated).
+All values are immutable; the module-level cache of cyclotomic polynomials
+is populated lazily and is safe for concurrent read-through use (entries are
+only ever added, never mutated).
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
+    a = _poly_trim(list(a))
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
+    while len(a) >= len(b):
         shift = len(a) - len(b)
         c = a[-1] * inv_lead
         q[shift] = c
@@ -88,15 +90,20 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-@lru_cache(maxsize=None)
-def _power_vector(level: int, e: int) -> tuple[Fraction, ...]:
-    """zeta_level^e in the canonical basis."""
-    e %= level
-    phi = euler_phi(level)
-    poly = [Fraction(0)] * e + [Fraction(1)]
-    _, rem = _poly_divmod(poly, list(cyclotomic_polynomial(level)))
-    rem = rem + [Fraction(0)] * (phi - len(rem))
-    return tuple(rem)
+def _reduce(level: int, poly: list) -> list:
+    """The remainder of poly (ascending, any length) modulo the monic Phi_level,
+    as phi(level) coefficients; poly is consumed."""
+    phi_poly = cyclotomic_polynomial(level)
+    phi = len(phi_poly) - 1
+    for k in range(len(poly) - 1, phi - 1, -1):
+        c = poly[k]
+        if c:
+            for j, p in enumerate(phi_poly, k - phi):
+                if p:
+                    poly[j] -= c * p
+    del poly[phi:]
+    poly.extend([0] * (phi - len(poly)))
+    return poly
 
 
 class CyclotomicNumber:
@@ -127,7 +134,7 @@ class CyclotomicNumber:
 
     @classmethod
     def zeta(cls, level: int, power: int = 1) -> "CyclotomicNumber":
-        return cls(level, _power_vector(level, power))
+        return cls(level, _reduce(level, [0] * (power % level) + [1]))
 
     # -- helpers ----------------------------------------------------------
 
@@ -139,17 +146,6 @@ class CyclotomicNumber:
         if isinstance(other, (int, Fraction)):
             return CyclotomicNumber.from_rational(self.level, other)
         return None
-
-    def _from_power_sum(self, pairs) -> "CyclotomicNumber":
-        """Sum of c * zeta^e terms, reduced."""
-        phi = euler_phi(self.level)
-        acc = [Fraction(0)] * phi
-        for e, c in pairs:
-            if c:
-                vec = _power_vector(self.level, e)
-                for i in range(phi):
-                    acc[i] += c * vec[i]
-        return CyclotomicNumber(self.level, acc)
 
     # -- ring operations --------------------------------------------------
 
@@ -180,19 +176,17 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        conv = _poly_mul(list(self.coeffs), list(o.coeffs))
-        return self._from_power_sum((i, c) for i, c in enumerate(conv))
+        return CyclotomicNumber(self.level,
+                                _reduce(self.level, _poly_mul(self.coeffs, o.coeffs)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
         if not self:
             raise ZeroDivisionError(f"division by zero in Q(zeta_{self.level})")
-        phi_poly = list(cyclotomic_polynomial(self.level))
-        a = _poly_trim(list(self.coeffs))
         # extended euclid in Q[x]: s*a + t*Phi = g, g a nonzero constant
         # since Phi is irreducible and a is nonzero of lower degree.
-        r0, r1 = phi_poly, a
+        r0, r1 = list(cyclotomic_polynomial(self.level)), _poly_trim(list(self.coeffs))
         s0, s1 = [], [Fraction(1)]
         while r1:
             q, r = _poly_divmod(r0, r1)
@@ -200,8 +194,7 @@ class CyclotomicNumber:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         if len(r0) != 1:
             raise AssertionError("cyclotomic polynomial was not coprime to the element")
-        g = r0[0]
-        return self._from_power_sum((i, c / g) for i, c in enumerate(s0))
+        return CyclotomicNumber(self.level, _reduce(self.level, [c / r0[0] for c in s0]))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -230,7 +223,10 @@ class CyclotomicNumber:
         """The automorphism zeta -> zeta^m; requires gcd(m, N) = 1."""
         if gcd(m, self.level) != 1:
             raise ValueError(f"zeta -> zeta^{m} is not an automorphism at level {self.level}")
-        return self._from_power_sum((i * m, c) for i, c in enumerate(self.coeffs))
+        poly = [0] * self.level
+        for i, c in enumerate(self.coeffs):
+            poly[i * m % self.level] += c
+        return CyclotomicNumber(self.level, _reduce(self.level, poly))
 
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois(-1)

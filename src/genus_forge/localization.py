@@ -22,6 +22,7 @@ reported as bad input data, never rounded away.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
@@ -95,11 +96,32 @@ class FixedPointData:
         return data
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "FixedPointData":
-        points = [p["weights"] for p in data["points"]]
-        labels = [p.get("label", f"P{i}") for i, p in enumerate(data["points"])]
-        return cls(data["n"], points, labels,
-                   data.get("asserted_index")).validate()
+    def from_json(cls, data) -> "FixedPointData":
+        """Read the JSON form written by `to_json`; a value of the wrong
+        shape is a ValueError, never coerced."""
+        points = data.get("points") if isinstance(data, dict) else None
+        if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):
+            raise ValueError('fixed-point data must be an object with a "points" list '
+                             "of objects")
+        index = data.get("asserted_index")
+        return cls(json_int(data.get("n"), "n"),
+                   [json_int_list(p.get("weights"), f"point {i} weights")
+                    for i, p in enumerate(points)],
+                   [p.get("label", f"P{i}") for i, p in enumerate(points)],
+                   None if index is None else json_int(index, "asserted_index")).validate()
+
+
+def json_int(value, what: str) -> int:
+    """value, if it is a JSON integer; true, 1.5 and "1" are not."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def json_int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, got {json.dumps(value)}")
+    return [json_int(v, f"{what} entry") for v in value]
 
 
 def cpn_fixed_points(n: int, weights: Sequence[int],
@@ -337,13 +359,13 @@ def eisenstein_product(I: Sequence[int], N: int, q_precision: int) -> TruncSerie
         series = g if series is None else series * g
     if series is None:
         return TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)},
-                           order=q_precision)
+                           cutoff=q_precision)
     return series
 
 
 def verify_relation(rel: Relation, q_precision: int) -> dict:
     """Sum the q-expansion of the relation; pass iff identically zero."""
-    residual = TruncSeries("q", {}, order=q_precision)
+    residual = TruncSeries("q", {}, cutoff=q_precision)
     for I, c in rel.terms:
         if not c:
             continue
@@ -357,7 +379,7 @@ def genus_qexp(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
     fpd.validate()
     if N < 2:
         raise ValueError("the level-N genus needs N >= 2")
-    total = TruncSeries("q", {}, order=q_precision)
+    total = TruncSeries("q", {}, cutoff=q_precision)
     for I in partitions_at_most(fpd.n, fpd.n):
         c = relation_coefficient(fpd, I)
         if c:
@@ -368,7 +390,7 @@ def genus_qexp(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
 def genus_via_chern(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
     """Independent route to the same genus: sum of f_lambda * C_lambda."""
     table = f_lambda_table(N, fpd.n, q_precision)
-    total = TruncSeries("q", {}, order=q_precision)
+    total = TruncSeries("q", {}, cutoff=q_precision)
     for lam, series in table.items():
         total = total + series * chern_number(fpd, lam)
     return total
@@ -384,17 +406,17 @@ def _index_total(fpd: FixedPointData, numerators, order: int) -> TruncSeries:
     D = lcm(*denoms) if denoms else 1
     total = None
     for weights, terms in zip(fpd.points, numerators):
-        num = TruncSeries("s", {}, order=order)
+        num = TruncSeries("s", {}, cutoff=order)
         for a, coeff in terms:
             rate = Fraction(a) * D
             assert rate.denominator == 1
             num = num + exp_series("s", rate, order) * coeff
-        unit = TruncSeries("s", {0: Fraction(1)}, order=order)
+        unit = TruncSeries("s", {0: Fraction(1)}, cutoff=order)
         for w in weights:
             a = w * D
             unit = unit * TruncSeries(
                 "s", {m: Fraction((-a) ** m, factorial(m + 1))
-                      for m in range(order)}, order=order)
+                      for m in range(order)}, cutoff=order)
         scale = Fraction(1, D ** n * prod(weights))
         term = (num * unit.inverse() * scale).shift(-n)
         total = term if total is None else total + term
@@ -410,19 +432,17 @@ def equivariant_index_limit(fpd: FixedPointData, numerators) -> Fraction:
     factor contributes one power of s, the remaining unit series is
     inverted, and the s^0 coefficient of the sum is the index.  Surviving
     negative powers of s mean the input was not the fixed-point data of a
-    global index; the check is re-run once at doubled order to make sure a
-    cutoff artifact is never reported as a pole.
+    global index.  Order n+2 suffices: every key below a series' cutoff is
+    exact, so after the shift by s^-n the coefficients of s^-n..s^1 are
+    final, and a higher order would recompute the same pole part.
     """
     fpd.validate()
     if len(numerators) != len(fpd.points):
         raise ValueError("need one numerator per fixed point")
     numerators = [[(a, c) for a, c in terms] for terms in numerators]
-    order = fpd.n + 2
-    total = _index_total(fpd, numerators, order)
+    total = _index_total(fpd, numerators, fpd.n + 2)
     if any(k < 0 and c for k, c in total.coeffs.items()):
-        total = _index_total(fpd, numerators, 2 * order)
-        if any(k < 0 and c for k, c in total.coeffs.items()):
-            raise ArithmeticError("pole at t=1: not a global index")
+        raise ArithmeticError("pole at t=1: not a global index")
     return total.coeff(0)
 
 
@@ -531,7 +551,7 @@ def divides_chi_y(chi_y: SparsePoly, k0: int) -> dict:
 def _power_sum_series(N: int, k_cut: int, q_precision: int) -> TruncSeries:
     """S(z) = sum_j G_{j,N} z^j, with G_0 := 1."""
     coeffs = {0: TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)},
-                             order=q_precision)}
+                             cutoff=q_precision)}
     for j in range(1, k_cut):
         g = eisenstein_qexp(j, N, q_precision)
         if g:
@@ -557,7 +577,7 @@ def general_relation_cpn(n: int, N: int, k: int, q_precision: int) -> dict:
         raise ValueError("relation degree k must be at least n")
     Sn = _power_sum_series(N, k + 1, q_precision) ** n
     lhs = nested_coeff(Sn, k, q_precision) * Fraction((-1) ** (n + k + 1))
-    rhs = TruncSeries("q", {}, order=q_precision)
+    rhs = TruncSeries("q", {}, cutoff=q_precision)
     for ell in range(n):
         g = eisenstein_qexp(k - ell, N, q_precision)
         rhs = rhs + (g * nested_coeff(Sn, ell, q_precision)

@@ -42,9 +42,9 @@ def eisenstein_qexp(k: int, N: int, precision: int) -> TruncSeries:
         raise ValueError("Eisenstein level must be at least 2")
     if precision < 1:
         raise ValueError("q-precision must be positive")
-    zeta = CyclotomicNumber.zeta(N)
+    z = [CyclotomicNumber.zeta(N, e) for e in range(N)]   # z[e] = zeta^e
     if k == 1:
-        const = (1 + zeta) / (2 * (1 - zeta))
+        const = (1 + z[1]) / (2 * (1 - z[1]))
     else:
         const = CyclotomicNumber.from_rational(N, bernoulli(k) / factorial(k))
     sign = -1 if k % 2 else 1
@@ -54,16 +54,16 @@ def eisenstein_qexp(k: int, N: int, precision: int) -> TruncSeries:
         for d in range(1, n + 1):
             if n % d:
                 continue
-            root = CyclotomicNumber.zeta(N, -d) + sign * CyclotomicNumber.zeta(N, d)
+            root = z[-d % N] + sign * z[d % N]
             acc = acc + (n // d) ** (k - 1) * root
         coeffs[n] = -acc * Fraction(1, factorial(k - 1))
-    return TruncSeries("q", coeffs, order=precision)
+    return TruncSeries("q", coeffs, cutoff=precision)
 
 
 def _q_const(N: int, precision: int, value) -> TruncSeries:
     if not isinstance(value, CyclotomicNumber):
         value = CyclotomicNumber.from_rational(N, value)
-    return TruncSeries("q", {0: value}, order=precision)
+    return TruncSeries("q", {0: value}, cutoff=precision)
 
 
 def _exp_x_factor(sign: int, scale: TruncSeries, x_cutoff: int,
@@ -132,7 +132,7 @@ def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> QnExpans
     def qmono(v, r):
         if not isinstance(v, CyclotomicNumber):
             v = CyclotomicNumber.from_rational(N, v)
-        return TruncSeries("q", {r: v}, order=q_precision)
+        return TruncSeries("q", {r: v}, cutoff=q_precision)
 
     # prefactor x(1 - e^{-x} z)/((1 - e^{-x})(1 - z)), the x cancelled exactly
     u = _one_minus_exp_unit(K, qconst)
@@ -163,9 +163,9 @@ def nested_coeff(series: TruncSeries, j: int, q_precision: int) -> TruncSeries:
     c = series.coeff(j)
     if not isinstance(c, TruncSeries):
         # identically-zero inner series are pruned inside the nest
-        return TruncSeries("q", {}, order=q_precision)
+        return TruncSeries("q", {}, cutoff=q_precision)
     if c.cutoff > q_precision:
-        return c.truncate(order=q_precision)
+        return c.truncate(cutoff=q_precision)
     return c
 
 
@@ -216,8 +216,6 @@ def f_lambda_table(N: int, n: int, q_precision: int) -> dict[Partition, TruncSer
 
 
 def series_to_json(series: TruncSeries, level: int) -> dict:
-    if series.denom != 1:
-        raise ValueError("only integer-exponent series are serialized")
     coeffs = []
     for k in sorted(series.coeffs):
         c = series.coeffs[k]

@@ -45,6 +45,8 @@ class FHVectors:
 
     def __init__(self, n: int, f: Sequence[int]) -> None:
         f = [int(v) for v in f]
+        if n < 0:
+            raise ValueError("an f-vector has at least one entry")
         if len(f) != n + 1:
             raise ValueError(f"f-vector needs {n + 1} entries, got {len(f)}")
         if f[n] != 1:

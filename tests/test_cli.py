@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +114,57 @@ def test_missing_and_malformed_files(tmp_path, capsys):
         {"label": "P", "weights": [0]}], "asserted_index": 1}))
     assert main(["genus", str(zero), "2"]) == 2
     assert "zero weight" in capsys.readouterr().err
+    cp1 = cpn_fixed_points(1, (1,)).to_json()
+    # each used to raise a traceback, or (a float, bool or string weight)
+    # to be coerced by int() and reported as agreeing
+    for data in ([], {**cp1, "points": [{"weights": None}]},
+                 {**cp1, "asserted_index": "2"},
+                 {**cp1, "points": [{"weights": [1.5]}, {"weights": [-1]}]},
+                 {**cp1, "points": [{"weights": [True]}, {"weights": [-1]}]},
+                 {**cp1, "points": [{"weights": ["1"]}, {"weights": [-1]}]},
+                 {**cp1, "n": 1.0}, {**cp1, "points": [5]}):
+        bad.write_text(json.dumps(data))
+        for argv in (["genus", str(bad), "2"],
+                     ["relations", str(bad), "2", "1", "2", "--verify"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_manifold_data_is_rejected(tmp_path, capsys):
+    # q_[1] = 2 != 0, so no manifold has these fixed points
+    path = tmp_path / "fake.json"
+    path.write_text(json.dumps({"n": 2, "points": [{"weights": [1, 1]},
+                                                   {"weights": [-1, 1]}]}))
+    for argv in (["genus", str(path), "2"],
+                 ["relations", str(path), "2", "2", "3", "--verify"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "q_[1] = 2" in captured.err
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_closed_stdout_pipe_exits_2(failing, tmp_path, monkeypatch, capsys):
+    # a short output can sit in the buffer until the final flush
+    class ClosedPipe(io.StringIO):
+        def fileno(self):
+            return fd
+
+    def broken(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    stdout = ClosedPipe()
+    setattr(stdout, failing, broken)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["eisenstein", "3", "2"]) == 2
+        # the descriptor now points at the null device, so the flush at exit
+        # cannot raise again
+        assert os.fstat(fd).st_rdev == os.stat(os.devnull).st_rdev
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 def test_hilbert(tmp_path, capsys):
@@ -292,7 +346,12 @@ def test_polytope_divisibility_failure(tmp_path, capsys):
 
 def test_polytope_empty_input(tmp_path, capsys):
     path = tmp_path / "empty.json"
-    for data in ({}, {"edges": [[[], []]]}):   # the edge used to raise IndexError
+    # the edge [[], []] used to raise IndexError; most later inputs raised a
+    # traceback ({"f": []} an IndexError), and a float or bool entry of "f"
+    # was coerced by int()
+    for data in ({}, {"edges": [[[], []]]}, [], "edges", {"edges": 5},
+                 {"edges": [[[0], [1], [2]]]}, {"edges": [[[0], [1.5]]]},
+                 {"f": []}, {"f": 3}, {"f": [1.5, 1]}, {"f": [True, 1]}):
         path.write_text(json.dumps(data))
         assert main(["polytope", str(path)]) == 2
         assert "error:" in capsys.readouterr().err

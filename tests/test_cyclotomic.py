@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus_forge.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, euler_phi
+from genus_forge.cyclotomic import (CyclotomicNumber, _poly_divmod, _poly_mul, _poly_sub,
+                                    _reduce, cyclotomic_polynomial, euler_phi)
 
 
 def test_euler_phi_small_values():
@@ -69,6 +70,21 @@ def test_ring_axioms(data):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + 0 == a and a * 1 == a
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduction_is_the_remainder_mod_phi(data):
+    # dense dividends of any length, trailing zeros included (a trailing zero
+    # used to give _poly_divmod a negative shift)
+    n = data.draw(st.integers(min_value=1, max_value=15))
+    poly = (data.draw(st.lists(_scalars, max_size=3 * n))
+            + [Fraction(0)] * data.draw(st.integers(min_value=0, max_value=3)))
+    phi_poly = list(cyclotomic_polynomial(n))
+    q, r = _poly_divmod(poly, phi_poly)
+    assert len(r) <= euler_phi(n)
+    assert _poly_sub(poly, _poly_mul(q, phi_poly)) == r
+    assert _reduce(n, list(poly)) == r + [0] * (euler_phi(n) - len(r))
 
 
 @given(st.data())

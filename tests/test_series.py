@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from genus_forge.series import TruncSeries, bernoulli, exp_series, geometric_series
 
 
-def q(coeffs, order=8, **kw):
-    return TruncSeries("q", coeffs, order=order, **kw)
+def q(coeffs, cutoff=8, **kw):
+    return TruncSeries("q", coeffs, cutoff=cutoff, **kw)
 
 
 def test_bernoulli_values():
@@ -36,8 +36,8 @@ _coeff = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 @settings(max_examples=60, deadline=None)
 def test_multiplication_matches_bruteforce(a_list, b_list):
     order = 6
-    a = q({i: c for i, c in enumerate(a_list)}, order=order)
-    b = q({i: c for i, c in enumerate(b_list)}, order=order)
+    a = q({i: c for i, c in enumerate(a_list)}, cutoff=order)
+    b = q({i: c for i, c in enumerate(b_list)}, cutoff=order)
     prod = a * b
     for k in range(prod.cutoff):
         expected = sum((a_list[i] if i < len(a_list) else 0)
@@ -51,7 +51,7 @@ def test_multiplication_matches_bruteforce(a_list, b_list):
 def test_inverse_roundtrip(coeffs):
     if coeffs[0] == 0:
         coeffs = [Fraction(1)] + coeffs[1:]
-    s = q({i: c for i, c in enumerate(coeffs)}, order=8)
+    s = q({i: c for i, c in enumerate(coeffs)}, cutoff=8)
     inv = s.inverse()
     prod = s * inv
     for k in range(prod.cutoff):
@@ -74,15 +74,15 @@ def test_zero_pruning():
 
 
 def test_addition_cutoff_is_min():
-    a = q({0: Fraction(1)}, order=4)
-    b = q({0: Fraction(1)}, order=9)
+    a = q({0: Fraction(1)}, cutoff=4)
+    b = q({0: Fraction(1)}, cutoff=9)
     assert (a + b).cutoff == 4
 
 
 def test_multiplication_cutoff_shifts_with_min_key():
     # cutoff = min(cut_a + min_b, cut_b + min_a)
-    a = q({2: Fraction(1)}, order=6)     # starts at q^2
-    b = q({0: Fraction(1)}, order=6)
+    a = q({2: Fraction(1)}, cutoff=6)     # starts at q^2
+    b = q({0: Fraction(1)}, cutoff=6)
     assert (a * b).cutoff == 6
     assert (a * a).cutoff == 8
 
@@ -96,7 +96,7 @@ def test_laurent_shift_and_negative_guard():
 
 
 def test_inverse_of_laurent_leading_term():
-    s = TruncSeries("q", {1: Fraction(2), 2: Fraction(1)}, order=6)
+    s = TruncSeries("q", {1: Fraction(2), 2: Fraction(1)}, cutoff=6)
     inv = s.inverse()
     assert inv.laurent and inv.coeff(-1) == Fraction(1, 2)
     prod = s * inv
@@ -105,23 +105,23 @@ def test_inverse_of_laurent_leading_term():
 
 
 def test_truncate_cannot_extend():
-    s = q({0: Fraction(1)}, order=5)
-    assert s.truncate(order=3).cutoff == 3
+    s = q({0: Fraction(1)}, cutoff=5)
+    assert s.truncate(cutoff=3).cutoff == 3
     with pytest.raises(ValueError):
-        s.truncate(order=9)
+        s.truncate(cutoff=9)
 
 
 def test_different_variable_mismatch():
-    a = TruncSeries("x", {0: Fraction(1)}, order=4)
-    b = TruncSeries("q", {0: Fraction(1)}, order=4)
+    a = TruncSeries("x", {0: Fraction(1)}, cutoff=4)
+    b = TruncSeries("q", {0: Fraction(1)}, cutoff=4)
     with pytest.raises(ValueError):
         a * b
 
 
 def test_nested_series_scalar_multiplication():
-    inner = TruncSeries("q", {0: Fraction(1), 1: Fraction(2)}, order=5)
-    outer = TruncSeries("x", {0: inner, 1: inner}, order=3)
-    scaled = outer * TruncSeries("q", {1: Fraction(1)}, order=5)
+    inner = TruncSeries("q", {0: Fraction(1), 1: Fraction(2)}, cutoff=5)
+    outer = TruncSeries("x", {0: inner, 1: inner}, cutoff=3)
+    scaled = outer * TruncSeries("q", {1: Fraction(1)}, cutoff=5)
     assert scaled.coeff(0).coeff(1) == 1
     assert scaled.coeff(0).coeff(2) == 2
 
@@ -133,21 +133,12 @@ def test_exp_and_geometric_series():
         assert e.coeff(k) == Fraction(2 ** k, factorial(k))
     g = geometric_series("q", 6)
     assert all(g.coeff(k) == 1 for k in range(6))
-    assert (g * (1 - TruncSeries("q", {1: Fraction(1)}, order=6))).coeff(0) == 1
-
-
-def test_fractional_exponent_denominator():
-    s = TruncSeries("t", {1: Fraction(1)}, order=8, denom=3)
-    cube = s ** 3
-    assert cube.coeff(3) == 1  # t^(1/3) cubed is t
-    t = TruncSeries("t", {0: Fraction(1)}, order=8)
-    with pytest.raises(ValueError):
-        s + t  # incompatible denominators
+    assert (g * (1 - TruncSeries("q", {1: Fraction(1)}, cutoff=6))).coeff(0) == 1
 
 
 def test_equality_requires_same_cutoff():
-    a = q({0: Fraction(1)}, order=4)
-    b = q({0: Fraction(1)}, order=5)
+    a = q({0: Fraction(1)}, cutoff=4)
+    b = q({0: Fraction(1)}, cutoff=5)
     assert a != b
-    assert a == a.truncate(order=4)
+    assert a == a.truncate(cutoff=4)
     assert q({0: Fraction(7)}) == 7  # scalar comparison
