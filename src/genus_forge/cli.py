@@ -168,9 +168,10 @@ def cmd_hilbert(args) -> int:
 
 # Caps on one coadjoint request, so that every accepted request finishes
 # well inside a minute.  Measured on a shared 2-core x86-64 VM:
-# - building an orbit lists all of W and recovers a reduced word for every
-#   coset; with --xi, A6 (|W| = 5040) takes 2.2 s and B5 (3840) 1.4 s, but
-#   A7 (40320) takes 23 s and B6 (46080) 30 s;
+# - an orbit has one coset, and with --xi one fixed point, per element of
+#   W^J, which for J = () is all of W; with --xi and J = (), A6 (|W| = 5040)
+#   takes 0.55 s and B5 (3840) 0.52 s, A7 (40320) 6.2 s and B6 (46080) 8.0 s,
+#   most of it in the n weights of each fixed point;
 # - a crosscheck over |I| = n..n+extra grows with n and with the degree:
 #   CP^6 with 2 extra degrees takes 15 s and A4 J=[1,2] (n = 7) 10 s, while
 #   A5 J=[1,2,3] (n = 9) takes 20 s with no extra degree.
@@ -213,10 +214,7 @@ def cmd_coadjoint(args) -> int:
                          f"COADJOINT_MAX_EXTRA_DEGREES = "
                          f"{orbit.n + COADJOINT_MAX_EXTRA_DEGREES}")
     lines = [f"orbit: {orbit!r}", f"roots outside <J>: {orbit.complement_roots}"]
-    if not args.json:
-        # each coset's word is recovered on demand; --json prints none of them
-        lines.append("cosets: " + ", ".join(
-            "*".join(f"s{j}" for j in w.word) or "e" for w in orbit.cosets))
+    lines.append("cosets: " + ", ".join(w.label() for w in orbit.cosets))
     payload = {"orbit": orbit.to_json(), "n": orbit.n,
                "longest_word": list(orbit.longest_rep.word)}
     code = 0

@@ -12,22 +12,23 @@ divided-difference operator of the longest coset representative to the
 monomial symmetric polynomial m_I evaluated at those roots.  Both routes
 are implemented; `crosscheck_qI` insists they agree exactly.
 
-Weyl elements are stored as signed permutations (w(e_i) = s_i * e_{p_i});
-reduced words are recovered greedily by smallest-index right descents, on
-first use only.  The group and its cosets are listed exhaustively, so an
-orbit costs |W| elements plus one word recovery per coset: |W(A_m)| =
-(m+1)! and |W(B_m)| = 2^m m!, which is 120 at A_4 and 48 at B_3 but 40320
-at A_7.  Each q_I costs one m_I over the n roots outside <J> and n divided
-differences, and grows quickly with n and |I|.  Nothing here bounds a
-request; the CLI caps the rank, n and |I| - n (`COADJOINT_MAX_*` in
-`genus_forge.cli`) so that each accepted request finishes well inside a
-minute.
+Weyl elements are stored as signed permutations (w(e_i) = s_i * e_{p_i}).
+An orbit enumerates only the minimal coset representatives W^J, level by
+level from the identity, each carrying its reduced word, so it builds
+|W/W_J| elements: 5 for CP^4, 7 for CP^6.  With J empty that is all of W:
+|W(A_m)| = (m+1)! and |W(B_m)| = 2^m m!, 120 at A_4 and 48 at B_3 but
+40320 at A_7.  Each q_I costs one m_I over the n roots outside <J> and n
+divided differences, and grows quickly with n and |I|.  Nothing here
+bounds a request; the CLI caps the rank, n and |I| - n (`COADJOINT_MAX_*`
+in `genus_forge.cli`) so that each accepted request finishes well inside
+a minute.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .localization import FixedPointData, relation_coefficient
@@ -125,23 +126,19 @@ def _negative_root_set(rs: RootSystem) -> frozenset:
 
 
 class WeylElement:
-    """A (signed) permutation w(e_i) = s_i * e_{p_i} with a reduced word."""
+    """A (signed) permutation w(e_i) = s_i * e_{p_i}.
 
-    __slots__ = ("rs", "images", "_word")
+    `word` is a reduced word for the elements listed by `weyl_group`, and
+    None for those built by `compose` or from bare images.
+    """
+
+    __slots__ = ("rs", "images", "word")
 
     def __init__(self, rs: RootSystem, images: Sequence[tuple[int, int]],
                  word: Optional[tuple[int, ...]] = None) -> None:
         self.rs = rs
         self.images = tuple((int(p), int(s)) for p, s in images)
-        self._word = None if word is None else tuple(word)
-
-    @property
-    def word(self) -> tuple[int, ...]:
-        """A reduced word, recovered on first access and then kept.  Eager
-        recovery would recurse: each step composes, building a new element."""
-        if self._word is None:
-            self._word = self._recover_word()
-        return self._word
+        self.word = None if word is None else tuple(word)
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElement":
@@ -153,18 +150,10 @@ class WeylElement:
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self after other (group product self * other)."""
-        images = []
-        for p, s in other.images:
-            q, t = self.images[p]
-            images.append((q, s * t))
-        return WeylElement(self.rs, images)
+        return WeylElement(self.rs, _compose_images(self.images, other.images))
 
     def apply_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        out = [0] * self.rs.dim
-        for i, c in enumerate(v):
-            p, s = self.images[i]
-            out[p] += s * c
-        return tuple(out)
+        return _apply_images(self.images, v)
 
     def act(self, poly: SparsePoly) -> SparsePoly:
         """Action on polynomials: substitute x_i -> s_i * x_{p_i}."""
@@ -175,27 +164,9 @@ class WeylElement:
         return sum(1 for root in self.rs.positive_roots()
                    if self.apply_vector(root) in neg)
 
-    def is_identity(self) -> bool:
-        return all(p == i and s == 1 for i, (p, s) in enumerate(self.images))
-
-    def _recover_word(self) -> tuple[int, ...]:
-        """Greedy right descents, smallest simple index first."""
-        neg = _negative_root_set(self.rs)
-        simples = self.rs.simple_roots()
-        js = []
-        cur = self
-        while not cur.is_identity():
-            for j, alpha in enumerate(simples, start=1):
-                if cur.apply_vector(alpha) in neg:
-                    js.append(j)
-                    cur = cur.compose(WeylElement.simple(self.rs, j))
-                    break
-            else:
-                raise ArithmeticError("non-identity element with no descent")
-        word = tuple(reversed(js))
-        if len(word) != self.length():
-            raise ArithmeticError("recovered word is not reduced")
-        return word
+    def label(self) -> str:
+        """The reduced word as s2*s1, or e for the identity."""
+        return "*".join(f"s{j}" for j in self.word) or "e"
 
     def __eq__(self, other):
         return (isinstance(other, WeylElement) and self.rs == other.rs
@@ -205,42 +176,62 @@ class WeylElement:
         return hash((self.rs, self.images))
 
     def __repr__(self) -> str:
-        body = "*".join(f"s{j}" for j in self.word) or "e"
-        return f"<{self.rs} {body}>"
+        return f"<{self.rs} {self.images if self.word is None else self.label()}>"
 
 
-@lru_cache(maxsize=None)
-def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """The whole group, by closure under right multiplication by simples."""
-    simples = [WeylElement.simple(rs, j) for j in range(1, rs.rank + 1)]
-    seen = {WeylElement.identity(rs).images: WeylElement.identity(rs)}
-    frontier = list(seen.values())
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in simples:
-                ws = w.compose(s)
-                if ws.images not in seen:
-                    seen[ws.images] = ws
-                    nxt.append(ws)
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda w: (w.length(), w.images)))
+def _compose_images(outer, inner) -> tuple[tuple[int, int], ...]:
+    """Images of outer * inner: inner maps e_i to s e_p, then outer e_p."""
+    return tuple((q, s * t) for p, s in inner for q, t in (outer[p],))
 
 
-def _subgroup_generated(rs: RootSystem, J: Sequence[int]) -> set:
-    gens = [WeylElement.simple(rs, j) for j in J]
-    seen = {WeylElement.identity(rs).images}
-    frontier = [WeylElement.identity(rs)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = w.compose(g)
-                if wg.images not in seen:
-                    seen.add(wg.images)
-                    nxt.append(wg)
-        frontier = nxt
-    return seen
+def _apply_images(images, v: Sequence[int]) -> tuple[int, ...]:
+    out = [0] * len(images)
+    for (p, s), c in zip(images, v):
+        out[p] += s * c
+    return tuple(out)
+
+
+def weyl_group(rs: RootSystem, J: Sequence[int] = ()) -> tuple[WeylElement, ...]:
+    """The minimal-length representatives W^J of W/W_J, each with a reduced
+    word, ordered by length and then by images; all of W when J is empty.
+
+    Level k+1 is grown from level k by multiplying on the left by simple
+    reflections, keeping s*u when it is longer than u and has no right
+    descent in J.  This reaches all of W^J, because deleting the first
+    letter of a reduced word of an element of W^J leaves one of an element
+    of W^J (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4), and it
+    means s*u is shorter than u exactly when it lies on level k-1.
+
+    The word is the one that strips the smallest right descent first: the
+    least reduced word read right to left.  Deleting its first letter
+    leaves the same kind of word for the shorter element, so it is the
+    least, read right to left, of (j,) + word(u) over the parents u.
+    """
+    neg = _negative_root_set(rs)
+    simples = rs.simple_roots()
+    J_roots = [simples[j - 1] for j in J]
+    reflections = [rs.simple_reflection_images(j) for j in range(1, rs.rank + 1)]
+    previous: dict = {}
+    level = {WeylElement.identity(rs).images: ()}     # images -> reversed word
+    reps = []
+    while level:
+        reps += [WeylElement(rs, images, rev[::-1])
+                 for images, rev in sorted(level.items())]
+        nxt: dict = {}
+        for images, rev in level.items():
+            for j, reflection in enumerate(reflections, start=1):
+                w = _compose_images(reflection, images)
+                if w in previous or any(_apply_images(w, a) in neg for a in J_roots):
+                    continue
+                cand = rev + (j,)
+                if w not in nxt or cand < nxt[w]:
+                    nxt[w] = cand
+        previous, level = level, nxt
+    return tuple(reps)
+
+
+def _weyl_order(family: str, rank: int) -> int:
+    return factorial(rank + 1) if family == "A" else 2 ** rank * factorial(rank)
 
 
 class OrbitSpec:
@@ -256,18 +247,22 @@ class OrbitSpec:
         self.J = tuple(sorted(set(int(j) for j in J)))
         if any(not 1 <= j <= rs.rank for j in self.J):
             raise ValueError("J must consist of simple-root indices")
-        simples = rs.simple_roots()
         span = _span_positive_roots(rs, self.J)
         self.complement_roots = [r for r in rs.positive_roots() if r not in span]
         self.n = len(self.complement_roots)
-        neg = _negative_root_set(rs)
-        reps = [w for w in weyl_group(rs)
-                if all(w.apply_vector(simples[j - 1]) not in neg for j in self.J)]
-        expected = len(weyl_group(rs)) // len(_subgroup_generated(rs, self.J))
-        if len(reps) != expected:
+        self.cosets = weyl_group(rs, self.J)
+        # |W| / |W_J|; W_J is a product over the runs of consecutive indices
+        # in J, each of type A except a type-B run that ends at the rank
+        expected, run = _weyl_order(rs.family, rs.rank), 0
+        for j in self.J:
+            run += 1
+            if j + 1 not in self.J:
+                expected //= _weyl_order(
+                    "B" if rs.family == "B" and j == rs.rank else "A", run)
+                run = 0
+        if len(self.cosets) != expected:
             raise ArithmeticError("coset representative count mismatch")
-        self.cosets = reps
-        self.longest_rep = max(reps, key=lambda w: w.length())
+        self.longest_rep = self.cosets[-1]
         if self.longest_rep.length() != self.n:
             raise ArithmeticError("longest representative length != number of "
                                   "roots outside <J>")
@@ -370,7 +365,7 @@ def orbit_fixed_points(orbit: OrbitSpec, xi: Sequence[int]) -> FixedPointData:
                                  f"<{w!r}({root}), {xi}> = 0")
             weights.append(pairing)
         points.append(tuple(weights))
-        labels.append("*".join(f"s{j}" for j in w.word) or "e")
+        labels.append(w.label())
     return FixedPointData(orbit.n, points, labels).validate()
 
 

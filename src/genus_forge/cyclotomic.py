@@ -115,7 +115,7 @@ class CyclotomicNumber:
         if level < 1:
             raise ValueError("cyclotomic level must be positive")
         phi = euler_phi(level)
-        vec = [Fraction(c) for c in coeffs]
+        vec = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(vec) != phi:
             raise ValueError(f"expected {phi} coefficients for level {level}, got {len(vec)}")
         object.__setattr__(self, "level", level)

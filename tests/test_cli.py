@@ -1,14 +1,17 @@
+import contextlib
 import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DIM,
                              COADJOINT_MAX_RANK, main)
-from genus_forge.coadjoint import WeylElement, weyl_group
 from genus_forge.localization import Relation, cpn_fixed_points
 from genus_forge.modular import eisenstein_qexp, series_from_json
 
@@ -211,19 +214,6 @@ def test_coadjoint_extra_degrees_range(capsys):
     assert "[ok]" in capsys.readouterr().out
 
 
-def test_coadjoint_json_recovers_one_word(monkeypatch, capsys):
-    # --json prints no coset list, so only the longest representative's word
-    # is recovered (all 119 non-identity cosets of A4 used to be)
-    weyl_group.cache_clear()
-    calls = []
-    real = WeylElement._recover_word
-    monkeypatch.setattr(WeylElement, "_recover_word",
-                        lambda self: calls.append(self) or real(self))
-    assert main(["coadjoint", "A", "4", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(calls) == 1 and payload["longest_word"] == list(calls[0].word)
-
-
 def test_coadjoint_rank_cap(capsys):
     assert COADJOINT_MAX_RANK == {"A": 6, "B": 5}
     for argv in (["A", "7"], ["B", "6"], ["--cpn", "7"], ["--grassmannian", "6"]):
@@ -355,6 +345,98 @@ def test_polytope_empty_input(tmp_path, capsys):
         path.write_text(json.dumps(data))
         assert main(["polytope", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+_WRONG_TYPE = st.sampled_from([None, 1.5, "1", True, [], {}])
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+@st.composite
+def _maybe_wrong_type(draw, doc):
+    """doc, or (one time in three) doc with one value, possibly doc itself,
+    of the wrong type."""
+    if draw(st.integers(0, 2)):
+        return doc
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    if not path:
+        return draw(_WRONG_TYPE)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(_WRONG_TYPE)
+    return doc
+
+
+@st.composite
+def _fixed_point_json(draw):
+    n = draw(st.integers(min_value=0, max_value=3))
+    if n and draw(st.booleans()):
+        # projective space, so that most requests get past the load checks
+        ws = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=n,
+                           max_size=n, unique=True))
+        return draw(_maybe_wrong_type(cpn_fixed_points(n, ws).to_json()))
+    weights = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    doc = {"n": n, "points": [{"weights": w} for w in draw(
+        st.lists(weights, min_size=1, max_size=5))]}
+    if draw(st.booleans()):
+        doc["asserted_index"] = draw(st.integers(-2, 5))
+    return draw(_maybe_wrong_type(doc))
+
+
+@st.composite
+def _polytope_json(draw):
+    d = draw(st.integers(min_value=1, max_value=3))
+    point = st.lists(st.integers(-9, 9), min_size=d, max_size=d)
+    doc = {}
+    if draw(st.booleans()):
+        doc["f"] = draw(st.lists(st.integers(0, 9), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        doc["edges"] = [list(e) for e in draw(
+            st.lists(st.tuples(point, point), max_size=4))]
+    return draw(_maybe_wrong_type(doc))
+
+
+@st.composite
+def _coadjoint_argv(draw):
+    family = draw(st.sampled_from("AB"))
+    rank = draw(st.integers(min_value=1, max_value=4))
+    dim = rank + 1 if family == "A" else rank
+    J = draw(st.lists(st.sampled_from(range(rank + 2)), max_size=rank, unique=True))
+    size = draw(st.sampled_from([dim, dim, dim - 1, dim + 1]))
+    xi = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return ["coadjoint", family, str(rank), "--J", *map(str, J),
+            "--xi", *map(str, xi), *draw(st.sampled_from([[], ["--json"]]))]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_inputs_keep_the_exit_code_contract(data):
+    # every request exits 0, 1 or 2 and none raises, whatever its input
+    level = str(data.draw(st.integers(min_value=2, max_value=4)))
+    k = sorted(str(data.draw(st.integers(min_value=1, max_value=4))) for _ in "ab")
+    with tempfile.TemporaryDirectory() as tmp:
+        fixed, poly = Path(tmp) / "fixed.json", Path(tmp) / "polytope.json"
+        fixed.write_text(json.dumps(data.draw(_fixed_point_json())))
+        poly.write_text(json.dumps(data.draw(_polytope_json())))
+        for argv in (["genus", str(fixed), level, "--prec", "3"],
+                     ["relations", str(fixed), level, *k, "--verify", "--prec", "3"],
+                     ["chiy", str(fixed), "--k0", level],
+                     ["hilbert", str(fixed), k[0]],
+                     ["polytope", str(poly)],
+                     data.draw(_coadjoint_argv())):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue()
 
 
 def test_env_precision_override(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -66,12 +67,59 @@ def test_word_recovery_roundtrip():
     for rs in (RootSystem("B", 2), RootSystem("A", 3), RootSystem("A", 4),
                RootSystem("B", 3)):
         for el in weyl_group(rs):
-            for w in (el, WeylElement(rs, el.images)):   # each recovers its word
-                assert len(w.word) == w.length() == el.length()
-                acc = WeylElement.identity(rs)
-                for j in w.word:
-                    acc = acc.compose(WeylElement.simple(rs, j))
-                assert acc.images == el.images
+            assert len(el.word) == el.length()
+            acc = WeylElement.identity(rs)
+            for j in el.word:
+                acc = acc.compose(WeylElement.simple(rs, j))
+            assert acc.images == el.images
+
+
+def test_coset_representatives():
+    # W^J: |W| / |W_J| distinct elements with no right descent in J, ordered
+    # by length and then by images, each with the reduced word that ends in
+    # its smallest right descent and, without that letter, is the word of
+    # w * s_last
+    for rs in [RootSystem("A", m) for m in range(1, 6)] + [
+            RootSystem("B", m) for m in range(1, 5)]:
+        group = weyl_group(rs)
+        simples = [WeylElement.simple(rs, j) for j in range(1, rs.rank + 1)]
+        word = {w.images: w.word for w in group}
+        length = {w.images: w.length() for w in group}
+        descents = {w.images: [j for j, s in enumerate(simples, start=1)
+                               if length[w.compose(s).images] < length[w.images]]
+                    for w in group}
+        for w in group:
+            assert len(w.word) == length[w.images]
+            acc = WeylElement.identity(rs)
+            for j in w.word:
+                acc = acc.compose(simples[j - 1])
+            assert acc.images == w.images
+            if w.word:
+                last = w.word[-1]
+                assert last == min(descents[w.images])
+                assert word[w.compose(simples[last - 1]).images] == w.word[:-1]
+        for size in range(rs.rank + 1):
+            for J in itertools.combinations(range(1, rs.rank + 1), size):
+                reps = weyl_group(rs, J)
+                W_J = [w for w in group if set(w.word) <= set(J)]
+                assert len(reps) == len(group) // len(W_J)
+                for w in reps:
+                    assert w.word == word[w.images]
+                    assert not set(descents[w.images]) & set(J)
+                keys = [(length[w.images], w.images) for w in reps]
+                assert keys == sorted(set(keys))
+
+
+def test_orbit_builds_only_its_cosets(monkeypatch):
+    # CP^6 has 7 fixed points; listing all of W(A6) built 33 897 elements
+    built = []
+    init = WeylElement.__init__
+    monkeypatch.setattr(WeylElement, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    orbit = cpn_orbit(6)
+    assert [w.label() for w in orbit.cosets] == ["e"] + [
+        "*".join(f"s{j}" for j in range(k, 0, -1)) for k in range(1, 7)]
+    assert len(built) <= 100
 
 
 def test_divided_difference_squares_to_zero():

@@ -108,6 +108,11 @@ def test_parse_display_form():
     a = CyclotomicNumber.parse("(1/2 + 1/2*z) @ Q(zeta_3)")
     assert a == CyclotomicNumber.from_rational(3, Fraction(1, 2)) \
         + CyclotomicNumber.zeta(3) * Fraction(1, 2)
+    # ints and strings are converted; Fractions are kept as they are
+    b = CyclotomicNumber(5, [1, "1/2", Fraction(-3, 4), 0])
+    assert b.coeffs == (1, Fraction(1, 2), Fraction(-3, 4), 0)
+    for c in (b, -b, b + 2, b * b, b.inverse()):
+        assert all(type(x) is Fraction for x in c.coeffs)
 
 
 def test_galois_automorphisms():
