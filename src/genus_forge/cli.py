@@ -9,8 +9,10 @@ loaded: a value of the wrong JSON shape is rejected, never coerced, and
 fixed-point data must have q_I = 0 for |I| < n, as every manifold does.
 
 The default q-precision is 15, overridable with GENUS_FORGE_PREC or
---prec.  All output is plain text, or JSON under --json, with entries
-sorted so runs are reproducible byte for byte.
+--prec.  Requests are capped by the *_MAX_* constants below: beyond a
+cap the request exits 2 with a message naming it.  All output is plain
+text, or JSON under --json, with entries sorted so runs are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from . import acceptance
 from .coadjoint import (OrbitSpec, RootSystem, cpn_orbit, crosscheck_qI,
                         grassmannian_orbit, orbit_fixed_points,
                         q_I_via_divided_diff)
+from .cyclotomic import euler_phi
 from .localization import (FixedPointData, build_relation, chi_y_from_counts,
                            divides_chi_y, genus_qexp, genus_via_chern,
                            hilbert_polynomial, json_int_list, relation_coefficient,
@@ -46,6 +49,10 @@ def _default_precision() -> int:
     if value < 1:
         print(f"error: GENUS_FORGE_PREC must be a positive integer, got {raw!r}",
               file=sys.stderr)
+        sys.exit(2)
+    if value > QSERIES_MAX_PREC:
+        print(f"error: GENUS_FORGE_PREC = {value} exceeds the cap "
+              f"QSERIES_MAX_PREC = {QSERIES_MAX_PREC}", file=sys.stderr)
         sys.exit(2)
     return value
 
@@ -75,6 +82,7 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 
 
 def cmd_eisenstein(args) -> int:
+    _check_qseries_caps(args)
     series = eisenstein_qexp(args.weight, args.level, args.prec)
     _emit({"series": series_to_json(series, args.level)}, args.json,
           [f"G[{args.weight},{args.level}] = {series}"])
@@ -82,6 +90,13 @@ def cmd_eisenstein(args) -> int:
 
 
 def cmd_qn(args) -> int:
+    _check_qseries_caps(args)
+    if args.x_order > QN_MAX_X_ORDER:
+        raise ValueError(f"--x-order {args.x_order} exceeds the cap "
+                         f"QN_MAX_X_ORDER = {QN_MAX_X_ORDER}")
+    if euler_phi(args.level) * args.prec > QN_MAX_PHI_PREC:
+        raise ValueError(f"phi(N) * --prec = {euler_phi(args.level) * args.prec} "
+                         f"exceeds the cap QN_MAX_PHI_PREC = {QN_MAX_PHI_PREC}")
     qn = qn_expansion_via_product(args.level, args.x_order, args.prec)
     lines = [f"a_{k} = {qn.coeffs[k]}" for k in range(args.x_order)]
     payload = {"level": args.level,
@@ -92,11 +107,17 @@ def cmd_qn(args) -> int:
 
 
 def cmd_genus(args) -> int:
+    _check_qseries_caps(args)
     fpd = _load_fixed_points(args.fixed_points)
     via_loc = genus_qexp(fpd, args.level, args.prec)
     via_chern = genus_via_chern(fpd, args.level, args.prec)
-    agree = all(via_loc.coeff(k) == via_chern.coeff(k)
-                for k in range(args.prec))
+    first = next((k for k in range(args.prec)
+                  if via_loc.coeff(k) != via_chern.coeff(k)), None)
+    agree = first is None
+    if not agree:
+        print(f"routes differ first at q^{first}: localization "
+              f"{via_loc.coeff(first)}, Chern numbers {via_chern.coeff(first)}",
+              file=sys.stderr)
     payload = {"level": args.level, "agree": agree,
                "series": series_to_json(via_loc, args.level)}
     _emit(payload, args.json,
@@ -128,6 +149,7 @@ def cmd_chiy(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    _check_qseries_caps(args)
     fpd = _load_fixed_points(args.fixed_points)
     if args.k_max < args.k_min:
         raise ValueError("k-max must be >= k-min")
@@ -145,7 +167,9 @@ def cmd_relations(args) -> int:
             if report["ok"]:
                 line += f"   [verified to q^{args.prec}]"
             else:
-                line += f"   [FAILED: residual {report['residual']}]"
+                first = report["first_nonzero"]
+                line += (f"   [FAILED: q^{first['exponent']} coefficient "
+                         f"{first['coefficient']}; residual {report['residual']}]")
                 code = 1
         lines.append(line)
         items.append(entry)
@@ -164,6 +188,32 @@ def cmd_hilbert(args) -> int:
                       "at_zero": str(h(0))})
     _emit({"hilbert": items}, args.json, lines)
     return 0
+
+
+# Caps on one q-series request, so that every accepted request finishes
+# well inside a minute.  Measured on a shared 2-core x86-64 VM, with the
+# level at 11 (phi = 10, the widest field below the level cap):
+# - eisenstein at precision 60 takes 0.12 s for weight 8;
+# - relations at precision 60 for CP^4, k = 4..12, takes 0.6 s;
+# - genus at precision 60 takes 4.8 s for CP^3 and 21 s for CP^4, most of it
+#   in the Chern-number route, which grows with the dimension n of the data;
+# - qn expands a nested product whose cost grows like phi(N)^2 prec^2, so it
+#   has its own caps: with phi(N) * prec = 150 and x-order 10, level 11 at
+#   precision 15 takes 11 s, level 7 at 25 15 s, level 12 at 37 14 s and
+#   level 3 at 60 16 s (level 11 at precision 60 took 64 s with x-order 5).
+QSERIES_MAX_PREC = 60         # --prec and GENUS_FORGE_PREC
+QSERIES_MAX_LEVEL = 12        # N, for eisenstein, qn, genus and relations
+QN_MAX_X_ORDER = 10           # --x-order
+QN_MAX_PHI_PREC = 150         # phi(N) * --prec, for qn
+
+
+def _check_qseries_caps(args) -> None:
+    if args.prec > QSERIES_MAX_PREC:
+        raise ValueError(f"--prec {args.prec} exceeds the cap "
+                         f"QSERIES_MAX_PREC = {QSERIES_MAX_PREC}")
+    if args.level > QSERIES_MAX_LEVEL:
+        raise ValueError(f"level N = {args.level} exceeds the cap "
+                         f"QSERIES_MAX_LEVEL = {QSERIES_MAX_LEVEL}")
 
 
 # Caps on one coadjoint request, so that every accepted request finishes
@@ -334,19 +384,25 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"q-series precision (default {prec})")
         p.add_argument("--json", action="store_true", help="JSON output")
 
-    p = sub.add_parser("eisenstein", help="q-expansion of G[k,N]")
+    caps = (f"Caps (exit 2 beyond them): --prec <= {QSERIES_MAX_PREC}, also for "
+            f"GENUS_FORGE_PREC; level N <= {QSERIES_MAX_LEVEL}.")
+
+    p = sub.add_parser("eisenstein", help="q-expansion of G[k,N]", epilog=caps)
     p.add_argument("weight", type=_positive_int)
     p.add_argument("level", type=_level)
     common(p)
     p.set_defaults(fn=cmd_eisenstein)
 
-    p = sub.add_parser("qn", help="x-coefficients of the level-N expansion")
+    p = sub.add_parser("qn", help="x-coefficients of the level-N expansion",
+                       epilog=f"{caps} For qn also --x-order <= {QN_MAX_X_ORDER} "
+                              f"and phi(N) * --prec <= {QN_MAX_PHI_PREC}.")
     p.add_argument("level", type=_level)
     p.add_argument("--x-order", type=_positive_int, default=7)
     common(p)
     p.set_defaults(fn=cmd_qn)
 
-    p = sub.add_parser("genus", help="level-N genus q-expansion, two routes")
+    p = sub.add_parser("genus", help="level-N genus q-expansion, two routes",
+                       epilog=caps)
     p.add_argument("fixed_points", help="fixed-point data JSON file")
     p.add_argument("level", type=_level)
     common(p)
@@ -359,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_prec=False)
     p.set_defaults(fn=cmd_chiy)
 
-    p = sub.add_parser("relations", help="Eisenstein-product relations")
+    p = sub.add_parser("relations", help="Eisenstein-product relations",
+                       epilog=caps)
     p.add_argument("fixed_points")
     p.add_argument("level", type=_level)
     p.add_argument("k_min", type=_positive_int)

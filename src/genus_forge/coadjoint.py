@@ -307,13 +307,21 @@ def grassmannian_orbit(m: int) -> OrbitSpec:
 # -- divided differences ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _simple_reflection_data(rs: RootSystem) -> tuple:
+    """(s_j, alpha_j as a polynomial) for j = 1..rank, built once per root system."""
+    return tuple((WeylElement.simple(rs, j), rs.root_polynomial(alpha))
+                 for j, alpha in enumerate(rs.simple_roots(), start=1))
+
+
 def divided_difference(rs: RootSystem, j: int, poly: SparsePoly) -> SparsePoly:
     """(P - s_j P) / alpha_j; the quotient is always exact."""
-    alpha = rs.simple_roots()[j - 1]
-    reflected = WeylElement.simple(rs, j).act(poly)
-    numerator = poly - reflected
+    if not 1 <= j <= rs.rank:
+        raise ValueError(f"no simple root with index {j}")
+    reflection, alpha = _simple_reflection_data(rs)[j - 1]
+    numerator = poly - reflection.act(poly)
     try:
-        return numerator.exact_div(rs.root_polynomial(alpha))
+        return numerator.exact_div(alpha)
     except ValueError as exc:
         raise ArithmeticError("divided difference was not exact: "
                               "reflection action is inconsistent") from exc

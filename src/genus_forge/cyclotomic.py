@@ -90,10 +90,17 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+@lru_cache(maxsize=None)
+def _integer_phi(n: int) -> tuple[int, ...]:
+    """Phi_n with int coefficients, which it has: it is monic over Z."""
+    return tuple(int(c) for c in cyclotomic_polynomial(n))
+
+
 def _reduce(level: int, poly: list) -> list:
     """The remainder of poly (ascending, any length) modulo the monic Phi_level,
-    as phi(level) coefficients; poly is consumed."""
-    phi_poly = cyclotomic_polynomial(level)
+    as phi(level) coefficients; poly is consumed.  Integer coefficients give
+    integer remainders, which the packed q-series kernel relies on."""
+    phi_poly = _integer_phi(level)
     phi = len(phi_poly) - 1
     for k in range(len(poly) - 1, phi - 1, -1):
         c = poly[k]

@@ -11,9 +11,15 @@ turns integrals into the sums
 For k >= n the numbers q_I over partitions I of k assemble into relations
 sum_I q_I * G_{I,N} = 0 among products of Eisenstein series whenever N
 divides the index of the manifold; for |I| = n they assemble the elliptic
-genus itself.  Equivariant indices (Hilbert polynomials H_m among them)
-are computed from the Atiyah-Segal fixed-point sum by an exact t -> 1
-limit: substitute t = exp(s), cancel the order-n pole, and read off the
+genus itself.  Those sums run on the packed kernel (`PackedSeries`), with
+each product G_I memoized per (I, N, precision) and truncated at that
+precision; the result becomes a `TruncSeries` whose cutoff is the
+precision.  The second genus route, `genus_via_chern`, stays on
+`TruncSeries` and off the memo, so a kernel fault shows as disagreement.
+
+Equivariant indices (Hilbert polynomials H_m among them) are computed
+from the Atiyah-Segal fixed-point sum by an exact t -> 1 limit:
+substitute t = exp(s), cancel the order-n pole, and read off the
 constant term.
 
 Everything is exact; an unexpected non-integer or a surviving pole is
@@ -25,12 +31,13 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import CyclotomicNumber
-from .modular import eisenstein_qexp, f_lambda_table, nested_coeff
-from .series import TruncSeries, exp_series
+from .modular import eisenstein_packed, eisenstein_qexp, f_lambda_table, nested_coeff
+from .series import PackedSeries, TruncSeries, exp_series
 from .sparsepoly import SparsePoly
 from .symfunc import (Partition, check_partition, elementary_values,
                       monomial_sym_eval, partition_sort_key, partition_str,
@@ -351,44 +358,63 @@ def build_relation(fpd: FixedPointData, N: int, k: int) -> Relation:
     return Relation(fpd.n, k, N, terms, provenance)
 
 
+@lru_cache(maxsize=None)
+def _packed_product(I: Partition, N: int, q_precision: int) -> PackedSeries:
+    """G_{I,N} on the packed kernel, for I sorted non-increasing.
+
+    Memoized on (I, N, precision), and built as G_{I without its last part}
+    times G_{last part}, so partitions that share a prefix share its product.
+    """
+    if not I:
+        return PackedSeries.one(N, q_precision)
+    g = eisenstein_packed(I[-1], N, q_precision)
+    return g if len(I) == 1 else _packed_product(I[:-1], N, q_precision) * g
+
+
+def _relation_sum(terms, N: int, q_precision: int) -> TruncSeries:
+    """sum c * G_{I,N} over (I, c) in terms, through q^(q_precision-1)."""
+    return PackedSeries.combination(
+        [(c, _packed_product(I, N, q_precision)) for I, c in terms if c],
+        N, q_precision).to_series()
+
+
 def eisenstein_product(I: Sequence[int], N: int, q_precision: int) -> TruncSeries:
-    """G_{I,N} = product of G_{i,N} over the parts of I."""
-    series = None
-    for part in I:
-        g = eisenstein_qexp(part, N, q_precision)
-        series = g if series is None else series * g
-    if series is None:
-        return TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)},
-                           cutoff=q_precision)
-    return series
+    """G_{I,N} = product of G_{i,N} over the parts of I, through
+    q^(q_precision-1)."""
+    I = tuple(sorted(I, reverse=True))
+    return _packed_product(I, N, q_precision).to_series()
 
 
 def verify_relation(rel: Relation, q_precision: int) -> dict:
-    """Sum the q-expansion of the relation; pass iff identically zero."""
-    residual = TruncSeries("q", {}, cutoff=q_precision)
-    for I, c in rel.terms:
-        if not c:
-            continue
-        residual = residual + eisenstein_product(I, rel.N, q_precision) * c
-    return {"n": rel.n, "k": rel.k, "N": rel.N, "q_precision": q_precision,
-            "ok": not residual, "residual": str(residual)}
+    """Sum the q-expansion of the relation; pass iff identically zero.
+
+    A failing report also names the first nonzero coefficient of the
+    residual, as {"exponent": e, "coefficient": its value in Q(zeta_N)}.
+    """
+    residual = _relation_sum(rel.terms, rel.N, q_precision)
+    report = {"n": rel.n, "k": rel.k, "N": rel.N, "q_precision": q_precision,
+              "ok": not residual, "residual": str(residual)}
+    if residual:
+        e = min(residual.coeffs)
+        report["first_nonzero"] = {"exponent": e,
+                                   "coefficient": str(residual.coeffs[e])}
+    return report
 
 
 def genus_qexp(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
-    """The level-N elliptic genus as a q-series: sum_{|I| = n} q_I G_{I,N}."""
+    """The level-N elliptic genus as a q-series: sum_{|I| = n} q_I G_{I,N},
+    with the products G_I on the packed kernel."""
     fpd.validate()
     if N < 2:
         raise ValueError("the level-N genus needs N >= 2")
-    total = TruncSeries("q", {}, cutoff=q_precision)
-    for I in partitions_at_most(fpd.n, fpd.n):
-        c = relation_coefficient(fpd, I)
-        if c:
-            total = total + eisenstein_product(I, N, q_precision) * c
-    return total
+    return _relation_sum([(I, relation_coefficient(fpd, I))
+                          for I in partitions_at_most(fpd.n, fpd.n)],
+                         N, q_precision)
 
 
 def genus_via_chern(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
-    """Independent route to the same genus: sum of f_lambda * C_lambda."""
+    """Independent route to the same genus: sum of f_lambda * C_lambda, on
+    TruncSeries arithmetic alone, so it shares no product with `genus_qexp`."""
     table = f_lambda_table(N, fpd.n, q_precision)
     total = TruncSeries("q", {}, cutoff=q_precision)
     for lam, series in table.items():

@@ -1,8 +1,9 @@
 """Eisenstein series of level N and the elliptic-genus power series.
 
 Two independent computations live here.  G_{k,N} comes straight from its
-Fourier expansion (a divisor sum over Q(zeta_N)); the coefficients a_k(q)
-of the normalized power series
+Fourier expansion: a divisor sum over Q(zeta_N), sieved into the integer
+rows of a `PackedSeries`, which `eisenstein_qexp` converts to a
+`TruncSeries`.  The coefficients a_k(q) of the normalized power series
 
     Q_N(x) = x * (1 - e^{-x} z) / ((1 - e^{-x})(1 - z))
              * prod_{r>=1} (1 - e^{-x} z q^r)(1 - e^x z^{-1} q^r)(1 - q^r)^2
@@ -22,19 +23,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from .cyclotomic import CyclotomicNumber
-from .series import TruncSeries, bernoulli
+from .cyclotomic import CyclotomicNumber, _reduce
+from .series import PackedSeries, TruncSeries, bernoulli
 from .symfunc import GenusSpec, Partition, f_lambda_values
 
 
 @lru_cache(maxsize=None)
-def eisenstein_qexp(k: int, N: int, precision: int) -> TruncSeries:
-    """G_{k,N} as a q-series over Q(zeta_N), trusted through q^(precision-1).
+def eisenstein_packed(k: int, N: int, precision: int) -> PackedSeries:
+    """G_{k,N} on the packed kernel, trusted through q^(precision-1).
 
     Constant term (1+z)/(2(1-z)) for k = 1 and B_k/k! for k > 1; for n >= 1
     the q^n coefficient is -sum_{d|n} (n/d)^(k-1) (z^-d + (-1)^k z^d)/(k-1)!.
+    The divisor sums come from a sieve: for each d and each multiple
+    n = d*m, m^(k-1) goes into the residue slots -d and d mod N of row n,
+    and each row is reduced mod Phi_N once.
     """
     if k < 1:
         raise ValueError("Eisenstein weight must be positive")
@@ -42,22 +46,33 @@ def eisenstein_qexp(k: int, N: int, precision: int) -> TruncSeries:
         raise ValueError("Eisenstein level must be at least 2")
     if precision < 1:
         raise ValueError("q-precision must be positive")
-    z = [CyclotomicNumber.zeta(N, e) for e in range(N)]   # z[e] = zeta^e
     if k == 1:
-        const = (1 + z[1]) / (2 * (1 - z[1]))
+        z = CyclotomicNumber.zeta(N)
+        const = ((1 + z) / (2 * (1 - z))).coeffs
     else:
-        const = CyclotomicNumber.from_rational(N, bernoulli(k) / factorial(k))
+        const = CyclotomicNumber.from_rational(N, bernoulli(k) / factorial(k)).coeffs
+    scale = factorial(k - 1)
+    denom = lcm(scale, *(c.denominator for c in const))
+    rows = [[0] * N for _ in range(precision)]
     sign = -1 if k % 2 else 1
-    coeffs = {0: const}
-    for n in range(1, precision):
-        acc = CyclotomicNumber.from_rational(N, 0)
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            root = z[-d % N] + sign * z[d % N]
-            acc = acc + (n // d) ** (k - 1) * root
-        coeffs[n] = -acc * Fraction(1, factorial(k - 1))
-    return TruncSeries("q", coeffs, cutoff=precision)
+    for d in range(1, precision):
+        minus, plus = -d % N, d % N
+        for m in range(1, (precision - 1) // d + 1):
+            row, t = rows[d * m], m ** (k - 1)
+            row[minus] += t
+            row[plus] += sign * t
+    entries = [int(c * denom) for c in const]
+    unit = -(denom // scale)
+    for row in rows[1:]:
+        entries += [unit * e for e in _reduce(N, row)]
+    return PackedSeries(N, precision, entries, denom)
+
+
+@lru_cache(maxsize=None)
+def eisenstein_qexp(k: int, N: int, precision: int) -> TruncSeries:
+    """G_{k,N} as a q-series over Q(zeta_N), trusted through q^(precision-1),
+    read from the same integer rows as `eisenstein_packed`."""
+    return eisenstein_packed(k, N, precision).to_series()
 
 
 def _q_const(N: int, precision: int, value) -> TruncSeries:

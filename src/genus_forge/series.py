@@ -10,17 +10,29 @@ series is flagged as Laurent.
 
 The coefficient domain is duck typed: Fraction, CyclotomicNumber, SparsePoly
 and TruncSeries itself (nested series) all work, since only +, *, unary -,
-bool and an inverse are required.  All instances are immutable, and the
-Bernoulli cache below is append-only, so everything here is safe to share
-across threads.
+bool and an inverse are required.  TruncSeries is the generic reference
+arithmetic.  Its product trusts every key below
+min(cutoff_a + lowest key of b, cutoff_b + lowest key of a), so a factor
+with a zero constant term raises the cutoff of a product above the cutoffs
+of its factors.
+
+PackedSeries is the fast kernel for one case, q-series over Q(zeta_N):
+an integer matrix of shape precision x phi(N) over one common denominator,
+multiplied by Kronecker substitution into a single Python int (Harvey,
+arXiv:0712.4046).  Its cutoff is always its precision, and a product is
+truncated there, whatever TruncSeries would trust.  It meets the rest of
+the program only through `to_series`.
+
+All instances are immutable, and the Bernoulli cache below is append-only,
+so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _reduce, euler_phi
 from .text import join_terms
 
 _SCALARS = (int, Fraction)
@@ -236,6 +248,120 @@ class TruncSeries:
 
     def __repr__(self) -> str:
         return f"<TruncSeries {self}>"
+
+
+class PackedSeries:
+    """A q-series over Q(zeta_N) trusted through q^(precision-1), packed.
+
+    `entries` is the integer matrix (q-degree x power of zeta) stored row by
+    row: precision rows of phi(N) entries, and the q^n coefficient is
+    sum_j entries[n*phi + j] * zeta^j / denom.  The denominator is positive
+    and shares no factor with all the entries, so equal series have equal
+    fields.  The cutoff is always `precision`.
+    """
+
+    __slots__ = ("level", "precision", "entries", "denom")
+
+    def __init__(self, level: int, precision: int, entries, denom: int = 1) -> None:
+        entries = tuple(entries)
+        if len(entries) != precision * euler_phi(level):
+            raise ValueError("entry count does not match precision x phi(N)")
+        g = gcd(denom, *entries)
+        if denom < 0:
+            g = -g
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "entries",
+                           entries if g == 1 else tuple(e // g for e in entries))
+        object.__setattr__(self, "denom", denom // g)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PackedSeries is immutable")
+
+    @classmethod
+    def one(cls, level: int, precision: int) -> "PackedSeries":
+        entries = [0] * (precision * euler_phi(level))
+        if entries:
+            entries[0] = 1
+        return cls(level, precision, entries)
+
+    def __bool__(self) -> bool:
+        return any(self.entries)
+
+    def __mul__(self, other: "PackedSeries") -> "PackedSeries":
+        """The product through q^(precision-1), by one integer multiply.
+
+        Slot (n, j) of a packed operand holds the q^n zeta^j entry, with
+        2*phi - 1 slots per q-degree, so the zeta-degrees of a product row
+        never spill into the next row.  A slot is wide enough for any
+        product entry, a sum of at most precision*phi products of entries,
+        plus a sign bit.  Each product row is reduced once mod Phi_N.
+        """
+        N, P = self.level, self.precision
+        if (other.level, other.precision) != (N, P):
+            raise ValueError("packed series of different level or precision")
+        if not self or not other:
+            return PackedSeries(N, P, [0] * len(self.entries))
+        phi = euler_phi(N)
+        span = 2 * phi - 1
+        bound = (max(map(abs, self.entries)) * max(map(abs, other.entries))
+                 * P * phi)
+        width = (bound.bit_length() + 8) // 8          # bytes, sign bit included
+        slots = P * span
+        digits = (_pack(self.entries, phi, span, width)
+                  * _pack(other.entries, phi, span, width))
+        # add half of each slot's range so that every slot reads nonnegative,
+        # with no borrow between slots; slots from q^P up are cut off
+        half = 1 << (8 * width - 1)
+        data = ((digits + int.from_bytes(half.to_bytes(width, "little") * slots,
+                                         "little"))
+                & ((1 << (8 * width * slots)) - 1)).to_bytes(width * slots, "little")
+        entries = []
+        for n in range(P):
+            base = n * span * width
+            row = [int.from_bytes(data[i:i + width], "little") - half
+                   for i in range(base, base + span * width, width)]
+            entries += _reduce(N, row)
+        return PackedSeries(N, P, entries, self.denom * other.denom)
+
+    @classmethod
+    def combination(cls, terms, level: int, precision: int) -> "PackedSeries":
+        """sum c * g over (c, g) in terms, c rational, over one denominator."""
+        terms = [(Fraction(c), g) for c, g in terms]
+        denom = lcm(*(c.denominator * g.denom for c, g in terms))
+        total = [0] * (precision * euler_phi(level))
+        for c, g in terms:
+            scale = c.numerator * (denom // (c.denominator * g.denom))
+            total = [t + scale * e for t, e in zip(total, g.entries)]
+        return cls(level, precision, total, denom)
+
+    def to_series(self) -> TruncSeries:
+        phi = euler_phi(self.level)
+        coeffs = {}
+        for n in range(self.precision):
+            row = self.entries[n * phi:(n + 1) * phi]
+            if any(row):
+                coeffs[n] = CyclotomicNumber(
+                    self.level, [Fraction(e, self.denom) for e in row])
+        return TruncSeries("q", coeffs, cutoff=self.precision)
+
+
+def _pack(entries, phi: int, span: int, width: int) -> int:
+    """sum of entries[n*phi + j] * 2^(8*width*(n*span + j)), as one int.
+
+    Each entry is written as a width-byte two's complement slot, which adds
+    2^(8*width) for a negative one; that carry is subtracted afterwards.
+    """
+    pad = bytes(width * (span - phi))
+    chunks, borrow = [], bytearray(width * span * (len(entries) // phi) + 1)
+    for n in range(0, len(entries), phi):
+        for j, e in enumerate(entries[n:n + phi]):
+            chunks.append(e.to_bytes(width, "little", signed=True))
+            if e < 0:
+                borrow[((n // phi) * span + j + 1) * width] = 1
+        chunks.append(pad)
+    return (int.from_bytes(b"".join(chunks), "little")
+            - int.from_bytes(borrow, "little"))
 
 
 def _render_series_coeff(c) -> str:

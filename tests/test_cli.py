@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DIM,
-                             COADJOINT_MAX_RANK, main)
+                             COADJOINT_MAX_RANK, QN_MAX_PHI_PREC, QN_MAX_X_ORDER,
+                             QSERIES_MAX_LEVEL, QSERIES_MAX_PREC, main)
 from genus_forge.localization import Relation, cpn_fixed_points
 from genus_forge.modular import eisenstein_qexp, series_from_json
 
@@ -78,6 +79,20 @@ def test_relations_verified(tmp_path, capsys):
     assert "k=4: 4*G[1,3]*G[3,3] + G[2,3]^2 + 5*G[4,3] = 0" in out
     assert "k=5: -G[2,3]*G[3,3] + G[5,3] = 0" in out
     assert out.count("[verified to q^10]") == 2
+
+
+def test_relations_failure_names_the_first_coefficient(tmp_path, capsys):
+    # without an asserted index, level 2 is accepted on the projective plane
+    # (index 3), and the k = 4 relation fails first at q^1
+    data = cpn_fixed_points(2, (1, 3)).to_json()
+    del data["asserted_index"]
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(data))
+    assert main(["relations", str(path), "2", "4", "4", "--verify",
+                 "--prec", "4"]) == 1
+    assert capsys.readouterr().out == (
+        "k=4: 4*G[1,2]*G[3,2] + G[2,2]^2 + 5*G[4,2] = 0   [FAILED: q^1 "
+        "coefficient (2) @ Q(zeta_2); residual 2*q + 16*q^2 + 56*q^3 + O(q^4)]\n")
 
 
 def test_relations_raw_differs_from_primitive(tmp_path, capsys):
@@ -241,6 +256,53 @@ def test_coadjoint_partition_degree_cap(capsys):
     assert main(["coadjoint", "A", "2", "--partition", "3", "2", "1"]) == 2
     assert "COADJOINT_MAX_EXTRA_DEGREES" in capsys.readouterr().err
     assert main(["coadjoint", "A", "2", "--partition", "3", "2"]) == 0
+
+
+def test_qseries_precision_cap(tmp_path, monkeypatch, capsys):
+    assert QSERIES_MAX_PREC == 60
+    path = _write_cp2(tmp_path)
+    over = str(QSERIES_MAX_PREC + 1)
+    for argv in (["eisenstein", "3", "2"], ["qn", "2", "--x-order", "1"],
+                 ["genus", path, "2"], ["relations", path, "3", "4", "4", "--verify"]):
+        assert main(argv + ["--prec", over]) == 2
+        assert "QSERIES_MAX_PREC" in capsys.readouterr().err
+    monkeypatch.setenv("GENUS_FORGE_PREC", over)
+    with pytest.raises(SystemExit) as exc:
+        main(["eisenstein", "3", "2"])
+    assert exc.value.code == 2
+    assert "QSERIES_MAX_PREC" in capsys.readouterr().err
+    monkeypatch.setenv("GENUS_FORGE_PREC", str(QSERIES_MAX_PREC))
+    assert main(["eisenstein", "3", "2"]) == 0
+    assert "O(q^60)" in capsys.readouterr().out
+
+
+def test_qseries_level_cap(tmp_path, capsys):
+    assert QSERIES_MAX_LEVEL == 12
+    data = cpn_fixed_points(2, (1, 3)).to_json()
+    del data["asserted_index"]
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(data))
+    over = str(QSERIES_MAX_LEVEL + 1)
+    for argv in (["eisenstein", "3", over], ["qn", over, "--x-order", "1"],
+                 ["genus", str(path), over], ["relations", str(path), over, "4", "4"]):
+        assert main(argv + ["--prec", "2"]) == 2
+        assert "QSERIES_MAX_LEVEL" in capsys.readouterr().err
+    assert main(["eisenstein", "3", str(QSERIES_MAX_LEVEL), "--prec", "2"]) == 0
+
+
+def test_qn_x_order_cap(capsys):
+    assert QN_MAX_X_ORDER == 10
+    assert main(["qn", "2", "--x-order", str(QN_MAX_X_ORDER + 1), "--prec", "2"]) == 2
+    assert "QN_MAX_X_ORDER" in capsys.readouterr().err
+    assert main(["qn", "2", "--x-order", str(QN_MAX_X_ORDER), "--prec", "2"]) == 0
+
+
+def test_qn_field_precision_cap(capsys):
+    # phi(11) = 10, so level 11 admits the default precision 15 and not 16
+    assert QN_MAX_PHI_PREC == 150
+    assert main(["qn", "11", "--x-order", "1", "--prec", "16"]) == 2
+    assert "QN_MAX_PHI_PREC" in capsys.readouterr().err
+    assert main(["qn", "11", "--x-order", "1"]) == 0
 
 
 _DATA = Path(__file__).parent / "data"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from genus_forge import coadjoint
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, WeylElement,
                                    cpn_orbit, crosscheck_qI, divided_difference,
                                    divided_difference_word, grassmannian_orbit,
@@ -11,7 +12,7 @@ from genus_forge.coadjoint import (OrbitSpec, RootSystem, WeylElement,
                                    weyl_group)
 from genus_forge.localization import cpn_fixed_points, relation_coefficient
 from genus_forge.sparsepoly import SparsePoly
-from genus_forge.symfunc import monomial_sym_eval
+from genus_forge.symfunc import monomial_sym_eval, partitions_at_most
 
 
 def _poly_degree(poly):
@@ -120,6 +121,22 @@ def test_orbit_builds_only_its_cosets(monkeypatch):
     assert [w.label() for w in orbit.cosets] == ["e"] + [
         "*".join(f"s{j}" for j in range(k, 0, -1)) for k in range(1, 7)]
     assert len(built) <= 100
+
+
+def test_divided_differences_reuse_the_simple_reflections(monkeypatch):
+    # each divided difference used to build s_j afresh: 44 elements here
+    coadjoint._simple_reflection_data.cache_clear()
+    built = []
+    init = WeylElement.__init__
+    monkeypatch.setattr(WeylElement, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    orbit = cpn_orbit(4)
+    for k in (orbit.n, orbit.n + 1):
+        for I in partitions_at_most(k, orbit.n):
+            assert crosscheck_qI(orbit, I, (5, 1, -2, 3, -4))["ok"]
+    assert len(built) - len(orbit.cosets) <= orbit.rs.rank + 1
+    with pytest.raises(ValueError):
+        divided_difference(orbit.rs, 0, SparsePoly.zero(orbit.rs.variables()))
 
 
 def test_divided_difference_squares_to_zero():

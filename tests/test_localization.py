@@ -162,6 +162,18 @@ def test_perturbed_relation_fails_verification():
     report = verify_relation(broken, 8)
     assert not report["ok"]
     assert report["residual"] != 0
+    # G[4,3] has constant term B_4/4! = -1/720, the first nonzero coefficient
+    assert report["first_nonzero"] == {"exponent": 0,
+                                       "coefficient": "(-1/720) @ Q(zeta_3)"}
+    assert report["residual"].startswith("-1/720 + ")
+    # G[3,3] has no constant term, so G[1,3]*G[3,3] first shows at q^1
+    broken = Relation(rel.n, rel.k, rel.N,
+                      [(I, c + (1 if I == (3, 1) else 0)) for I, c in rel.terms],
+                      provenance=rel.provenance)
+    report = verify_relation(broken, 8)
+    assert report["first_nonzero"] == {"exponent": 1,
+                                       "coefficient": "(-1/4) @ Q(zeta_3)"}
+    assert report["residual"].startswith("-1/4*q - 9/4*q^2")
 
 
 def test_eisenstein_product_degree():

@@ -2,24 +2,28 @@
 
 Each fast path of the localization route is compared here with the
 generic `TruncSeries` arithmetic, or with a divisor sum written out in
-this file: G_{k,N} from its sieve, the memoized products G_I, and the
-residual string of a relation that fails.  Products are compared at the
-precision asked for (`.truncate(cutoff=P)`), because `TruncSeries.__mul__`
-may trust one more coefficient when a factor has a zero constant term.
+this file: the packed kernel's product, G_{k,N} from its sieve, the
+memoized products G_I, and the residual string of a relation that fails.
+Products are compared at the kernel's precision (`.truncate(cutoff=P)`),
+because `TruncSeries.__mul__` trusts one more coefficient per zero
+leading term of a factor.
 """
 
-from fractions import Fraction
+import json
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus_forge.cyclotomic import CyclotomicNumber
+from genus_forge import localization
+from genus_forge.cli import main
+from genus_forge.cyclotomic import CyclotomicNumber, euler_phi
 from genus_forge.localization import (FixedPointData, Relation, build_relation,
                                       cpn_fixed_points, eisenstein_product,
                                       verify_relation)
-from genus_forge.modular import eisenstein_qexp
-from genus_forge.series import TruncSeries, bernoulli
+from genus_forge.modular import eisenstein_packed, eisenstein_qexp
+from genus_forge.series import PackedSeries, TruncSeries, bernoulli
 
 _LEVELS = (2, 3, 4, 5, 7, 9, 12)
 
@@ -39,6 +43,60 @@ def _divisor_sum(k, N, P):
                 acc = acc + (n // d) ** (k - 1) * (z[-d % N] + (-1) ** k * z[d % N])
         coeffs[n] = -acc / factorial(k - 1)
     return TruncSeries("q", coeffs, cutoff=P)
+
+
+@st.composite
+def _packed(draw, N, P):
+    """A sparse packed series: rational entries of any sign and size, and
+    sometimes a zero constant term or the zero series."""
+    entries = [0] * (P * euler_phi(N))
+    start = draw(st.sampled_from((0, 0, 1, 2)))
+    size = st.one_of(st.integers(-9, 9), st.integers(-2 ** 90, 2 ** 90))
+    for _ in range(draw(st.integers(0, 8))):
+        slot = draw(st.integers(0, len(entries) - 1))
+        if slot >= start * euler_phi(N):
+            entries[slot] = draw(size)
+    return PackedSeries(N, P, entries, draw(st.integers(1, 40)))
+
+
+@given(st.data(), st.sampled_from(_LEVELS), st.integers(1, 60))
+@settings(max_examples=80, deadline=None)
+def test_kernel_product_matches_truncseries(data, N, P):
+    a, b = data.draw(_packed(N, P)), data.draw(_packed(N, P))
+    want = (a.to_series() * b.to_series()).truncate(cutoff=P)
+    assert (a * b).to_series() == want
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(_LEVELS),
+       st.integers(1, 20))
+@settings(max_examples=30, deadline=None)
+def test_kernel_product_of_eisenstein_series(j, k, N, P):
+    want = (eisenstein_qexp(j, N, P) * eisenstein_qexp(k, N, P)).truncate(cutoff=P)
+    assert (eisenstein_packed(j, N, P) * eisenstein_packed(k, N, P)).to_series() == want
+
+
+def test_kernel_product_dense_corner():
+    # the largest qseries benchmark cell: level 7 at precision 60
+    a, b = eisenstein_packed(2, 7, 60), eisenstein_packed(3, 7, 60)
+    assert (a * b).to_series() == eisenstein_qexp(2, 7, 60) * eisenstein_qexp(3, 7, 60)
+
+
+def test_kernel_truncates_at_its_precision():
+    # G[5,3] and G[3,3] have no constant term: TruncSeries trusts q^50 too
+    fold = eisenstein_qexp(5, 3, 50) * eisenstein_qexp(3, 3, 50)
+    assert fold.cutoff == 51
+    assert eisenstein_product((5, 3), 3, 50) == fold.truncate(cutoff=50)
+
+
+def test_packed_series_is_canonical():
+    a = PackedSeries(3, 2, [2, 4, 0, -6], 8)
+    assert (a.entries, a.denom) == ((1, 2, 0, -3), 4)
+    assert PackedSeries(3, 2, [2, 0, 0, 0], -4).entries == (-1, 0, 0, 0)
+    assert not PackedSeries(3, 2, [0] * 4, 7) and PackedSeries(3, 2, [0] * 4, 7).denom == 1
+    with pytest.raises(ValueError):
+        PackedSeries(3, 2, [1, 2, 3])
+    with pytest.raises(AttributeError):
+        a.denom = 1
 
 
 def _fold(I, N, P):
@@ -88,3 +146,31 @@ def test_failing_residual_matches_a_fold(n, N, extra, P, shift, rng):
     report = verify_relation(rel, P)
     assert report["ok"] == (not want)
     assert report["residual"] == str(want)
+
+
+@pytest.fixture
+def broken_kernel(monkeypatch):
+    """A kernel product that is off by one in its first entry."""
+    mul = PackedSeries.__mul__
+
+    def off_by_one(a, b):
+        c = mul(a, b)
+        return PackedSeries(c.level, c.precision,
+                            (c.entries[0] + c.denom,) + c.entries[1:], c.denom)
+
+    localization._packed_product.cache_clear()
+    monkeypatch.setattr(PackedSeries, "__mul__", off_by_one)
+    yield
+    localization._packed_product.cache_clear()
+
+
+def test_broken_kernel_makes_the_genus_routes_disagree(broken_kernel, tmp_path,
+                                                        capsys):
+    # genus_via_chern runs on TruncSeries alone, so it does not follow the
+    # broken product and the two routes no longer agree
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(cpn_fixed_points(2, (1, 3)).to_json()))
+    assert main(["genus", str(path), "2", "--prec", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith("routes agree: NO\n")
+    assert captured.err.startswith("routes differ first at q^0: localization ")
