@@ -193,7 +193,7 @@ def cmd_hilbert(args) -> int:
 # Caps on one q-series request, so that every accepted request finishes
 # well inside a minute.  Measured on a shared 2-core x86-64 VM, with the
 # level at 11 (phi = 10, the widest field below the level cap):
-# - eisenstein at precision 60 takes 0.12 s for weight 8;
+# - eisenstein at precision 60 takes 0.11 s for weight 8;
 # - relations at precision 60 for CP^4, k = 4..12, takes 0.6 s;
 # - genus at precision 60 takes 4.8 s for CP^3 and 21 s for CP^4, most of it
 #   in the Chern-number route, which grows with the dimension n of the data;

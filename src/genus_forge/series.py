@@ -313,9 +313,9 @@ class PackedSeries:
         # add half of each slot's range so that every slot reads nonnegative,
         # with no borrow between slots; slots from q^P up are cut off
         half = 1 << (8 * width - 1)
-        data = ((digits + int.from_bytes(half.to_bytes(width, "little") * slots,
-                                         "little"))
-                & ((1 << (8 * width * slots)) - 1)).to_bytes(width * slots, "little")
+        bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+        low = (digits + bias) & ((1 << (8 * width * slots)) - 1)
+        data = low.to_bytes(width * slots, "little")
         entries = []
         for n in range(P):
             base = n * span * width
@@ -352,13 +352,15 @@ def _pack(entries, phi: int, span: int, width: int) -> int:
     Each entry is written as a width-byte two's complement slot, which adds
     2^(8*width) for a negative one; that carry is subtracted afterwards.
     """
+    rows = len(entries) // phi
     pad = bytes(width * (span - phi))
-    chunks, borrow = [], bytearray(width * span * (len(entries) // phi) + 1)
-    for n in range(0, len(entries), phi):
-        for j, e in enumerate(entries[n:n + phi]):
+    chunks, borrow = [], bytearray(width * span * rows + 1)
+    for n in range(rows):
+        for j in range(phi):
+            e = entries[n * phi + j]
             chunks.append(e.to_bytes(width, "little", signed=True))
             if e < 0:
-                borrow[((n // phi) * span + j + 1) * width] = 1
+                borrow[(n * span + j + 1) * width] = 1
         chunks.append(pad)
     return (int.from_bytes(b"".join(chunks), "little")
             - int.from_bytes(borrow, "little"))
