@@ -12,6 +12,7 @@ computations end to end, against pinned values, in one place.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 from .coadjoint import (cpn_orbit, crosscheck_qI, grassmannian_orbit,
@@ -300,14 +301,20 @@ CRITERIA = (
 )
 
 
-def run_all(seed: int = DEFAULT_SEED, out=print) -> bool:
-    """Run the ten criteria; one PASS/FAIL line each; True iff all pass."""
+def run_all(seed: int = DEFAULT_SEED, out=print, timing=None) -> bool:
+    """Run the ten criteria; one PASS/FAIL line each; True iff all pass.
+
+    If given, timing(number, seconds) is called after each criterion with
+    its wall-clock time."""
     all_ok = True
     for number, title, fn in CRITERIA:
+        start = time.perf_counter()
         try:
             ok, detail = fn(seed)
         except Exception as exc:  # a crash is a failure, not a skip
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        if timing is not None:
+            timing(number, time.perf_counter() - start)
         all_ok &= ok
         out(f"{'PASS' if ok else 'FAIL'}  {number:2d}. {title}: {detail}")
     return all_ok

@@ -57,9 +57,14 @@ def _default_precision() -> int:
     return value
 
 
-def _load_fixed_points(path: str) -> FixedPointData:
+def _load_fixed_points(path: str, *, qseries: bool = False) -> FixedPointData:
+    """Fixed-point data from a JSON file, checked to be a manifold's; for a
+    q-series request the dimension is capped first."""
     with open(path, "r", encoding="utf-8") as fh:
         fpd = FixedPointData.from_json(json.load(fh))
+    if qseries and fpd.n > QSERIES_MAX_DIM:
+        raise ValueError(f"dimension n = {fpd.n} exceeds the cap "
+                         f"QSERIES_MAX_DIM = {QSERIES_MAX_DIM}")
     for k in range(fpd.n):
         for I in partitions_at_most(k, fpd.n):
             value = relation_coefficient(fpd, I)
@@ -83,6 +88,7 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 
 def cmd_eisenstein(args) -> int:
     _check_qseries_caps(args)
+    _check_weight("weight", args.weight)
     series = eisenstein_qexp(args.weight, args.level, args.prec)
     _emit({"series": series_to_json(series, args.level)}, args.json,
           [f"G[{args.weight},{args.level}] = {series}"])
@@ -108,7 +114,7 @@ def cmd_qn(args) -> int:
 
 def cmd_genus(args) -> int:
     _check_qseries_caps(args)
-    fpd = _load_fixed_points(args.fixed_points)
+    fpd = _load_fixed_points(args.fixed_points, qseries=True)
     via_loc = genus_qexp(fpd, args.level, args.prec)
     via_chern = genus_via_chern(fpd, args.level, args.prec)
     first = next((k for k in range(args.prec)
@@ -150,7 +156,8 @@ def cmd_chiy(args) -> int:
 
 def cmd_relations(args) -> int:
     _check_qseries_caps(args)
-    fpd = _load_fixed_points(args.fixed_points)
+    _check_weight("k-max", args.k_max)
+    fpd = _load_fixed_points(args.fixed_points, qseries=True)
     if args.k_max < args.k_min:
         raise ValueError("k-max must be >= k-min")
     code = 0
@@ -205,6 +212,8 @@ QSERIES_MAX_PREC = 60         # --prec and GENUS_FORGE_PREC
 QSERIES_MAX_LEVEL = 12        # N, for eisenstein, qn, genus and relations
 QN_MAX_X_ORDER = 10           # --x-order
 QN_MAX_PHI_PREC = 150         # phi(N) * --prec, for qn
+QSERIES_MAX_WEIGHT = 20       # eisenstein weight k, and relations k-max
+QSERIES_MAX_DIM = 7           # n of the fixed-point file, for genus and relations
 
 
 def _check_qseries_caps(args) -> None:
@@ -214,6 +223,12 @@ def _check_qseries_caps(args) -> None:
     if args.level > QSERIES_MAX_LEVEL:
         raise ValueError(f"level N = {args.level} exceeds the cap "
                          f"QSERIES_MAX_LEVEL = {QSERIES_MAX_LEVEL}")
+
+
+def _check_weight(name: str, k: int) -> None:
+    if k > QSERIES_MAX_WEIGHT:
+        raise ValueError(f"{name} {k} exceeds the cap "
+                         f"QSERIES_MAX_WEIGHT = {QSERIES_MAX_WEIGHT}")
 
 
 # Caps on one coadjoint request, so that every accepted request finishes
@@ -349,7 +364,11 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    return 0 if acceptance.run_all(args.seed) else 1
+    def timing(number, seconds):
+        print(f"criterion {number}: {seconds:.3f} s", file=sys.stderr)
+
+    ok = acceptance.run_all(args.seed, timing=timing if args.timings else None)
+    return 0 if ok else 1
 
 
 # -- parser ------------------------------------------------------------------------------
@@ -387,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     caps = (f"Caps (exit 2 beyond them): --prec <= {QSERIES_MAX_PREC}, also for "
             f"GENUS_FORGE_PREC; level N <= {QSERIES_MAX_LEVEL}.")
 
-    p = sub.add_parser("eisenstein", help="q-expansion of G[k,N]", epilog=caps)
+    p = sub.add_parser("eisenstein", help="q-expansion of G[k,N]",
+                       epilog=f"{caps} Weight k <= {QSERIES_MAX_WEIGHT}.")
     p.add_argument("weight", type=_positive_int)
     p.add_argument("level", type=_level)
     common(p)
@@ -402,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_qn)
 
     p = sub.add_parser("genus", help="level-N genus q-expansion, two routes",
-                       epilog=caps)
+                       epilog=f"{caps} Dimension n <= {QSERIES_MAX_DIM} "
+                              "in the fixed-point file.")
     p.add_argument("fixed_points", help="fixed-point data JSON file")
     p.add_argument("level", type=_level)
     common(p)
@@ -416,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_chiy)
 
     p = sub.add_parser("relations", help="Eisenstein-product relations",
-                       epilog=caps)
+                       epilog=f"{caps} k-max <= {QSERIES_MAX_WEIGHT}; dimension "
+                              f"n <= {QSERIES_MAX_DIM} in the fixed-point file.")
     p.add_argument("fixed_points")
     p.add_argument("level", type=_level)
     p.add_argument("k_min", type=_positive_int)
@@ -474,6 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    p.add_argument("--timings", action="store_true",
+                   help="write each criterion's wall-clock time to stderr")
     p.set_defaults(fn=cmd_selftest)
 
     return parser

@@ -1,12 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-An element is stored in canonical form: a vector of phi(N) Fraction
-coefficients with respect to the power basis 1, zeta, ..., zeta^(phi(N)-1).
-Equality is exact equality of coefficient vectors, so values coming from
-different computation routes can be compared directly.  There is one
-reduction rule: a power of zeta, a product, an inverse or a Galois image is
-written as a dense polynomial in zeta (exponents folded mod N) and reduced
-once, to its remainder modulo the N-th cyclotomic polynomial Phi_N.
+An element is stored in canonical form: phi(N) integer numerators `nums`
+over one positive integer denominator `den`, in the power basis 1, zeta, ...,
+zeta^(phi(N)-1), with gcd(den, *nums) = 1, so zero is (0, ..., 0)/1.
+Equality is exact equality of (nums, den), so values coming from different
+computation routes can be compared directly.  There is one reduction rule:
+a power of zeta, a product, an inverse or a Galois image is written as a
+dense polynomial in zeta (exponents folded mod N) and reduced once, to its
+remainder modulo the N-th cyclotomic polynomial Phi_N.
+
+The arithmetic is on integers: a product is an integer convolution of the
+numerators, reduced mod Phi_N, over the product of the denominators, and
+every result is divided through by one gcd.  Fractions appear only at the
+edges: the `coeffs` view, the text form and the extended Euclid of
+`inverse`.
 
 All values are immutable; the module-level cache of cyclotomic polynomials
 is populated lazily and is safe for concurrent read-through use (entries are
@@ -18,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 from .text import join_terms
@@ -38,15 +45,18 @@ def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
     return coeffs
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_mul(a: list, b: list) -> list:
+    """The product of two polynomials, with int or Fraction coefficients;
+    trailing zeros are kept."""
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in terms:
                 out[i + j] += x * y
-    return _poly_trim(out)
+    return out
 
 
 def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -114,9 +124,10 @@ def _reduce(level: int, poly: list) -> list:
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_N) in canonical reduced form."""
+    """An element of Q(zeta_N) in canonical form: the integers `nums` over
+    the positive integer `den`, with gcd(den, *nums) = 1."""
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "nums", "den")
 
     def __init__(self, level: int, coeffs) -> None:
         if level < 1:
@@ -125,23 +136,46 @@ class CyclotomicNumber:
         vec = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(vec) != phi:
             raise ValueError(f"expected {phi} coefficients for level {level}, got {len(vec)}")
+        # a prime divides den as often as it divides some reduced denominator,
+        # and not that coefficient's numerator: gcd(den, *nums) = 1 as built
+        den = lcm(*(c.denominator for c in vec))
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        object.__setattr__(self, "nums",
+                           tuple(c.numerator * (den // c.denominator) for c in vec))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _normalized(cls, level: int, nums, den: int) -> "CyclotomicNumber":
+        """sum_i nums[i] zeta^i / den, from phi(level) ints and an int den > 0,
+        divided through by their gcd."""
+        g = gcd(den, *nums)
+        out = object.__new__(cls)
+        object.__setattr__(out, "level", level)
+        object.__setattr__(out, "nums",
+                           tuple(nums) if g == 1 else tuple(x // g for x in nums))
+        object.__setattr__(out, "den", den // g)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coordinates in the power basis 1, zeta, ..., as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def from_rational(cls, level: int, value: Scalar) -> "CyclotomicNumber":
-        phi = euler_phi(level)
-        vec = [Fraction(value)] + [Fraction(0)] * (phi - 1)
-        return cls(level, vec)
+        value = Fraction(value)
+        nums = [0] * euler_phi(level)
+        nums[0] = value.numerator
+        return cls._normalized(level, nums, value.denominator)
 
     @classmethod
     def zeta(cls, level: int, power: int = 1) -> "CyclotomicNumber":
-        return cls(level, _reduce(level, [0] * (power % level) + [1]))
+        return cls._normalized(level, _reduce(level, [0] * (power % level) + [1]), 1)
 
     # -- helpers ----------------------------------------------------------
 
@@ -160,7 +194,12 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(self.level, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        if da == db:
+            return CyclotomicNumber._normalized(
+                self.level, [a + b for a, b in zip(self.nums, o.nums)], da)
+        return CyclotomicNumber._normalized(
+            self.level, [a * db + b * da for a, b in zip(self.nums, o.nums)], da * db)
 
     __radd__ = __add__
 
@@ -168,23 +207,29 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(self.level, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + (-self)
 
     def __neg__(self):
-        return CyclotomicNumber(self.level, [-a for a in self.coeffs])
+        return CyclotomicNumber._normalized(self.level, [-a for a in self.nums], self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CyclotomicNumber(self.level,
-                                _reduce(self.level, _poly_mul(self.coeffs, o.coeffs)))
+        if isinstance(other, CyclotomicNumber):
+            if other.level != self.level:
+                raise ValueError("incompatible cyclotomic levels")
+            nums = _reduce(self.level, _poly_mul(self.nums, other.nums))
+            return CyclotomicNumber._normalized(self.level, nums, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+            return CyclotomicNumber._normalized(
+                self.level, [a * other.numerator for a in self.nums],
+                self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -231,9 +276,9 @@ class CyclotomicNumber:
         if gcd(m, self.level) != 1:
             raise ValueError(f"zeta -> zeta^{m} is not an automorphism at level {self.level}")
         poly = [0] * self.level
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             poly[i * m % self.level] += c
-        return CyclotomicNumber(self.level, _reduce(self.level, poly))
+        return CyclotomicNumber._normalized(self.level, _reduce(self.level, poly), self.den)
 
     def conjugate(self) -> "CyclotomicNumber":
         return self.galois(-1)
@@ -241,15 +286,15 @@ class CyclotomicNumber:
     # -- predicates and conversions ----------------------------------------
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other) -> bool:
         try:
@@ -258,13 +303,13 @@ class CyclotomicNumber:
             return False
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
         # a rational element equals its Fraction, so it must hash like one
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.level, self.coeffs))
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.level, self.nums, self.den))
 
     # -- text form ----------------------------------------------------------
 

@@ -48,11 +48,11 @@ def eisenstein_packed(k: int, N: int, precision: int) -> PackedSeries:
         raise ValueError("q-precision must be positive")
     if k == 1:
         z = CyclotomicNumber.zeta(N)
-        const = ((1 + z) / (2 * (1 - z))).coeffs
+        const = (1 + z) / (2 * (1 - z))
     else:
-        const = CyclotomicNumber.from_rational(N, bernoulli(k) / factorial(k)).coeffs
+        const = CyclotomicNumber.from_rational(N, bernoulli(k) / factorial(k))
     scale = factorial(k - 1)
-    denom = lcm(scale, *(c.denominator for c in const))
+    denom = lcm(scale, const.den)
     rows = [[0] * N for _ in range(precision)]
     sign = -1 if k % 2 else 1
     for d in range(1, precision):
@@ -61,7 +61,7 @@ def eisenstein_packed(k: int, N: int, precision: int) -> PackedSeries:
             row, t = rows[d * m], m ** (k - 1)
             row[minus] += t
             row[plus] += sign * t
-    entries = [int(c * denom) for c in const]
+    entries = [x * (denom // const.den) for x in const.nums]
     unit = -(denom // scale)
     for row in rows[1:]:
         entries += [unit * e for e in _reduce(N, row)]

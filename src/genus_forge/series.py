@@ -341,8 +341,7 @@ class PackedSeries:
         for n in range(self.precision):
             row = self.entries[n * phi:(n + 1) * phi]
             if any(row):
-                coeffs[n] = CyclotomicNumber(
-                    self.level, [Fraction(e, self.denom) for e in row])
+                coeffs[n] = CyclotomicNumber._normalized(self.level, row, self.denom)
         return TruncSeries("q", coeffs, cutoff=self.precision)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DIM,
                              COADJOINT_MAX_RANK, QN_MAX_PHI_PREC, QN_MAX_X_ORDER,
-                             QSERIES_MAX_LEVEL, QSERIES_MAX_PREC, main)
+                             QSERIES_MAX_DIM, QSERIES_MAX_LEVEL, QSERIES_MAX_PREC,
+                             QSERIES_MAX_WEIGHT, main)
 from genus_forge.localization import Relation, cpn_fixed_points
 from genus_forge.modular import eisenstein_qexp, series_from_json
 
@@ -290,6 +292,32 @@ def test_qseries_level_cap(tmp_path, capsys):
     assert main(["eisenstein", "3", str(QSERIES_MAX_LEVEL), "--prec", "2"]) == 0
 
 
+def test_qseries_weight_cap(tmp_path, capsys):
+    assert QSERIES_MAX_WEIGHT == 20
+    path = _write_cp2(tmp_path)
+    over = str(QSERIES_MAX_WEIGHT + 1)
+    for argv in (["eisenstein", over, "3"], ["relations", path, "3", "4", over]):
+        assert main(argv + ["--prec", "2"]) == 2
+        assert "QSERIES_MAX_WEIGHT" in capsys.readouterr().err
+    assert main(["eisenstein", str(QSERIES_MAX_WEIGHT), "3", "--prec", "2"]) == 0
+    assert main(["relations", path, "3", str(QSERIES_MAX_WEIGHT),
+                 str(QSERIES_MAX_WEIGHT), "--prec", "2"]) == 0
+
+
+def test_qseries_dimension_cap(tmp_path, capsys):
+    assert QSERIES_MAX_DIM == 7
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps(cpn_fixed_points(QSERIES_MAX_DIM + 1, range(1, 9)).to_json()))
+    for argv in (["genus", str(over), "3"], ["relations", str(over), "3", "8", "8"]):
+        assert main(argv + ["--prec", "2"]) == 2
+        assert "QSERIES_MAX_DIM" in capsys.readouterr().err
+    # the cap is on q-series requests only
+    assert main(["chiy", str(over)]) == 0
+    at_cap = tmp_path / "at_cap.json"
+    at_cap.write_text(json.dumps(cpn_fixed_points(QSERIES_MAX_DIM, range(1, 8)).to_json()))
+    assert main(["relations", str(at_cap), "2", "7", "7", "--prec", "2"]) == 0
+
+
 def test_qn_x_order_cap(capsys):
     assert QN_MAX_X_ORDER == 10
     assert main(["qn", "2", "--x-order", str(QN_MAX_X_ORDER + 1), "--prec", "2"]) == 2
@@ -512,7 +540,13 @@ def test_env_precision_override(monkeypatch, capsys):
 
 
 def test_selftest(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
+    # --timings writes one line per criterion to stderr and leaves stdout alone
+    assert main(["selftest", "--timings"]) == 0
+    captured = capsys.readouterr()
+    out = captured.out
     assert out.count("PASS") == 10 and "FAIL" not in out
     assert out == (_DATA / "selftest.txt").read_text(encoding="utf-8")
+    lines = captured.err.splitlines()
+    assert len(lines) == 10
+    for number, line in enumerate(lines, 1):
+        assert re.fullmatch(rf"criterion {number}: \d+\.\d{{3}} s", line)

@@ -3,8 +3,9 @@
 Every operation of `CyclotomicNumber` is compared with a reference that keeps
 one Fraction per coordinate: a dense Fraction polynomial product followed by
 the one reduction mod Phi_N, coordinate-wise sums and scalings, and a text
-form written out here.  Elements range over levels 1-30, numerators up to
-2^80 of both signs over denominators up to 10^6, zero and rational elements.
+form written out here.  Every result is also checked to be in canonical form.
+Elements range over levels 1-30, numerators up to 2^80 of both signs over
+denominators up to 10^6, zero and rational elements.
 """
 
 from fractions import Fraction
@@ -72,6 +73,12 @@ def _check(x, level, want):
     assert x.level == level
     assert x.coeffs == tuple(want)
     assert all(type(c) is Fraction for c in x.coeffs)
+    # canonical form: integer numerators over one positive denominator, no
+    # common factor, zero as (0, ..., 0)/1
+    assert all(type(v) is int for v in x.nums) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    if not any(want):
+        assert x.nums == (0,) * len(want) and x.den == 1
 
 
 @given(st.data())
@@ -111,7 +118,7 @@ def test_inverse_matches_the_fraction_reference(data):
     if not any(a):
         return
     inv = CyclotomicNumber(level, a).inverse()
-    assert all(type(c) is Fraction for c in inv.coeffs)
+    _check(inv, inv.level, inv.coeffs)
     assert _ref_mul(level, a, list(inv.coeffs)) == [1] + [0] * (len(a) - 1)
 
 
@@ -125,6 +132,7 @@ def test_equal_values_hash_alike(data):
     y = CyclotomicNumber(level, data.draw(_vectors(level)))
     z = x * y - (x * y - x)
     assert z == x and hash(z) == hash(x)
+    assert (z.nums, z.den) == (x.nums, x.den)
     if all(c == 0 for c in a[1:]):
         assert hash(x) == hash(a[0])
         assert len({x, a[0]}) == 1

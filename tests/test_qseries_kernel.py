@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus_forge import localization
+from genus_forge.acceptance import run_all
 from genus_forge.cli import main
 from genus_forge.cyclotomic import CyclotomicNumber, euler_phi
 from genus_forge.localization import (FixedPointData, Relation, build_relation,
@@ -174,3 +175,45 @@ def test_broken_kernel_makes_the_genus_routes_disagree(broken_kernel, tmp_path,
     captured = capsys.readouterr()
     assert captured.out.endswith("routes agree: NO\n")
     assert captured.err.startswith("routes differ first at q^0: localization ")
+
+
+@pytest.fixture
+def broken_field(monkeypatch):
+    """A field product that adds 1 to the product of two irrational elements."""
+    mul = CyclotomicNumber.__mul__
+
+    def plus_one(a, b):
+        c = mul(a, b)
+        if (isinstance(b, CyclotomicNumber)
+                and not a.is_rational() and not b.is_rational()):
+            return c + 1
+        return c
+
+    caches = (eisenstein_packed, eisenstein_qexp, localization._packed_product)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", plus_one)
+    yield
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_broken_field_makes_the_genus_routes_disagree(broken_field, tmp_path, capsys):
+    # the packed kernel multiplies integer rows and never calls the field
+    # product, so a wrong product cannot move both routes alike
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(cpn_fixed_points(2, (1, 3)).to_json()))
+    assert main(["genus", str(path), "3", "--prec", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith("routes agree: NO\n")
+    assert captured.err.startswith("routes differ first at q^0: localization ")
+
+
+def test_broken_field_fails_the_lemma_criterion(broken_field):
+    # the product route of criterion 3 loses a_0 = 1 and raises; run_all
+    # counts the crash as a failure
+    lines = []
+    assert not run_all(out=lines.append)
+    assert lines[2].startswith("FAIL   3. product expansion vs Eisenstein")
+    assert "a_0 != 1" in lines[2]
