@@ -198,16 +198,20 @@ def cmd_hilbert(args) -> int:
 
 
 # Caps on one q-series request, so that every accepted request finishes
-# well inside a minute.  Measured on a shared 2-core x86-64 VM, with the
-# level at 11 (phi = 10, the widest field below the level cap):
-# - eisenstein at precision 60 takes 0.11 s for weight 8;
-# - relations at precision 60 for CP^4, k = 4..12, takes 0.6 s;
-# - genus at precision 60 takes 4.8 s for CP^3 and 21 s for CP^4, most of it
-#   in the Chern-number route, which grows with the dimension n of the data;
+# well inside a minute.  Measured in a fresh process on a shared 2-core
+# x86-64 VM (median of 3 runs, one or two for n = 7), with the level at 11
+# (phi = 10, the widest field below the level cap):
+# - eisenstein at precision 60 takes 0.13 s for weight 20;
+# - relations --verify at precision 60 takes 0.9 s for CP^4, k = 4..12, and
+#   14 s for CP^7, k = 7..20 (17 s for the A4 orbit with J = {1, 2}, n = 7
+#   with 20 fixed points), growing with k and n: k = 7..24 takes 31 s;
+# - genus at precision 60 takes 0.4 s for CP^3, 1.0 s for CP^4 and 20 s for
+#   CP^7 (19 s for that A4 orbit), nearly all in the Chern-number route,
+#   which grows fast with the dimension n of the data;
 # - qn expands a nested product whose cost grows like phi(N)^2 prec^2, so it
 #   has its own caps: with phi(N) * prec = 150 and x-order 10, level 11 at
-#   precision 15 takes 11 s, level 7 at 25 15 s, level 12 at 37 14 s and
-#   level 3 at 60 16 s (level 11 at precision 60 took 64 s with x-order 5).
+#   precision 15 takes 0.5 s, level 7 at 25 1.1 s, level 12 at 37 2.1 s and
+#   level 3 at 60 4.8 s.
 QSERIES_MAX_PREC = 60         # --prec and GENUS_FORGE_PREC
 QSERIES_MAX_LEVEL = 12        # N, for eisenstein, qn, genus and relations
 QN_MAX_X_ORDER = 10           # --x-order
