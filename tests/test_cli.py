@@ -307,14 +307,14 @@ def test_qseries_weight_cap(tmp_path, capsys):
 def test_qseries_dimension_cap(tmp_path, capsys):
     assert QSERIES_MAX_DIM == 7
     over = tmp_path / "over.json"
-    over.write_text(json.dumps(cpn_fixed_points(QSERIES_MAX_DIM + 1, range(1, 9)).to_json()))
+    over.write_text(json.dumps(cpn_fixed_points(8, range(1, 9)).to_json()))
     for argv in (["genus", str(over), "3"], ["relations", str(over), "3", "8", "8"]):
         assert main(argv + ["--prec", "2"]) == 2
         assert "QSERIES_MAX_DIM" in capsys.readouterr().err
     # the cap is on q-series requests only
     assert main(["chiy", str(over)]) == 0
     at_cap = tmp_path / "at_cap.json"
-    at_cap.write_text(json.dumps(cpn_fixed_points(QSERIES_MAX_DIM, range(1, 8)).to_json()))
+    at_cap.write_text(json.dumps(cpn_fixed_points(7, range(1, 8)).to_json()))
     assert main(["relations", str(at_cap), "2", "7", "7", "--prec", "2"]) == 0
 
 
