@@ -38,7 +38,10 @@ def eisenstein_packed(k: int, N: int, precision: int) -> PackedSeries:
     the q^n coefficient is -sum_{d|n} (n/d)^(k-1) (z^-d + (-1)^k z^d)/(k-1)!.
     The divisor sums come from a sieve: for each d and each multiple
     n = d*m, m^(k-1) goes into the residue slots -d and d mod N of row n,
-    and each row is reduced mod Phi_N once.
+    and each row is reduced mod Phi_N once.  The k = 1 constant is an
+    integer row too: (1-z) * sum_{j<N} j z^j = -N, so
+    (1+z)/(2(1-z)) = -((N-1) + sum_{0<j<N} (2j-1) z^j) / (2N).  No field
+    product is taken.
     """
     if k < 1:
         raise ValueError("Eisenstein weight must be positive")
@@ -47,8 +50,8 @@ def eisenstein_packed(k: int, N: int, precision: int) -> PackedSeries:
     if precision < 1:
         raise ValueError("q-precision must be positive")
     if k == 1:
-        z = CyclotomicNumber.zeta(N)
-        const = (1 + z) / (2 * (1 - z))
+        row = [1 - N] + [1 - 2 * j for j in range(1, N)]
+        const = CyclotomicNumber._normalized(N, _reduce(N, row), 2 * N)
     else:
         const = CyclotomicNumber.from_rational(N, bernoulli(k) / factorial(k))
     scale = factorial(k - 1)

@@ -22,7 +22,7 @@ from genus_forge.cli import main
 from genus_forge.cyclotomic import CyclotomicNumber, euler_phi
 from genus_forge.localization import (FixedPointData, Relation, build_relation,
                                       cpn_fixed_points, eisenstein_product,
-                                      verify_relation)
+                                      genus_qexp, verify_relation)
 from genus_forge.modular import eisenstein_packed, eisenstein_qexp
 from genus_forge.series import PackedSeries, TruncSeries, bernoulli
 
@@ -200,8 +200,8 @@ def broken_field(monkeypatch):
 
 
 def test_broken_field_makes_the_genus_routes_disagree(broken_field, tmp_path, capsys):
-    # the packed kernel multiplies integer rows and never calls the field
-    # product, so a wrong product cannot move both routes alike
+    # the localization route builds G_{k,N} and the G_I from integer rows
+    # and never calls the field product, so only the Chern route follows it
     path = tmp_path / "cp2.json"
     path.write_text(json.dumps(cpn_fixed_points(2, (1, 3)).to_json()))
     assert main(["genus", str(path), "3", "--prec", "5"]) == 1
@@ -217,3 +217,27 @@ def test_broken_field_fails_the_lemma_criterion(broken_field):
     assert not run_all(out=lines.append)
     assert lines[2].startswith("FAIL   3. product expansion vs Eisenstein")
     assert "a_0 != 1" in lines[2]
+
+
+def test_localization_route_takes_no_field_arithmetic(monkeypatch):
+    # G_{k,N} (the k = 1 constant included), the G_I and their sum all come
+    # from integer rows, so field arithmetic that raises leaves genus_qexp
+    # as it was; the only input both routes share is G_{k,N}, which
+    # criterion 3 checks against the product route
+    fpd = cpn_fixed_points(2, (1, 3))
+    want = {N: genus_qexp(fpd, N, 6) for N in (3, 5, 12)}
+
+    def no_field_arithmetic(*args):
+        raise AssertionError("field arithmetic on the packed kernel")
+
+    caches = (eisenstein_packed, eisenstein_qexp, localization._packed_product)
+    for cache in caches:
+        cache.cache_clear()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__neg__", "inverse"):
+        monkeypatch.setattr(CyclotomicNumber, name, no_field_arithmetic)
+    got = {N: genus_qexp(fpd, N, 6) for N in (3, 5, 12)}
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
+    assert got == want
