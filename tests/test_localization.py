@@ -193,6 +193,18 @@ def test_genus_two_routes_agree_nonvanishing():
     assert a.coeff(0) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("fpd, N", [
+    (cpn_fixed_points(5, (1, 2, 3, 4, 5)), 4),
+    # CP^2 x CP^4 has index gcd(3, 5) = 1, and its level-2 genus is nonzero
+    (product_fixed_points(cpn_fixed_points(2, (1, 3)),
+                          cpn_fixed_points(4, (1, 2, 5, -3))), 2),
+])
+def test_genus_two_routes_agree_in_dimensions_five_and_six(fpd, N):
+    a = genus_qexp(fpd, N, 8)
+    assert a
+    assert a == genus_via_chern(fpd, N, 8)
+
+
 def test_genus_vanishes_at_dividing_level():
     for n, N in ((1, 2), (2, 3), (3, 2), (3, 4)):
         fpd = cpn_fixed_points(n, tuple(range(1, n + 1)))

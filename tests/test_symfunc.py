@@ -133,6 +133,47 @@ def test_genus_polynomials_low_degrees():
     assert f[(2,)] == a[1] * a[1] - a[0] * a[2] * 2
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_f_lambda_values_expand_the_weight_n_part(data):
+    # sum over lambda of f_lambda * e_lambda(x) is the t^n coefficient of
+    # prod_i Q(x_i t), with Q(z) = a_0 + a_1 z + ... + a_n z^n
+    n = data.draw(st.integers(1, 5))
+    fractions = st.fractions(-4, 4, max_denominator=5)
+    a = data.draw(st.lists(fractions, min_size=n + 1, max_size=n + 1))
+    x = data.draw(st.lists(fractions, min_size=n, max_size=n))
+
+    def times(p, q):  # product of two ascending coefficient lists
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, u in enumerate(p):
+            for j, v in enumerate(q):
+                out[i + j] += u * v
+        return out
+
+    product, elem = [Fraction(1)], [Fraction(1)]
+    for xi in x:
+        product = times(product, [a[k] * xi ** k for k in range(n + 1)])
+        elem = times(elem, [Fraction(1), xi])  # e_j(x) is the t^j coefficient
+    total = Fraction(0)
+    for lam, f in f_lambda_values(GenusSpec(a), n).items():
+        e_lam = Fraction(1)
+        for part in lam:
+            e_lam *= elem[part]
+        total += f * e_lam
+    assert total == product[n]
+
+
+def test_genus_polynomials_todd_at_degree_three():
+    # Todd: Q_1 = c1/2, Q_2 = (c1^2 + c2)/12, Q_3 = c1 c2/24; doubling every
+    # a_k multiplies Q_1..Q_3 by 2^3, which takes the a_0^(n-k) factor
+    todd = GenusSpec([Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0)])
+    assert [str(q) for q in genus_polynomials(todd, 3)] == [
+        "1/2*y1", "1/12*y1^2 + 1/12*y2", "1/24*y1*y2"]
+    doubled = GenusSpec([Fraction(2), Fraction(1), Fraction(1, 6), Fraction(0)])
+    assert [str(q) for q in genus_polynomials(doubled, 3)] == [
+        "4*y1", "2/3*y1^2 + 2/3*y2", "1/3*y1*y2"]
+
+
 def test_f_lambda_symbolic_matches_values():
     n = 3
     table = f_lambda_symbolic(n)
