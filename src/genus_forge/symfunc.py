@@ -15,8 +15,11 @@ truncated q-series.
 
 The expansion never touches individual monomials of the n-fold product:
 the coefficient of the monomial symmetric function m_I in Q(x_1)...Q(x_n)
-is a_0^(n-len(I)) * a_{I_1} * ... * a_{I_l}, read off directly, and m_I is
-converted to the elementary basis by triangular elimination.
+is a_I = a_0^(n-len(I)) * a_{I_1} * ... * a_{I_l}, and m_I is converted to
+the elementary basis by triangular elimination.  So f_lambda is read
+straight off those rows, as the sum over partitions I of n of
+[e_lambda] m_I * a_I, with each a_I formed once in the coefficients' own
+domain and no polynomial in indeterminate a's built on the way.
 """
 
 from __future__ import annotations
@@ -265,81 +268,62 @@ def _genus_spec_vars(spec: GenusSpec) -> tuple[str, ...]:
     return tuple(seen)
 
 
-@lru_cache(maxsize=None)
-def _universal_genus_polys(n: int) -> tuple[SparsePoly, ...]:
-    """Q_1..Q_n over indeterminate a_0..a_n, with y_j standing for sigma_j.
+def f_lambda_values(spec: GenusSpec, n: int) -> dict[Partition, object]:
+    """f_lambda for all partitions lambda of n, at the spec's coefficients
+    (any exact domain): the sum over partitions I of n of
 
-    The weight-k part of Q(x_1)...Q(x_n) equals
-        sum over partitions I of k:  a_0^(n - len(I)) prod a_{I_i} * m_I,
-    and each m_I is pushed through the elementary basis.
+        [e_lambda] m_I * a_0^(n - len(I)) * a_{I_1} * ... * a_{I_l},
+
+    with [e_lambda] m_I read from `monomial_to_elementary(I, n)`.  Each
+    product of a's is formed once and added into every f_lambda it reaches;
+    a lambda that none reaches is a zero of the domain.
     """
-    avars = tuple(f"a{k}" for k in range(n + 1))
-    yvars = tuple(f"y{j}" for j in range(1, n + 1))
-    allvars = avars + yvars
-    out = []
-    for k in range(1, n + 1):
-        qk = SparsePoly.zero(allvars)
-        for I in partitions_at_most(k, n):
-            a_exp = [0] * (n + 1) + [0] * n
-            a_exp[0] = n - len(I)
-            for part in I:
-                a_exp[part] += 1
-            a_mon = SparsePoly.monomial(allvars, a_exp)
-            conv = monomial_to_elementary(I, k)
-            for e_exp, c in conv.terms.items():
-                y_exp = [0] * (n + 1) + list(e_exp) + [0] * (n - k)
-                qk = qk + c * a_mon * SparsePoly.monomial(allvars, y_exp)
-        out.append(qk)
-    return tuple(out)
+    if spec.order < n:
+        raise ValueError(f"genus spec stops at a_{spec.order}, need a_{n}")
+    a = spec.coefficients
+    out: dict[Partition, object] = dict.fromkeys(all_partitions(n))
+    for I in all_partitions(n):
+        a_I = None
+        for k in (0,) * (n - len(I)) + I[::-1]:
+            a_I = a[k] if a_I is None else a_I * a[k]
+        for e_exp, c in monomial_to_elementary(I, n).terms.items():
+            lam = tuple(j for j in range(n, 0, -1) for _ in range(e_exp[j - 1]))
+            term = c * a_I
+            out[lam] = term if out[lam] is None else out[lam] + term
+    zero = Fraction(0) * spec.one()
+    return {lam: zero if f is None else f for lam, f in out.items()}
+
+
+def f_lambda_symbolic(n: int) -> dict[Partition, SparsePoly]:
+    """f_lambda for all partitions of n, as polynomials in a_0..a_n."""
+    return f_lambda_values(GenusSpec.symbolic(n), n)
 
 
 def genus_polynomials(spec: GenusSpec, n: int) -> list[SparsePoly]:
     """Q_1..Q_n with the a_k evaluated at the spec's coefficients; Q_k applied
     to sigma_1..sigma_k reproduces the weight-k part of Q(x_1)...Q(x_n).
 
-    The coefficient domain must be polynomial (Fraction or SparsePoly); for
-    q-series coefficients use f_lambda_values/genus_value instead.
+    Q_k = a_0^(n-k) * sum over partitions lambda of k of f_lambda * y^lambda,
+    with f_lambda taken at k: for |I| = k <= n, m_I has the same expansion
+    in e_1..e_k whatever the number of variables.  The coefficient domain
+    must be polynomial (Fraction or SparsePoly); for q-series coefficients
+    use f_lambda_values/genus_value instead.
     """
     if spec.order < n:
         raise ValueError(f"genus spec stops at a_{spec.order}, need a_{n}")
     extra = _genus_spec_vars(spec)
-    yvars = tuple(f"y{j}" for j in range(1, n + 1))
-    allvars = extra + yvars
-    values = []
-    for c in spec.coefficients[: n + 1]:
-        if isinstance(c, SparsePoly):
-            values.append(c.with_vars(allvars))
-        else:
-            values.append(SparsePoly.constant(allvars, c))
-    for v in yvars:
-        values.append(SparsePoly.variable(v, allvars))
-    one = SparsePoly.constant(allvars, 1)
-    return [u.evaluate(values, one=one) for u in _universal_genus_polys(n)]
-
-
-def f_lambda_symbolic(n: int) -> dict[Partition, SparsePoly]:
-    """f_lambda for all partitions of n, as polynomials in a_0..a_n."""
-    avars = tuple(f"a{k}" for k in range(n + 1))
-    qn = _universal_genus_polys(n)[n - 1]
-    out: dict[Partition, SparsePoly] = {lam: SparsePoly.zero(avars)
-                                        for lam in all_partitions(n)}
-    for exp, c in qn.terms.items():
-        a_part, y_part = exp[: n + 1], exp[n + 1:]
-        lam = []
-        for j in range(n, 0, -1):
-            lam.extend([j] * y_part[j - 1])
-        out[tuple(lam)] = out[tuple(lam)] + SparsePoly.monomial(avars, a_part, c)
+    allvars = extra + tuple(f"y{j}" for j in range(1, n + 1))
+    lifted = GenusSpec([c.with_vars(allvars) if isinstance(c, SparsePoly)
+                        else SparsePoly.constant(allvars, c)
+                        for c in spec.coefficients[: n + 1]])
+    out = []
+    for k in range(1, n + 1):
+        qk = SparsePoly.zero(allvars)
+        for lam, f in f_lambda_values(lifted, k).items():
+            y_exp = (0,) * len(extra) + tuple(lam.count(j) for j in range(1, n + 1))
+            qk = qk + f * SparsePoly.monomial(allvars, y_exp)
+        out.append(lifted.coefficients[0] ** (n - k) * qk)
     return out
-
-
-def f_lambda_values(spec: GenusSpec, n: int) -> dict[Partition, object]:
-    """f_lambda specialized at the spec's coefficients (any exact domain)."""
-    if spec.order < n:
-        raise ValueError(f"genus spec stops at a_{spec.order}, need a_{n}")
-    one = spec.one()
-    values = list(spec.coefficients[: n + 1])
-    return {lam: poly.evaluate(values, one=one)
-            for lam, poly in f_lambda_symbolic(n).items()}
 
 
 def genus_value(spec: GenusSpec, chern: Mapping[Partition, int], n: int):
