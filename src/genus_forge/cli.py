@@ -57,14 +57,14 @@ def _default_precision() -> int:
     return value
 
 
-def _load_fixed_points(path: str, max_dim: int | None = None) -> FixedPointData:
+def _load_fixed_points(path: str) -> FixedPointData:
     """Fixed-point data from a JSON file, checked to be a manifold's; a
-    dimension n above max_dim is refused before that check."""
+    dimension n above QSERIES_MAX_DIM is refused before that check."""
     with open(path, "r", encoding="utf-8") as fh:
         fpd = FixedPointData.from_json(json.load(fh))
-    if max_dim is not None and fpd.n > max_dim:
+    if fpd.n > QSERIES_MAX_DIM:
         raise ValueError(f"dimension n = {fpd.n} exceeds the cap "
-                         f"QSERIES_MAX_DIM = {max_dim}")
+                         f"QSERIES_MAX_DIM = {QSERIES_MAX_DIM}")
     for k in range(fpd.n):
         for I in partitions_at_most(k, fpd.n):
             value = relation_coefficient(fpd, I)
@@ -114,7 +114,7 @@ def cmd_qn(args) -> int:
 
 def cmd_genus(args) -> int:
     _check_qseries_caps(args)
-    fpd = _load_fixed_points(args.fixed_points, max_dim=QSERIES_MAX_DIM)
+    fpd = _load_fixed_points(args.fixed_points)
     via_loc = genus_qexp(fpd, args.level, args.prec)
     via_chern = genus_via_chern(fpd, args.level, args.prec)
     first = next((k for k in range(args.prec)
@@ -157,7 +157,7 @@ def cmd_chiy(args) -> int:
 def cmd_relations(args) -> int:
     _check_qseries_caps(args)
     _check_weight("k-max", args.k_max)
-    fpd = _load_fixed_points(args.fixed_points, max_dim=QSERIES_MAX_DIM)
+    fpd = _load_fixed_points(args.fixed_points)
     if args.k_max < args.k_min:
         raise ValueError("k-max must be >= k-min")
     code = 0
@@ -205,9 +205,12 @@ def cmd_hilbert(args) -> int:
 # - relations --verify at precision 60 takes 0.9 s for CP^4, k = 4..12, and
 #   14 s for CP^7, k = 7..20 (17 s for the A4 orbit with J = {1, 2}, n = 7
 #   with 20 fixed points), growing with k and n: k = 7..24 takes 31 s;
-# - genus at precision 60 takes 0.4 s for CP^3, 1.0 s for CP^4 and 20 s for
-#   CP^7 (19 s for that A4 orbit), nearly all in the Chern-number route,
-#   which grows fast with the dimension n of the data;
+# - genus at precision 60 takes 0.3 s for CP^3, 0.4 s for CP^4 and 6.9 s
+#   for CP^7 (7.2 s for that A4 orbit), nearly all in the Chern-number
+#   route, which grows fast with the dimension n of the data;
+# - the dimension cap also covers chiy and hilbert, whose load-time manifold
+#   check grows fast with n: hilbert at level 2 takes 1.7 s on CP^7 (6 s on
+#   CP^9) and chiy 0.13 s on CP^7;
 # - qn expands a nested product whose cost grows like phi(N)^2 prec^2, so it
 #   has its own caps: with phi(N) * prec = 150 and x-order 10, level 11 at
 #   precision 15 takes 0.5 s, level 7 at 25 1.1 s, level 12 at 37 2.1 s and
@@ -217,7 +220,7 @@ QSERIES_MAX_LEVEL = 12        # N, for eisenstein, qn, genus and relations
 QN_MAX_X_ORDER = 10           # --x-order
 QN_MAX_PHI_PREC = 150         # phi(N) * --prec, for qn
 QSERIES_MAX_WEIGHT = 20       # eisenstein weight k, and relations k-max
-QSERIES_MAX_DIM = 7           # n of the fixed-point file, for genus and relations
+QSERIES_MAX_DIM = 7           # n of any fixed-point file a subcommand reads
 
 
 def _check_qseries_caps(args) -> None:
@@ -432,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_genus)
 
-    p = sub.add_parser("chiy", help="chi_y genus from fixed-point counts")
+    p = sub.add_parser("chiy", help="chi_y genus from fixed-point counts",
+                       epilog=f"Cap (exit 2 beyond it): dimension n <= "
+                              f"{QSERIES_MAX_DIM} in the fixed-point file.")
     p.add_argument("fixed_points")
     p.add_argument("--k0", type=_positive_int,
                    help="also test divisibility at this index")
@@ -453,7 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_relations)
 
-    p = sub.add_parser("hilbert", help="interpolated twisted-index polynomials")
+    p = sub.add_parser("hilbert", help="interpolated twisted-index polynomials",
+                       epilog=f"Cap (exit 2 beyond it): dimension n <= "
+                              f"{QSERIES_MAX_DIM} in the fixed-point file.")
     p.add_argument("fixed_points")
     p.add_argument("level", type=_positive_int,
                    help="index divisor for the line-bundle power")

@@ -564,11 +564,17 @@ def cpn_hilbert_closed_form(n: int, m: int) -> SparsePoly:
 
 
 def divides_chi_y(chi_y: SparsePoly, k0: int) -> dict:
-    """Divide chi_y by 1 + (-y) + ... + (-y)^(k0-1), exactly or not at all."""
+    """Divide chi_y by 1 + (-y) + ... + (-y)^(k0-1), exactly or not at all.
+    A divisor of higher degree than chi_y is never built: the quotient is
+    zero and chi_y is the remainder, as the division would find."""
     if k0 < 1:
         raise ValueError("index must be positive")
-    divisor = SparsePoly(("y",), {(j,): (-1) ** j for j in range(k0)})
-    quotient, remainder = chi_y.with_vars(("y",)).divmod_by(divisor)
+    chi_y = chi_y.with_vars(("y",))
+    if k0 - 1 > chi_y.degree():
+        quotient, remainder = SparsePoly.zero(("y",)), chi_y
+    else:
+        divisor = SparsePoly(("y",), {(j,): (-1) ** j for j in range(k0)})
+        quotient, remainder = chi_y.divmod_by(divisor)
     if remainder:
         return {"divisible": False, "remainder": str(remainder)}
     return {"divisible": True, "quotient": quotient}

@@ -141,7 +141,6 @@ def h_divisibility(h: Sequence[int], k0: int) -> dict:
     if k0 < 1:
         raise ValueError("k0 must be positive")
     rem = [Fraction(v) for v in h]
-    div = [Fraction(1)] * k0
     quot = [Fraction(0)] * max(len(rem) - k0 + 1, 0)
     for top in range(len(rem) - 1, k0 - 2, -1):
         c = rem[top]

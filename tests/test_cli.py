@@ -15,8 +15,9 @@ from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DI
                              COADJOINT_MAX_RANK, QN_MAX_PHI_PREC, QN_MAX_X_ORDER,
                              QSERIES_MAX_DIM, QSERIES_MAX_LEVEL, QSERIES_MAX_PREC,
                              QSERIES_MAX_WEIGHT, main)
-from genus_forge.localization import Relation, cpn_fixed_points
+from genus_forge.localization import Relation, cpn_fixed_points, divides_chi_y
 from genus_forge.modular import eisenstein_qexp, series_from_json
+from genus_forge.sparsepoly import SparsePoly
 
 
 def _write_cp2(tmp_path, weights=(1, 3)):
@@ -71,6 +72,22 @@ def test_chiy_divisibility_exit_codes(tmp_path, capsys):
     assert "chi_y = y^2 - y + 1" in out
     assert main(["chiy", path, "--k0", "2"]) == 1
     assert "NOT divisible" in capsys.readouterr().out
+
+
+def test_chiy_divisor_longer_than_chi_y(tmp_path, capsys):
+    # a divisor of degree K - 1 > deg chi_y leaves chi_y as the remainder,
+    # whether K is n + 2 or far too large to build the divisor for
+    path = _write_cp2(tmp_path)
+    chi = SparsePoly.variable("y", ("y",)) ** 2 - SparsePoly.variable("y", ("y",)) + 1
+    divisor = SparsePoly(("y",), {(j,): (-1) ** j for j in range(4)})
+    assert chi.divmod_by(divisor) == (SparsePoly.zero(("y",)), chi)
+    outputs = []
+    for k0 in (4, 10 ** 18):
+        assert divides_chi_y(chi, k0) == {"divisible": False, "remainder": str(chi)}
+        assert main(["chiy", path, "--k0", str(k0)]) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "NOT divisible: remainder y^2 - y + 1" in outputs[0]
 
 
 def test_relations_verified(tmp_path, capsys):
@@ -308,14 +325,17 @@ def test_qseries_dimension_cap(tmp_path, capsys):
     assert QSERIES_MAX_DIM == 7
     over = tmp_path / "over.json"
     over.write_text(json.dumps(cpn_fixed_points(8, range(1, 9)).to_json()))
-    for argv in (["genus", str(over), "3"], ["relations", str(over), "3", "8", "8"]):
-        assert main(argv + ["--prec", "2"]) == 2
+    # every subcommand that reads a fixed-point file applies the cap
+    for argv in (["genus", str(over), "3", "--prec", "2"],
+                 ["relations", str(over), "3", "8", "8", "--prec", "2"],
+                 ["chiy", str(over)], ["chiy", str(over), "--k0", "3"],
+                 ["hilbert", str(over), "2"], ["hilbert", str(over), "2", "--m", "0"]):
+        assert main(argv) == 2
         assert "QSERIES_MAX_DIM" in capsys.readouterr().err
-    # the cap is on q-series requests only
-    assert main(["chiy", str(over)]) == 0
     at_cap = tmp_path / "at_cap.json"
     at_cap.write_text(json.dumps(cpn_fixed_points(7, range(1, 8)).to_json()))
     assert main(["relations", str(at_cap), "2", "7", "7", "--prec", "2"]) == 0
+    assert main(["chiy", str(at_cap)]) == 0
 
 
 def test_qn_x_order_cap(capsys):
@@ -422,6 +442,19 @@ def test_polytope_divisibility_failure(tmp_path, capsys):
     path.write_text(json.dumps({"f": cube_f_vector(2)}))
     assert main(["polytope", str(path), "--k0", "3"]) == 1
     assert "NOT divisible" in capsys.readouterr().out
+
+
+def test_polytope_huge_k0_is_not_divisible(tmp_path, capsys):
+    # the divisor 1 + ... + y^(k0-1) is never built, so a k0 far beyond
+    # memory reports the h-vector itself as the remainder
+    from genus_forge.polytope import simplex_f_vector
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"f": simplex_f_vector(2)}))
+    assert main(["polytope", str(path), "--k0", str(10 ** 18)]) == 1
+    captured = capsys.readouterr()
+    assert "NOT divisible by 1 + ... + y^999999999999999999: remainder [1, 1, 1]" \
+        in captured.out
+    assert captured.err == ""
 
 
 def test_polytope_empty_input(tmp_path, capsys):
