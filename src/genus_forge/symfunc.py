@@ -281,8 +281,9 @@ def f_lambda_values(spec: GenusSpec, n: int) -> dict[Partition, object]:
     if spec.order < n:
         raise ValueError(f"genus spec stops at a_{spec.order}, need a_{n}")
     a = spec.coefficients
-    out: dict[Partition, object] = dict.fromkeys(all_partitions(n))
-    for I in all_partitions(n):
+    partitions = all_partitions(n)
+    out: dict[Partition, object] = dict.fromkeys(partitions)
+    for I in partitions:
         a_I = None
         for k in (0,) * (n - len(I)) + I[::-1]:
             a_I = a[k] if a_I is None else a_I * a[k]
