@@ -78,7 +78,8 @@ def test_chiy_divisor_longer_than_chi_y(tmp_path, capsys):
     # a divisor of degree K - 1 > deg chi_y leaves chi_y as the remainder,
     # whether K is n + 2 or far too large to build the divisor for
     path = _write_cp2(tmp_path)
-    chi = SparsePoly.variable("y", ("y",)) ** 2 - SparsePoly.variable("y", ("y",)) + 1
+    y = SparsePoly.variable("y", ("y",))
+    chi = y ** 2 - y + 1
     divisor = SparsePoly(("y",), {(j,): (-1) ** j for j in range(4)})
     assert chi.divmod_by(divisor) == (SparsePoly.zero(("y",)), chi)
     outputs = []
