@@ -205,6 +205,14 @@ def test_genus_two_routes_agree_in_dimensions_five_and_six(fpd, N):
     assert a == genus_via_chern(fpd, N, 8)
 
 
+def test_genus_two_routes_agree_at_the_dimension_cap():
+    # CP^7 at level 3 (3 does not divide 8): nonzero genus, n = 7 as in the cap
+    fpd = cpn_fixed_points(7, (1, 2, 3, 4, 5, 6, 7))
+    a = genus_qexp(fpd, 3, 6)
+    assert a
+    assert a == genus_via_chern(fpd, 3, 6)
+
+
 def test_genus_vanishes_at_dividing_level():
     for n, N in ((1, 2), (2, 3), (3, 2), (3, 4)):
         fpd = cpn_fixed_points(n, tuple(range(1, n + 1)))

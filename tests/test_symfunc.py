@@ -115,6 +115,18 @@ def test_monomial_to_elementary_roundtrip():
             assert expr.evaluate(e_vals) == monomial_sym_eval(I, values)
 
 
+def test_monomial_to_elementary_substitutes_back_exactly():
+    # e_j -> e_j(x_1..x_n) turns the e-expansion of m_I back into m_I itself
+    for n in range(1, 6):
+        xs = tuple(f"x{i}" for i in range(1, n + 1))
+        elem = [elementary_sym_poly(j, xs) for j in range(1, n + 1)]
+        one = SparsePoly.constant(xs, 1)
+        for k in range(n + 2):
+            for I in partitions_at_most(k, n):
+                expr = monomial_to_elementary(I, n)
+                assert expr.evaluate(elem, one) == monomial_sym_poly(I, xs), (I, n)
+
+
 def test_genus_spec_basics():
     spec = GenusSpec([Fraction(1), Fraction(0), Fraction(1, 12)])
     assert spec.normalized
