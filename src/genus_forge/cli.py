@@ -199,18 +199,18 @@ def cmd_hilbert(args) -> int:
 
 # Caps on one q-series request, so that every accepted request finishes
 # well inside a minute.  Measured in a fresh process on a shared 2-core
-# x86-64 VM (median of 3 runs, one or two for n = 7), with the level at 11
+# x86-64 VM (median of 3 runs), with the level at 11
 # (phi = 10, the widest field below the level cap):
 # - eisenstein at precision 60 takes 0.13 s for weight 20;
 # - relations --verify at precision 60 takes 0.9 s for CP^4, k = 4..12, and
-#   14 s for CP^7, k = 7..20 (17 s for the A4 orbit with J = {1, 2}, n = 7
-#   with 20 fixed points), growing with k and n: k = 7..24 takes 31 s;
-# - genus at precision 60 takes 0.3 s for CP^3, 0.4 s for CP^4 and 6.9 s
-#   for CP^7 (7.2 s for that A4 orbit), nearly all in the Chern-number
+#   9 s for CP^7, k = 7..20 (14 s for the A4 orbit with J = {1, 2}, n = 7
+#   with 20 fixed points), growing with k and n: k = 7..24 takes 26 s;
+# - genus at precision 60 takes 0.2 s for CP^3, 0.3 s for CP^4 and 1.6 s
+#   for CP^7 (1.9 s for that A4 orbit), nearly all in the Chern-number
 #   route, which grows fast with the dimension n of the data;
 # - the dimension cap also covers chiy and hilbert, whose load-time manifold
-#   check grows fast with n: hilbert at level 2 takes 1.7 s on CP^7 (6 s on
-#   CP^9) and chiy 0.13 s on CP^7;
+#   check grows fast with n: hilbert at level 2 takes 1.9 s on CP^7 (6 s on
+#   CP^9) and chiy 0.11 s on CP^7;
 # - qn expands a nested product whose cost grows like phi(N)^2 prec^2, so it
 #   has its own caps: with phi(N) * prec = 150 and x-order 10, level 11 at
 #   precision 15 takes 0.5 s, level 7 at 25 1.1 s, level 12 at 37 2.1 s and

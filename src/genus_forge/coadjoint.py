@@ -152,9 +152,6 @@ class WeylElement:
         """self after other (group product self * other)."""
         return WeylElement(self.rs, _compose_images(self.images, other.images))
 
-    def apply_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        return _apply_images(self.images, v)
-
     def act(self, poly: SparsePoly) -> SparsePoly:
         """Action on polynomials: substitute x_i -> s_i * x_{p_i}."""
         return poly.subs_signed({i: ps for i, ps in enumerate(self.images)})
@@ -162,7 +159,7 @@ class WeylElement:
     def length(self) -> int:
         neg = _negative_root_set(self.rs)
         return sum(1 for root in self.rs.positive_roots()
-                   if self.apply_vector(root) in neg)
+                   if _apply_images(self.images, root) in neg)
 
     def label(self) -> str:
         """The reduced word as s2*s1, or e for the identity."""
@@ -358,16 +355,16 @@ def q_I_via_divided_diff(orbit: OrbitSpec, I: Sequence[int]) -> SparsePoly:
 
 
 def orbit_fixed_points(orbit: OrbitSpec, xi: Sequence[int]) -> FixedPointData:
-    """One fixed point per coset of W/W_J; weights <w(alpha), xi>."""
+    """One fixed point per coset of W/W_J; weights <w(alpha), xi> = <alpha, w^-1(xi)>."""
     xi = tuple(int(x) for x in xi)
     if len(xi) != orbit.rs.dim:
         raise ValueError(f"circle direction needs {orbit.rs.dim} coordinates")
     points, labels = [], []
     for w in orbit.cosets:
+        y = [s * xi[p] for p, s in w.images]  # w^-1(xi), as w(e_i) = s_i * e_{p_i}
         weights = []
         for root in orbit.complement_roots:
-            img = w.apply_vector(root)
-            pairing = sum(a * b for a, b in zip(img, xi))
+            pairing = sum(a * b for a, b in zip(root, y))
             if pairing == 0:
                 raise ValueError("non-generic circle direction: "
                                  f"<{w!r}({root}), {xi}> = 0")

@@ -112,6 +112,8 @@ def _reduce(level: int, poly: list) -> list:
     integer remainders, which the packed q-series kernel relies on."""
     phi_poly = _integer_phi(level)
     phi = len(phi_poly) - 1
+    for k in range(len(poly) - 1, level - 1, -1):  # fold first: x^level = 1 mod Phi_level
+        poly[k - level] += poly.pop()
     for k in range(len(poly) - 1, phi - 1, -1):
         c = poly[k]
         if c:

@@ -111,11 +111,15 @@ class FixedPointData:
             raise ValueError('fixed-point data must be an object with a "points" list '
                              "of objects")
         index = data.get("asserted_index")
+        if index is not None and json_int(index, "asserted_index") < 1:
+            raise ValueError(f"asserted_index must be positive, got {index}")
+        for i, label in enumerate(p.get("label", "") for p in points):
+            if type(label) is not str:
+                raise ValueError(f"point {i} label must be a string, got {json.dumps(label)}")
         return cls(json_int(data.get("n"), "n"),
                    [json_int_list(p.get("weights"), f"point {i} weights")
                     for i, p in enumerate(points)],
-                   [p.get("label", f"P{i}") for i, p in enumerate(points)],
-                   None if index is None else json_int(index, "asserted_index")).validate()
+                   [p.get("label", f"P{i}") for i, p in enumerate(points)], index).validate()
 
 
 def json_int(value, what: str) -> int:

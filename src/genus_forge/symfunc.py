@@ -16,10 +16,10 @@ truncated q-series.
 The expansion never touches individual monomials of the n-fold product:
 the coefficient of the monomial symmetric function m_I in Q(x_1)...Q(x_n)
 is a_I = a_0^(n-len(I)) * a_{I_1} * ... * a_{I_l}, and m_I is converted to
-the elementary basis by triangular elimination.  So f_lambda is read
-straight off those rows, as the sum over partitions I of n of
-[e_lambda] m_I * a_I, with each a_I formed once in the coefficients' own
-domain and no polynomial in indeterminate a's built on the way.
+the elementary basis by triangular elimination over partitions, in the
+monomial basis, with no polynomial in x_1..x_n built.  So f_lambda is read
+off those rows, as the sum over partitions I of n of [e_lambda] m_I * a_I,
+with each a_I formed once in the coefficients' own domain.
 """
 
 from __future__ import annotations
@@ -104,48 +104,40 @@ def _distinct_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
 def monomial_sym_eval(I: Sequence[int], values: Sequence):
     """m_I at concrete values, by recursion on the last value v_k:
 
-        m_R(v_1..v_k) = m_R(v_1..v_{k-1})                 [only if |R| <= k-1]
+        m_R(v_1..v_k) = m_R(v_1..v_{k-1})                 [0 if |R| = k]
                       + sum over distinct parts e of R of
                             v_k^e * m_{R minus e}(v_1..v_{k-1}),
 
-    tabulated level by level over the sub-multisets R of I.  This sums the
-    same monomials as the expansion over every distinct rearrangement of I
-    padded with zeros (`monomial_sym_poly`), with far fewer products.
+    in one table over the sub-multisets R of I, updated in place with the
+    longer R first so that R minus e still holds its value at k - 1.  This
+    sums the monomials of `monomial_sym_poly` with far fewer products.
     """
     I = check_partition(I) if I else ()
     n = len(values)
     if n < len(I):
         raise ValueError("monomial symmetric function needs at least "
                          f"{len(I)} values, got {len(values)}")
-    subs = {()}
+    table: dict = {(): 1}  # m_R(v_1..v_k), and 0 for an R longer than k
     for part in I:  # parts arrive non-increasing, so R + (part,) stays sorted
-        subs |= {R + (part,) for R in subs}
-    by_length: list[list[Partition]] = [[] for _ in range(len(I) + 1)]
-    for R in sorted(subs):
-        by_length[len(R)].append(R)
-    table: dict = {(): 1}  # m_R(v_1..v_k) for the R still needed at level k
+        table.update({R + (part,): 0 for R in table})
+    longest_first = sorted(table, key=len, reverse=True)
     for k, v in enumerate(values, start=1):
         # an R shorter than len(I) - (n - k) cannot grow back to I in time
-        lo = max(len(I) - (n - k), 0)
+        lo = max(len(I) - (n - k), 1)
         powers: dict = {}
-        level: dict = {}
-        for length in range(lo, min(k, len(I)) + 1):
-            for R in by_length[length]:
-                total = table[R] if length < k else 0
-                for i, e in enumerate(R):
-                    if i and R[i - 1] == e:
-                        continue
-                    p = powers.get(e)
-                    if p is None:
-                        p = powers[e] = v ** e
-                    rest = R[:i] + R[i + 1:]
-                    total = total + (p * table[rest] if rest else p)
-                level[R] = total
-        table = level
+        for R in (R for R in longest_first if lo <= len(R) <= k):
+            total = table[R]
+            for i, e in enumerate(R):
+                if i and R[i - 1] == e:
+                    continue
+                p = powers.get(e)
+                if p is None:
+                    p = powers[e] = v ** e
+                rest = R[:i] + R[i + 1:]
+                total = total + (p * table[rest] if rest else p)
+            table[R] = total
     total = table[I]
-    if isinstance(total, int):
-        return Fraction(total)
-    return total
+    return Fraction(total) if isinstance(total, int) else total
 
 
 def monomial_sym_poly(I: Sequence[int], variables: Sequence[str]) -> SparsePoly:
@@ -185,37 +177,42 @@ def elementary_values(values: Sequence) -> list:
 
 
 @lru_cache(maxsize=None)
+def _zero_one_matrices(rows: Partition, cols: Partition) -> int:
+    """How many 0-1 matrices have these row and column sums, [m_cols] e_rows:
+    the first row's ones go in any rows[0] columns, the rest recurses."""
+    if not rows:
+        return int(not cols)
+    left = (sorted(filter(None, (x - (j in chosen) for j, x in enumerate(cols))), reverse=True)
+            for chosen in combinations(range(len(cols)), rows[0]))
+    return sum(_zero_one_matrices(rows[1:], tuple(rest)) for rest in left)
+
+
+@lru_cache(maxsize=None)
 def monomial_to_elementary(I: Partition, n: int) -> SparsePoly:
     """The unique polynomial expressing m_I(x_1..x_n) in e_1..e_n.
 
-    Triangular elimination: under graded lex the leading monomial of the
-    symmetric remainder always has a weakly decreasing exponent vector
-    alpha, and the product of e's indexed by the conjugate of alpha has
-    leading monomial exactly x^alpha.  Subtracting matches term by term
-    until the remainder vanishes, which simultaneously proves the identity.
+    Triangular elimination in the monomial basis, on a map nu -> [m_nu] of
+    the remainder, from m_I: the largest alpha left (tuple order refines
+    dominance) tops e_{alpha'}, alpha' the conjugate, whose other m_nu (at
+    most n parts, as m_nu vanishes beyond that) are dominated by alpha.
+    Subtracting c * e_{alpha'} must clear alpha; the loop ends when the
+    remainder is zero, which proves the identity term by term.
     """
     I = check_partition(I) if I else ()
     if n < len(I):
         raise ValueError("need at least as many variables as parts")
-    xvars = tuple(f"x{i}" for i in range(1, n + 1))
-    evars = tuple(f"e{i}" for i in range(1, n + 1))
-    elem = [elementary_sym_poly(m, xvars) for m in range(n + 1)]
-    remainder = monomial_sym_poly(I, xvars)
-    result = SparsePoly.zero(evars)
+    candidates = partitions_at_most(sum(I), n)
+    remainder, terms = {I: 1}, {}
     while remainder:
-        alpha, c = remainder.leading_term()
-        parts = tuple(x for x in alpha if x)
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ArithmeticError("remainder lost symmetry during elimination")
-        conj = [sum(1 for x in parts if x >= j) for j in range(1, (parts[0] if parts else 0) + 1)]
-        e_prod = SparsePoly.constant(xvars, 1)
-        e_exp = [0] * n
-        for m in conj:
-            e_prod = e_prod * elem[m]
-            e_exp[m - 1] += 1
-        remainder = remainder - c * e_prod
-        result = result + SparsePoly.monomial(evars, e_exp, c)
-    return result
+        alpha, c = max(remainder.items())
+        conj = tuple(sum(1 for x in alpha if x >= j) for j in range(1, max(alpha, default=0) + 1))
+        for nu in candidates:
+            remainder[nu] = remainder.get(nu, 0) - c * _zero_one_matrices(conj, nu)
+        remainder = {nu: r for nu, r in remainder.items() if r}
+        if alpha in remainder:
+            raise ArithmeticError(f"elimination left m_{partition_str(alpha)}")
+        terms[tuple(conj.count(m) for m in range(1, n + 1))] = c
+    return SparsePoly(tuple(f"e{i}" for i in range(1, n + 1)), terms)
 
 
 # -- genus specifications ------------------------------------------------------------

@@ -168,6 +168,27 @@ def test_missing_and_malformed_files(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("change, named", [
+    ({"asserted_index": 0}, "asserted_index must be positive, got 0"),
+    ({"asserted_index": -2}, "asserted_index must be positive, got -2"),
+    ({"points": [{"label": 5, "weights": [1]}, {"weights": [-1]}]},
+     "point 0 label must be a string, got 5"),
+    ({"points": [{"weights": [1]}, {"label": None, "weights": [-1]}]},
+     "point 1 label must be a string, got null"),
+])
+def test_bad_index_or_label_is_rejected_at_load(tmp_path, capsys, change, named):
+    # an index of 0 used to "divide" every level, so relations --verify
+    # recorded a divisibility and failed with exit 1 instead of exit 2
+    path = tmp_path / "cp1.json"
+    path.write_text(json.dumps({**cpn_fixed_points(1, (1,)).to_json(), **change}))
+    for argv in (["genus", str(path), "2"],
+                 ["relations", str(path), "3", "1", "2", "--verify"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
+
 def test_non_manifold_data_is_rejected(tmp_path, capsys):
     # q_[1] = 2 != 0, so no manifold has these fixed points
     path = tmp_path / "fake.json"
