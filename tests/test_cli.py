@@ -58,6 +58,11 @@ def test_qn_output(capsys):
     assert lines[1].startswith("a_1 = 0")   # odd coefficients vanish at level 2
 
 
+def test_qn_smallest_request(capsys):
+    assert main(["qn", "2", "--x-order", "1", "--prec", "1"]) == 0
+    assert capsys.readouterr().out == "a_0 = 1 + O(q^1)\n"
+
+
 def test_genus_routes_agree(tmp_path, capsys):
     path = _write_cp2(tmp_path)
     assert main(["genus", path, "2", "--prec", "8"]) == 0
@@ -393,6 +398,7 @@ _GOLDEN = {
                          "--crosscheck"]),
     "eisenstein_3_5": (0, ["eisenstein", "3", "5", "--prec", "4"]),
     "qn_5": (0, ["qn", "5", "--x-order", "3", "--prec", "3"]),
+    "qn_12": (0, ["qn", "12", "--x-order", "5", "--prec", "12"]),
     "genus_cp2_4": (0, ["genus", "{cp2}", "4", "--prec", "4"]),
     "genus_cp3_5": (0, ["genus", "{cp3}", "5", "--prec", "3"]),
     "chiy_cp3_k4": (0, ["chiy", "{cp3}", "--k0", "4"]),

@@ -76,6 +76,12 @@ def test_lemma_product_equals_fourier():
         assert report["ok"], report
 
 
+def test_lemma_holds_at_every_level_below_the_cap():
+    for N in range(2, 13):
+        report = verify_lemma_eisenstein(N, 9, 12)
+        assert report["ok"], report
+
+
 def test_classical_limit_is_q_to_zero():
     # sending q -> 0 in the x-coefficients reproduces the closed x-series
     for N in (2, 3):
@@ -84,6 +90,13 @@ def test_classical_limit_is_q_to_zero():
         classical = classical_x_series(N, x_order)
         for k in range(x_order):
             assert qn.coeffs[k].coeff(0) == classical.coeff(k)
+
+
+def test_classical_series_at_level_two_is_half_coth():
+    # z = -1: x(1 + e^{-x}) / (2(1 - e^{-x})) = (x/2) coth(x/2)
+    series = classical_x_series(2, 8)
+    want = [1, 0, Fraction(1, 12), 0, Fraction(-1, 720), 0, Fraction(1, 30240), 0]
+    assert [series.coeff(k) for k in range(8)] == want
 
 
 def test_f_lambda_table_pinned_rows():
