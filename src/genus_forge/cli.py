@@ -211,10 +211,8 @@ def cmd_hilbert(args) -> int:
 # - the dimension cap also covers chiy and hilbert, whose load-time manifold
 #   check grows fast with n: hilbert at level 2 takes 1.9 s on CP^7 (6 s on
 #   CP^9) and chiy 0.11 s on CP^7;
-# - qn expands a nested product whose cost grows like phi(N)^2 prec^2, so it
-#   has its own caps: with phi(N) * prec = 150 and x-order 10, level 11 at
-#   precision 15 takes 0.5 s, level 7 at 25 1.1 s, level 12 at 37 2.1 s and
-#   level 3 at 60 4.8 s.
+# - qn expands its product on a table growing like N prec^2 x-order^2; its
+#   largest admitted request (level 6, precision 60, x-order 10) takes 0.42 s.
 QSERIES_MAX_PREC = 60         # --prec and GENUS_FORGE_PREC
 QSERIES_MAX_LEVEL = 12        # N, for eisenstein, qn, genus and relations
 QN_MAX_X_ORDER = 10           # --x-order

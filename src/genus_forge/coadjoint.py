@@ -359,17 +359,19 @@ def orbit_fixed_points(orbit: OrbitSpec, xi: Sequence[int]) -> FixedPointData:
     xi = tuple(int(x) for x in xi)
     if len(xi) != orbit.rs.dim:
         raise ValueError(f"circle direction needs {orbit.rs.dim} coordinates")
+    terms = []  # <root, y> = a y_i + b y_j: a root of A_n or B_n is e_i (b = 0) or e_i -+ e_j
+    for root in orbit.complement_roots:
+        support = [(k, c) for k, c in enumerate(root) if c]
+        (i, a), (j, b) = support if len(support) == 2 else support + [(0, 0)]
+        terms.append((i, a, j, b))
     points, labels = [], []
     for w in orbit.cosets:
         y = [s * xi[p] for p, s in w.images]  # w^-1(xi), as w(e_i) = s_i * e_{p_i}
-        weights = []
-        for root in orbit.complement_roots:
-            pairing = sum(a * b for a, b in zip(root, y))
-            if pairing == 0:
-                raise ValueError("non-generic circle direction: "
-                                 f"<{w!r}({root}), {xi}> = 0")
-            weights.append(pairing)
-        points.append(tuple(weights))
+        weights = tuple([a * y[i] + b * y[j] for i, a, j, b in terms])
+        if 0 in weights:
+            root = orbit.complement_roots[weights.index(0)]
+            raise ValueError(f"non-generic circle direction: <{w!r}({root}), {xi}> = 0")
+        points.append(weights)
         labels.append(w.label())
     return FixedPointData(orbit.n, points, labels).validate()
 

@@ -9,10 +9,9 @@ rows of a `PackedSeries`, which `eisenstein_qexp` converts to a
              * prod_{r>=1} (1 - e^{-x} z q^r)(1 - e^x z^{-1} q^r)(1 - q^r)^2
                          / ((1 - e^{-x} q^r)(1 - e^x q^r)(1 - z q^r)(1 - z^{-1} q^r))
 
-(z = zeta_N) come from expanding that product with nested truncated series,
-x outside and q inside.  The identity a_k = G_{k,N} is checked, never
-assumed; `verify_lemma_eisenstein` compares the two routes coefficient by
-coefficient.
+(z = zeta_N) come from expanding that product on a table of integers.  The
+identity a_k = G_{k,N} is checked, never assumed: `verify_lemma_eisenstein`
+compares the two routes coefficient by coefficient.
 
 Precision T for a q-series always means: coefficients of q^0 .. q^{T-1}
 are trusted.  The simple zero of (1 - e^{-x}) at x = 0 is cancelled
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .cyclotomic import CyclotomicNumber, _reduce
 from .series import PackedSeries, TruncSeries, bernoulli
@@ -78,31 +77,6 @@ def eisenstein_qexp(k: int, N: int, precision: int) -> TruncSeries:
     return eisenstein_packed(k, N, precision).to_series()
 
 
-def _q_const(N: int, precision: int, value) -> TruncSeries:
-    if not isinstance(value, CyclotomicNumber):
-        value = CyclotomicNumber.from_rational(N, value)
-    return TruncSeries("q", {0: value}, cutoff=precision)
-
-
-def _exp_x_factor(sign: int, scale: TruncSeries, x_cutoff: int,
-                  one: TruncSeries) -> TruncSeries:
-    """1 - scale * e^{sign*x} as an x-series with q-series coefficients."""
-    coeffs = {}
-    for j in range(x_cutoff):
-        c = scale * Fraction(-(sign ** j), factorial(j))
-        if j == 0:
-            c = one + c
-        coeffs[j] = c
-    return TruncSeries("x", coeffs, cutoff=x_cutoff)
-
-
-def _one_minus_exp_unit(x_cutoff: int, qconst) -> TruncSeries:
-    """u(x) with 1 - e^{-x} = x*u(x): u_j = (-1)^j / (j+1)!."""
-    coeffs = {j: qconst(Fraction((-1) ** j, factorial(j + 1)))
-              for j in range(x_cutoff)}
-    return TruncSeries("x", coeffs, cutoff=x_cutoff)
-
-
 class QnExpansion:
     """The x-coefficients of Q_N(x), each a q-series over Q(zeta_N)."""
 
@@ -128,51 +102,74 @@ class QnExpansion:
 
 
 def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> QnExpansion:
-    """Expand the defining infinite product of Q_N(x).
+    """Expand the defining infinite product of Q_N(x) on one integer table.
 
-    Only factors with r < q_precision differ from 1 at this precision.  The
-    numerator and denominator x-series are accumulated separately (one
-    series inversion at the end), and the purely scalar factors
-    (1-q^r)^2 / ((1-z q^r)(1-z^{-1} q^r)) are collected in a single q-series.
+    Column j holds j! times the x^j coefficient, each q^n of it as N ints
+    in Z[z]/(z^N - 1): e^{+-x} has the integer coefficients (+-1)^j, a
+    product of x-series is a binomial convolution and z^{+-1} rotates the N
+    slots.  As z z^{-1} = 1 and e^{-x} e^x = 1, the factors of each
+    r < q_precision pair into quadratics 1 - m q^r + q^{2r}, applied in
+    place: multiplied in for m = z e^{-x} + z^{-1} e^x and m = 2, divided
+    out for m = e^x + e^{-x} and m = z + z^{-1}.  Each entry is then reduced
+    mod Phi_N once, divided by j! and multiplied by `classical_x_series`.
     """
     if N < 2:
         raise ValueError("the level-N genus needs N >= 2")
     if x_order < 1 or q_precision < 1:
         raise ValueError("need at least one x-coefficient and q-coefficient")
-    K = x_order
-    zeta = CyclotomicNumber.zeta(N)
+    K, P = x_order, q_precision
+    rotations = [(k - k % N + (k - 1) % N, k - k % N + (k + 1) % N) for k in range(P * N)]
 
-    def qconst(v):
-        return _q_const(N, q_precision, v)
+    def exp_parts(vs, parity):
+        """Per j, the sum of C(j, i) vs[i] over i <= j with j - i = parity
+        mod 2: e^{+-x} vs is exp_parts(vs, 0) +- exp_parts(vs, 1)."""
+        out = []
+        for j in range(K):
+            acc = [0] * len(vs[0])
+            for i in range(j - parity, -1, -2):
+                c = comb(j, i)
+                acc = [a + c * b for a, b in zip(acc, vs[i])]
+            out.append(acc)
+        return out
 
-    one_q = qconst(1)
+    def numerator(vs):  # z e^{-x} + z^{-1} e^x
+        return [[ev[u] - od[u] + ev[d] + od[d] for u, d in rotations[:len(ev)]]
+                for ev, od in zip(exp_parts(vs, 0), exp_parts(vs, 1))]
 
-    def qmono(v, r):
-        if not isinstance(v, CyclotomicNumber):
-            v = CyclotomicNumber.from_rational(N, v)
-        return TruncSeries("q", {r: v}, cutoff=q_precision)
+    def twice(vs):
+        return [[2 * a for a in v] for v in vs]
 
-    # prefactor x(1 - e^{-x} z)/((1 - e^{-x})(1 - z)), the x cancelled exactly
-    u = _one_minus_exp_unit(K, qconst)
-    prefactor = (_exp_x_factor(-1, qconst(zeta), K, one_q)
-                 * u.inverse()
-                 * qconst((1 - zeta).inverse()))
+    def z_plus_inverse(vs):
+        return [[v[u] + v[d] for u, d in rotations[:len(v)]] for v in vs]
 
-    numerator = TruncSeries("x", {0: one_q}, cutoff=K)
-    denominator = TruncSeries("x", {0: one_q}, cutoff=K)
-    scalar = one_q
-    for r in range(1, q_precision):
-        numerator = numerator * _exp_x_factor(-1, qmono(zeta, r), K, one_q)
-        numerator = numerator * _exp_x_factor(+1, qmono(zeta.inverse(), r), K, one_q)
-        denominator = denominator * _exp_x_factor(-1, qmono(1, r), K, one_q)
-        denominator = denominator * _exp_x_factor(+1, qmono(1, r), K, one_q)
-        scalar = scalar * (one_q - qmono(1, r)) ** 2
-        scalar = scalar * ((one_q - qmono(zeta, r))
-                           * (one_q - qmono(zeta.inverse(), r))).inverse()
+    def quadratic(r, m, divide):
+        """Multiply by 1 - m q^r + q^{2r} or divide: G[n] = F[n] + m G[n-r] - G[n-2r],
+        r rows at a time, highest first (reading old rows) or lowest first (new)."""
+        sign, shift = (1 if divide else -1), r * N
+        starts = range(shift, P * N, shift)
+        for a in (starts if divide else reversed(starts)):
+            b = min(a + shift, P * N)
+            terms = m([c[a - shift:b - shift] for c in table])
+            for u, column in zip(terms, table):
+                old = column[a - 2 * shift:b - 2 * shift] if a >= 2 * shift else [0] * (b - a)
+                column[a:b] = [x + sign * (y - w) for x, y, w in zip(column[a:b], u, old)]
 
-    qn = prefactor * numerator * denominator.inverse() * scalar
-    return QnExpansion(N, K, q_precision,
-                       [nested_coeff(qn, j, q_precision) for j in range(K)])
+    table = [[0] * (P * N) for _ in range(K)]
+    table[0][0] = 1
+    for r in range(1, P):
+        quadratic(r, numerator, False)
+        quadratic(r, lambda vs: twice(exp_parts(vs, 0)), True)  # e^x + e^{-x}
+        quadratic(r, twice, False)
+        quadratic(r, z_plus_inverse, True)
+
+    prefactor = classical_x_series(N, K)
+    rows = [prefactor * TruncSeries("x", {j: CyclotomicNumber._normalized(
+                N, _reduce(N, column[n * N:(n + 1) * N]), factorial(j))
+                for j, column in enumerate(table)}, cutoff=K)
+            for n in range(P)]
+    return QnExpansion(N, K, P, [
+        TruncSeries("q", {n: row.coeff(j) for n, row in enumerate(rows)}, cutoff=P)
+        for j in range(K)])
 
 
 def nested_coeff(series: TruncSeries, j: int, q_precision: int) -> TruncSeries:
@@ -196,9 +193,8 @@ def classical_x_series(N: int, x_order: int) -> TruncSeries:
     one = CyclotomicNumber.from_rational(N, 1)
     u = TruncSeries("x", {j: one * Fraction((-1) ** j, factorial(j + 1))
                           for j in range(x_order)}, cutoff=x_order)
-    top = TruncSeries("x", {j: (one if j == 0 else one * 0)
-                            - zeta * Fraction((-1) ** j, factorial(j))
-                            for j in range(x_order)}, cutoff=x_order)
+    top = 1 - TruncSeries("x", {j: zeta * Fraction((-1) ** j, factorial(j))
+                                for j in range(x_order)}, cutoff=x_order)
     return top * u.inverse() * (1 - zeta).inverse()
 
 
@@ -224,7 +220,7 @@ def verify_lemma_eisenstein(N: int, k_max: int, q_precision: int) -> dict:
 
 def f_lambda_table(N: int, n: int, q_precision: int) -> dict[Partition, TruncSeries]:
     """f_lambda for partitions of n, with a_k = G_{k,N}: q-series over Q(zeta_N)."""
-    one = _q_const(N, q_precision, 1)
+    one = TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=q_precision)
     spec = GenusSpec([one] + [eisenstein_qexp(k, N, q_precision)
                               for k in range(1, n + 1)])
     return f_lambda_values(spec, n)

@@ -272,18 +272,21 @@ def f_lambda_values(spec: GenusSpec, n: int) -> dict[Partition, object]:
         [e_lambda] m_I * a_0^(n - len(I)) * a_{I_1} * ... * a_{I_l},
 
     with [e_lambda] m_I read from `monomial_to_elementary(I, n)`.  Each
-    product of a's is formed once and added into every f_lambda it reaches;
-    a lambda that none reaches is a zero of the domain.
+    product of a's extends its prefix's product, formed once, and is added
+    into every f_lambda it reaches; a lambda none reaches is the domain's zero.
     """
     if spec.order < n:
         raise ValueError(f"genus spec stops at a_{spec.order}, need a_{n}")
     a = spec.coefficients
     partitions = all_partitions(n)
     out: dict[Partition, object] = dict.fromkeys(partitions)
+    products: dict[tuple[int, ...], object] = {}  # by factor sequence
     for I in partitions:
-        a_I = None
-        for k in (0,) * (n - len(I)) + I[::-1]:
-            a_I = a[k] if a_I is None else a_I * a[k]
+        a_I, factors = None, (0,) * (n - len(I)) + I[::-1]
+        for m, k in enumerate(factors, 1):
+            if factors[:m] not in products:
+                products[factors[:m]] = a[k] if a_I is None else a_I * a[k]
+            a_I = products[factors[:m]]
         for e_exp, c in monomial_to_elementary(I, n).terms.items():
             lam = tuple(j for j in range(n, 0, -1) for _ in range(e_exp[j - 1]))
             term = c * a_I
