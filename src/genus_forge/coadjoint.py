@@ -359,7 +359,7 @@ def orbit_fixed_points(orbit: OrbitSpec, xi: Sequence[int]) -> FixedPointData:
     xi = tuple(int(x) for x in xi)
     if len(xi) != orbit.rs.dim:
         raise ValueError(f"circle direction needs {orbit.rs.dim} coordinates")
-    terms = []  # <root, y> = a y_i + b y_j: a root of A_n or B_n is e_i (b = 0) or e_i -+ e_j
+    terms = []  # <root, y> = a y_i + b y_j: roots of A_n, B_n are e_i (b = 0), e_i -+ e_j
     for root in orbit.complement_roots:
         support = [(k, c) for k, c in enumerate(root) if c]
         (i, a), (j, b) = support if len(support) == 2 else support + [(0, 0)]

@@ -118,6 +118,8 @@ def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> QnExpans
     if x_order < 1 or q_precision < 1:
         raise ValueError("need at least one x-coefficient and q-coefficient")
     K, P = x_order, q_precision
+    table = [[0] * (P * N) for _ in range(K)]
+    table[0][0] = 1
     rotations = [(k - k % N + (k - 1) % N, k - k % N + (k + 1) % N) for k in range(P * N)]
 
     def exp_parts(vs, parity):
@@ -154,8 +156,6 @@ def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> QnExpans
                 old = column[a - 2 * shift:b - 2 * shift] if a >= 2 * shift else [0] * (b - a)
                 column[a:b] = [x + sign * (y - w) for x, y, w in zip(column[a:b], u, old)]
 
-    table = [[0] * (P * N) for _ in range(K)]
-    table[0][0] = 1
     for r in range(1, P):
         quadratic(r, numerator, False)
         quadratic(r, lambda vs: twice(exp_parts(vs, 0)), True)  # e^x + e^{-x}
