@@ -385,7 +385,7 @@ _DATA = Path(__file__).parent / "data"
 # Recorded stdout, one file per (stem, format) in tests/data/, as
 # {stem: (exit code, argv)}.  The coadjoint files were recorded before the
 # orbit layer was optimized: word order, coset order and every q_I must not
-# drift.  The others pin every subcommand's text and JSON form, among them
+# drift; the two --partition files print a q_I polynomial of degree 2.  The others pin every subcommand's text and JSON form, among them
 # negative leading coefficients and non-rational Q(zeta_N) coefficients,
 # so the rendering of signs is pinned too.  "{cp2}" and the like name the
 # input files written by _golden_inputs.
@@ -396,6 +396,10 @@ _GOLDEN = {
                              "-1", "2", "--crosscheck", "--extra-degrees", "1"]),
     "coadjoint_a3": (0, ["coadjoint", "A", "3", "--xi", "4", "-2", "1", "7",
                          "--crosscheck"]),
+    "coadjoint_a3_q4211": (0, ["coadjoint", "A", "3", "--partition", "4", "2",
+                               "1", "1"]),
+    "coadjoint_b3_j12_q32111": (0, ["coadjoint", "B", "3", "--J", "1", "2",
+                                    "--partition", "3", "2", "1", "1", "1"]),
     "eisenstein_3_5": (0, ["eisenstein", "3", "5", "--prec", "4"]),
     "qn_5": (0, ["qn", "5", "--x-order", "3", "--prec", "3"]),
     "qn_12": (0, ["qn", "12", "--x-order", "5", "--prec", "12"]),

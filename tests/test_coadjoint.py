@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus_forge import coadjoint
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, WeylElement,
@@ -166,6 +168,54 @@ def test_divided_difference_nonreduced_word_annihilates():
     P = SparsePoly.variable("x1", rs.variables()) ** 5
     assert (divided_difference_word(rs, (1, 1), P)
             == SparsePoly.zero(rs.variables()))
+
+
+_DIVIDED_DIFFERENCE_SYSTEMS = ([RootSystem("A", m) for m in range(1, 6)]
+                               + [RootSystem("B", m) for m in range(1, 5)])
+
+
+@st.composite
+def _integer_polys(draw, rs):
+    exps = st.tuples(*[st.integers(0, 6)] * rs.dim)
+    return SparsePoly(rs.variables(),
+                      draw(st.dictionaries(exps, st.integers(-9, 9), max_size=6)))
+
+
+def _reflect_and_divide(rs, j, P):
+    """(P - s_j P) / alpha_j by the reflection action and long division."""
+    reflected = P.subs_signed(dict(enumerate(WeylElement.simple(rs, j).images)))
+    alpha = rs.root_polynomial(rs.simple_roots()[j - 1])
+    quotient, remainder = (P - reflected).divmod_by(alpha)
+    assert remainder == SparsePoly.zero(rs.variables())
+    return quotient
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_divided_difference_is_reflect_and_divide(data):
+    rs = data.draw(st.sampled_from(_DIVIDED_DIFFERENCE_SYSTEMS))
+    P = data.draw(_integer_polys(rs))
+    for j in range(1, rs.rank + 1):
+        assert divided_difference(rs, j, P) == _reflect_and_divide(rs, j, P)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_random_divided_differences_square_to_zero(data):
+    rs = data.draw(st.sampled_from(_DIVIDED_DIFFERENCE_SYSTEMS))
+    P = data.draw(_integer_polys(rs))
+    for j in range(1, rs.rank + 1):
+        assert divided_difference_word(rs, (j, j), P) == SparsePoly.zero(rs.variables())
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_random_divided_differences_satisfy_the_braid_relations(data):
+    # s1 s2 s1 = s2 s1 s2 in A2 and s1 s2 s1 s2 = s2 s1 s2 s1 in B2
+    for rs, word in ((RootSystem("A", 2), (1, 2, 1)), (RootSystem("B", 2), (1, 2, 1, 2))):
+        P = data.draw(_integer_polys(rs))
+        other = tuple(3 - j for j in word)
+        assert divided_difference_word(rs, word, P) == divided_difference_word(rs, other, P)
 
 
 def test_cpn_orbit_shape():
