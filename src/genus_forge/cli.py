@@ -237,14 +237,14 @@ def _check_weight(name: str, k: int) -> None:
 
 
 # Caps on one coadjoint request, so that every accepted request finishes
-# well inside a minute.  Measured on a shared 2-core x86-64 VM:
+# well inside a minute.  Medians of 3 fresh processes, shared 2-core x86-64:
 # - an orbit has one coset, and with --xi one fixed point, per element of
 #   W^J, which for J = () is all of W; with --xi and J = (), A6 (|W| = 5040)
-#   takes 0.55 s and B5 (3840) 0.52 s, A7 (40320) 6.2 s and B6 (46080) 8.0 s,
-#   most of it in the n weights of each fixed point;
+#   takes 0.43 s and B5 (3840) 0.37 s; past the cap, building the orbit and
+#   its fixed points takes 2.5 s for A7 (40320) and for B6 (46080);
 # - a crosscheck over |I| = n..n+extra grows with n and with the degree:
-#   CP^6 with 2 extra degrees takes 15 s and A4 J=[1,2] (n = 7) 10 s, while
-#   A5 J=[1,2,3] (n = 9) takes 20 s with no extra degree.
+#   with 2 extra degrees CP^6 takes 2.7 s and A4 J=[1,2] (n = 7) 5.9 s;
+#   past the cap, A5 J=[1,2,3] (n = 9) takes 8.0 s with no extra degree.
 COADJOINT_MAX_RANK = {"A": 6, "B": 5}
 COADJOINT_MAX_ORBIT_DIM = 7      # n, when --crosscheck or --partition is given
 COADJOINT_MAX_EXTRA_DEGREES = 2  # |I| - n, for --extra-degrees and --partition

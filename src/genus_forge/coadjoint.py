@@ -8,9 +8,9 @@ representatives of W/W_J, with integer weights <w(alpha), xi> for alpha
 ranging over the positive roots outside the span of J.
 
 The same numbers q_I admit a second, purely algebraic route: apply the
-divided-difference operator of the longest coset representative to the
-monomial symmetric polynomial m_I evaluated at those roots.  Both routes
-are implemented; `crosscheck_qI` insists they agree exactly.
+divided-difference operator of the longest coset representative, in closed
+form on monomials, to the monomial symmetric polynomial m_I evaluated at
+those roots.  `crosscheck_qI` insists the two routes agree exactly.
 
 Weyl elements are stored as signed permutations (w(e_i) = s_i * e_{p_i}).
 An orbit enumerates only the minimal coset representatives W^J, level by
@@ -18,10 +18,9 @@ level from the identity, each carrying its reduced word, so it builds
 |W/W_J| elements: 5 for CP^4, 7 for CP^6.  With J empty that is all of W:
 |W(A_m)| = (m+1)! and |W(B_m)| = 2^m m!, 120 at A_4 and 48 at B_3 but
 40320 at A_7.  Each q_I costs one m_I over the n roots outside <J> and n
-divided differences, and grows quickly with n and |I|.  Nothing here
-bounds a request; the CLI caps the rank, n and |I| - n (`COADJOINT_MAX_*`
-in `genus_forge.cli`) so that each accepted request finishes well inside
-a minute.
+divided differences, and grows quickly with n and |I|.  The CLI caps the
+rank, n and |I| - n (`COADJOINT_MAX_*` in `genus_forge.cli`) so that each
+accepted request finishes well inside a minute.
 """
 
 from __future__ import annotations
@@ -152,10 +151,6 @@ class WeylElement:
         """self after other (group product self * other)."""
         return WeylElement(self.rs, _compose_images(self.images, other.images))
 
-    def act(self, poly: SparsePoly) -> SparsePoly:
-        """Action on polynomials: substitute x_i -> s_i * x_{p_i}."""
-        return poly.subs_signed({i: ps for i, ps in enumerate(self.images)})
-
     def length(self) -> int:
         neg = _negative_root_set(self.rs)
         return sum(1 for root in self.rs.positive_roots()
@@ -178,7 +173,7 @@ class WeylElement:
 
 def _compose_images(outer, inner) -> tuple[tuple[int, int], ...]:
     """Images of outer * inner: inner maps e_i to s e_p, then outer e_p."""
-    return tuple((q, s * t) for p, s in inner for q, t in (outer[p],))
+    return tuple([(outer[p][0], s * outer[p][1]) for p, s in inner])
 
 
 def _apply_images(images, v: Sequence[int]) -> tuple[int, ...]:
@@ -304,24 +299,29 @@ def grassmannian_orbit(m: int) -> OrbitSpec:
 # -- divided differences ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _simple_reflection_data(rs: RootSystem) -> tuple:
-    """(s_j, alpha_j as a polynomial) for j = 1..rank, built once per root system."""
-    return tuple((WeylElement.simple(rs, j), rs.root_polynomial(alpha))
-                 for j, alpha in enumerate(rs.simple_roots(), start=1))
-
-
 def divided_difference(rs: RootSystem, j: int, poly: SparsePoly) -> SparsePoly:
-    """(P - s_j P) / alpha_j; the quotient is always exact."""
+    """(P - s_j P) / alpha_j, term by term in closed form, so nothing is divided.
+
+    For alpha_j = x_i - x_(i+1) and a = exp_i > b = exp_(i+1), x_i^a x_(i+1)^b
+    goes to (x_i x_(i+1))^b h_(a-b-1)(x_i, x_(i+1)), h_d the complete
+    homogeneous polynomial; for a < b to minus that with a and b swapped; for
+    a = b to 0.  For the type-B short root alpha_m = x_m, x_m^a goes to
+    2 x_m^(a-1) for odd a and to 0 for even a (Bernstein-Gelfand-Gelfand 1973).
+    """
     if not 1 <= j <= rs.rank:
         raise ValueError(f"no simple root with index {j}")
-    reflection, alpha = _simple_reflection_data(rs)[j - 1]
-    numerator = poly - reflection.act(poly)
-    try:
-        return numerator.exact_div(alpha)
-    except ValueError as exc:
-        raise ArithmeticError("divided difference was not exact: "
-                              "reflection action is inconsistent") from exc
+    i, short, out = j - 1, rs.family == "B" and j == rs.rank, {}
+    for exp, c in poly.terms.items():
+        if not short:
+            a, b = exp[i], exp[i + 1]
+            if a < b:
+                a, b, c = b, a, -c
+            for k in range(a - b):      # (x_i x_(i+1))^b x_i^k x_(i+1)^(a-b-1-k)
+                e = exp[:i] + (b + k, a - 1 - k) + exp[i + 2:]
+                out[e] = out.get(e, 0) + c
+        elif exp[i] % 2:                # x_m^a -> x_m^(a-1) is one-to-one on odd a
+            out[exp[:i] + (exp[i] - 1,)] = 2 * c
+    return SparsePoly(poly.vars, out)
 
 
 def divided_difference_word(rs: RootSystem, word: Sequence[int],

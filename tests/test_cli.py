@@ -385,9 +385,10 @@ _DATA = Path(__file__).parent / "data"
 # Recorded stdout, one file per (stem, format) in tests/data/, as
 # {stem: (exit code, argv)}.  The coadjoint files were recorded before the
 # orbit layer was optimized: word order, coset order and every q_I must not
-# drift; the two --partition files print a q_I polynomial of degree 2.  The others pin every subcommand's text and JSON form, among them
-# negative leading coefficients and non-rational Q(zeta_N) coefficients,
-# so the rendering of signs is pinned too.  "{cp2}" and the like name the
+# drift; the two --partition files print a q_I polynomial of degree 2.  The
+# others pin every subcommand's text and JSON form, among them negative
+# leading coefficients and non-rational Q(zeta_N) coefficients, so the
+# rendering of signs is pinned too.  "{cp2}" and the like name the
 # input files written by _golden_inputs.
 _GOLDEN = {
     "coadjoint_cpn4": (0, ["coadjoint", "--cpn", "4", "--xi", "5", "1", "-2",

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus_forge import coadjoint
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, WeylElement,
                                    cpn_orbit, crosscheck_qI, divided_difference,
                                    divided_difference_word, grassmannian_orbit,
@@ -54,16 +53,6 @@ def test_root_system_validation():
         RootSystem("C", 2)
     with pytest.raises(ValueError):
         RootSystem("A", 0)
-
-
-def test_action_is_homomorphism():
-    rs = RootSystem("B", 2)
-    P = (SparsePoly.variable("x1", rs.variables()) ** 2
-         + 3 * SparsePoly.variable("x2", rs.variables()))
-    group = weyl_group(rs)
-    for v in group[:4]:
-        for w in group[:4]:
-            assert v.compose(w).act(P) == v.act(w.act(P))
 
 
 def test_word_recovery_roundtrip():
@@ -126,8 +115,9 @@ def test_orbit_builds_only_its_cosets(monkeypatch):
 
 
 def test_divided_differences_reuse_the_simple_reflections(monkeypatch):
-    # each divided difference used to build s_j afresh: 44 elements here
-    coadjoint._simple_reflection_data.cache_clear()
+    # each divided difference used to build s_j afresh: 44 elements here; in
+    # closed form they build none, and the orbit builds its cosets and the
+    # identity it grows them from
     built = []
     init = WeylElement.__init__
     monkeypatch.setattr(WeylElement, "__init__",
@@ -136,7 +126,7 @@ def test_divided_differences_reuse_the_simple_reflections(monkeypatch):
     for k in (orbit.n, orbit.n + 1):
         for I in partitions_at_most(k, orbit.n):
             assert crosscheck_qI(orbit, I, (5, 1, -2, 3, -4))["ok"]
-    assert len(built) - len(orbit.cosets) <= orbit.rs.rank + 1
+    assert len(built) == len(orbit.cosets) + 1
     with pytest.raises(ValueError):
         divided_difference(orbit.rs, 0, SparsePoly.zero(orbit.rs.variables()))
 
