@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus_forge.sparsepoly import SparsePoly
 
@@ -124,3 +126,43 @@ def test_constant_queries():
     assert SparsePoly.zero(XY).degree() == -1
     with pytest.raises(ValueError):
         x().constant_value()
+
+
+def test_division_stays_exact():
+    # a quotient coefficient c / lead is a fraction, never a float
+    Y = ("y",)
+    quot, rem = SparsePoly(Y, {(2,): 1, (0,): 1}).divmod_by(SparsePoly(Y, {(1,): 3}))
+    assert quot.terms == {(1,): Fraction(1, 3)} and rem == 1
+    big = 2 ** 60 + 1
+    divisor = SparsePoly(Y, {(0,): 1, (1,): -1, (2,): 1})
+    quot, rem = SparsePoly(Y, {(0,): big, (1,): -big, (2,): big}).divmod_by(divisor)
+    assert quot.terms == {(0,): big} and not rem
+
+
+def _int_polys(nvars):
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeffs = st.integers(-50, 50).filter(bool)
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=4).map(
+        lambda terms: SparsePoly(tuple(f"x{i}" for i in range(nvars)), terms))
+
+
+def _as_fraction(p):
+    return SparsePoly(p.vars, {e: Fraction(c) for e, c in p.terms.items()})
+
+
+@st.composite
+def _int_poly_pairs(draw):
+    nvars = draw(st.integers(2, 4))
+    return draw(_int_polys(nvars)), draw(_int_polys(nvars)), draw(st.integers(0, 3))
+
+
+@given(_int_poly_pairs())
+@settings(max_examples=150, deadline=None)
+def test_integer_and_fraction_coefficients_agree(case):
+    p, q_, k = case
+    pf, qf = _as_fraction(p), _as_fraction(q_)
+    pairs = [(p + q_, pf + qf), (p - q_, pf - qf), (p * q_, pf * qf),
+             (-p, -pf), (p ** k, pf ** k),
+             *zip(p.divmod_by(q_), pf.divmod_by(qf))]
+    for a, b in pairs:
+        assert a == b and str(a) == str(b)
