@@ -243,10 +243,11 @@ def _check_weight(name: str, k: int) -> None:
 #   takes 0.43 s and B5 (3840) 0.37 s; past the cap, building the orbit and
 #   its fixed points takes 2.5 s for A7 (40320) and for B6 (46080);
 # - a crosscheck over |I| = n..n+extra grows with n and with the degree:
-#   with 2 extra degrees CP^6 takes 2.7 s and A4 J=[1,2] (n = 7) 5.9 s;
-#   past the cap, A5 J=[1,2,3] (n = 9) takes 8.0 s with no extra degree.
+#   with 2 extra degrees CP^6 takes 0.40 s, A4 J=[1,2] (n = 7) 0.61 s and
+#   the slowest admitted orbits, A5 J=[1,3,4,5] and J=[1,2,3,5] (n = 8),
+#   2.2-2.9 s; past the cap, A4 J=[1] (n = 9) takes 6.8 s.
 COADJOINT_MAX_RANK = {"A": 6, "B": 5}
-COADJOINT_MAX_ORBIT_DIM = 7      # n, when --crosscheck or --partition is given
+COADJOINT_MAX_ORBIT_DIM = 8      # n, when --crosscheck or --partition is given
 COADJOINT_MAX_EXTRA_DEGREES = 2  # |I| - n, for --extra-degrees and --partition
 
 

@@ -18,9 +18,11 @@ level from the identity, each carrying its reduced word, so it builds
 |W/W_J| elements: 5 for CP^4, 7 for CP^6.  With J empty that is all of W:
 |W(A_m)| = (m+1)! and |W(B_m)| = 2^m m!, 120 at A_4 and 48 at B_3 but
 40320 at A_7.  Each q_I costs one m_I over the n roots outside <J> and n
-divided differences, and grows quickly with n and |I|.  The CLI caps the
-rank, n and |I| - n (`COADJOINT_MAX_*` in `genus_forge.cli`) so that each
-accepted request finishes well inside a minute.
+divided differences, and grows quickly with n and |I|.  Both run on
+`SparsePoly` with `int` coefficients, as the roots and the closed form are
+integral, so no `Fraction` arises before q_I is evaluated at xi.  The CLI
+caps the rank, n and |I| - n (`COADJOINT_MAX_*` in `genus_forge.cli`) so
+that each accepted request finishes well inside a minute.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class RootSystem:
             if c:
                 exp = [0] * self.dim
                 exp[i] = 1
-                terms[tuple(exp)] = Fraction(c)
+                terms[tuple(exp)] = c
         return SparsePoly(vs, terms)
 
     def simple_reflection_images(self, j: int) -> tuple[tuple[int, int], ...]:
@@ -321,7 +323,7 @@ def divided_difference(rs: RootSystem, j: int, poly: SparsePoly) -> SparsePoly:
                 out[e] = out.get(e, 0) + c
         elif exp[i] % 2:                # x_m^a -> x_m^(a-1) is one-to-one on odd a
             out[exp[:i] + (exp[i] - 1,)] = 2 * c
-    return SparsePoly(poly.vars, out)
+    return SparsePoly._raw(poly.vars, out)
 
 
 def divided_difference_word(rs: RootSystem, word: Sequence[int],

@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials over Q with a graded lexicographic order.
 
-Terms are stored as a map from exponent tuples to Fraction coefficients.
-The graded lex order (total degree first, then lexicographic with the first
-variable largest) fixes leading terms, printing and the exact-division
-algorithm.  Instances are immutable.
+Terms are stored as a map from exponent tuples to coefficients that are
+`int` or `Fraction`: an integer stays an `int`, so integer data is added
+and multiplied without `Fraction`, and anything else becomes a `Fraction`.
+The public constructor validates its input; ring operations build their
+results without checking them again.  The graded lex order (total degree
+first, then lexicographic with the first variable largest) fixes leading
+terms, printing and the exact-division algorithm.  Instances are immutable.
 """
 
 from __future__ import annotations
@@ -32,11 +35,20 @@ class SparsePoly:
                 raise ValueError("exponent arity does not match the variable list")
             if any(x < 0 for x in e):
                 raise ValueError("negative exponents are not supported")
-            c = Fraction(c)
+            c = c if type(c) is int else Fraction(c)
             if c:
                 clean[e] = c
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _raw(cls, vs: tuple, terms: dict) -> "SparsePoly":
+        """Trusted construction from validated exponents and coefficients;
+        only zero coefficients are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "vars", vs)
+        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -49,18 +61,18 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "SparsePoly":
-        return cls(variables, {(0,) * len(tuple(variables)): Fraction(value)})
+        return cls(variables, {(0,) * len(tuple(variables)): value})
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str]) -> "SparsePoly":
         vs = tuple(variables)
         exp = [0] * len(vs)
         exp[vs.index(name)] = 1
-        return cls(vs, {tuple(exp): Fraction(1)})
+        return cls(vs, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, variables: Sequence[str], exp: Sequence[int], coeff=1) -> "SparsePoly":
-        return cls(variables, {tuple(exp): Fraction(coeff)})
+        return cls(variables, {tuple(exp): coeff})
 
     # -- queries ------------------------------------------------------------------
 
@@ -118,13 +130,13 @@ class SparsePoly:
             return NotImplemented
         merged = dict(self.terms)
         for e, c in o.terms.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return SparsePoly(self.vars, merged)
+            merged[e] = merged.get(e, 0) + c
+        return SparsePoly._raw(self.vars, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -139,12 +151,12 @@ class SparsePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return SparsePoly(self.vars, out)
+                e = tuple([a + b for a, b in zip(e1, e2)])
+                out[e] = out.get(e, 0) + c1 * c2
+        return SparsePoly._raw(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -178,7 +190,7 @@ class SparsePoly:
             t = tuple(a - b for a, b in zip(exp, lead_exp))
             if any(x < 0 for x in t):
                 break
-            factor = c / lead_coeff
+            factor = Fraction(c) / lead_coeff
             q[t] = q.get(t, Fraction(0)) + factor
             for e2, c2 in d.terms.items():
                 e = tuple(a + b for a, b in zip(t, e2))

@@ -285,16 +285,17 @@ def test_coadjoint_rank_cap(capsys):
 
 
 def test_coadjoint_orbit_dimension_cap(capsys):
-    # A4 with J = [1, 3] has n = 8; the cap applies only to q_I work
+    # A4 with J = [1] has n = 9; the cap applies only to q_I work
     xi = ["--xi", "1", "3", "-2", "7", "-5"]
-    for extra in (["--crosscheck"], ["--partition", "4", "4"]):
-        assert main(["coadjoint", "A", "4", "--J", "1", "3", *xi, *extra]) == 2
+    for extra in (["--crosscheck"], ["--partition", "5", "4"]):
+        assert main(["coadjoint", "A", "4", "--J", "1", *xi, *extra]) == 2
         assert "COADJOINT_MAX_ORBIT_DIM" in capsys.readouterr().err
-    assert main(["coadjoint", "A", "4", "--J", "1", "3", *xi]) == 0
+    assert main(["coadjoint", "A", "4", "--J", "1", *xi]) == 0
     capsys.readouterr()
-    assert main(["coadjoint", "A", "4", "--J", "1", "2", "--partition",
+    # A4 with J = [1, 3] has n = 8, at the cap
+    assert main(["coadjoint", "A", "4", "--J", "1", "3", "--partition",
                  str(COADJOINT_MAX_ORBIT_DIM)]) == 0
-    assert "q_[7] = " in capsys.readouterr().out
+    assert "q_[8] = " in capsys.readouterr().out
 
 
 def test_coadjoint_partition_degree_cap(capsys):

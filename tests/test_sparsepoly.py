@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genus_forge.coadjoint import RootSystem, divided_difference
 from genus_forge.sparsepoly import SparsePoly
 
 XY = ("x", "y")
@@ -166,3 +167,26 @@ def test_integer_and_fraction_coefficients_agree(case):
              *zip(p.divmod_by(q_), pf.divmod_by(qf))]
     for a, b in pairs:
         assert a == b and str(a) == str(b)
+
+
+@given(_int_poly_pairs())
+@settings(max_examples=50, deadline=None)
+def test_integer_inputs_keep_integer_coefficients(case):
+    # integer data must never pass through Fraction on the ring operations
+    p, q_, k = case
+    for r in (p + q_, p - q_, p * q_, -p, p ** k, p * 3 + 1):
+        assert all(type(c) is int for c in r.terms.values())
+
+
+def test_ring_operations_do_not_revalidate(monkeypatch):
+    # results built from checked polynomials skip the public constructor
+    rs = RootSystem("A", 2)
+    p = SparsePoly(rs.variables(), {(2, 1, 0): 3, (0, 1, 1): -2})
+    q_ = SparsePoly(rs.variables(), {(1, 0, 0): Fraction(1, 2), (0, 0, 3): 5})
+
+    def revalidate(*args, **kwargs):
+        raise AssertionError("SparsePoly.__init__ called on a ring operation")
+
+    monkeypatch.setattr(SparsePoly, "__init__", revalidate)
+    for r in (p + q_, p - q_, p * q_, -p, divided_difference(rs, 1, p * q_)):
+        assert isinstance(r, SparsePoly)
