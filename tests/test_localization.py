@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -236,6 +237,21 @@ def test_equivariant_index_limit_pole_detection():
         equivariant_index_limit(data, [[(Fraction(0), Fraction(1))]])
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_equivariant_index_limit_pole_of_every_order(n):
+    # sum_P 1/prod_j(1 - t^-w_j(P)) is the index of the trivial bundle, 1;
+    # adding (1 - t)^(n - j) at one point adds a pole of order exactly j
+    fpd = cpn_fixed_points(n, tuple(range(1, n + 1)))
+    numerators = [[(Fraction(0), Fraction(1))] for _ in fpd.points]
+    assert equivariant_index_limit(fpd, numerators) == 1
+    for j in range(1, n + 1):
+        bad = [list(terms) for terms in numerators]
+        bad[1] += [(Fraction(i), Fraction((-1) ** i * comb(n - j, i)))
+                   for i in range(n - j + 1)]
+        with pytest.raises(ArithmeticError, match="pole at t=1"):
+            equivariant_index_limit(fpd, bad)
+
+
 def test_lagrange_interpolation():
     samples = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)),
                (Fraction(2), Fraction(5))]
@@ -252,6 +268,17 @@ def test_hilbert_polynomials_match_closed_forms():
             h = hilbert_polynomial(fpd, n + 1, m)
             assert h.polynomial == cpn_hilbert_closed_form(n, m)
             assert h(0) == (-1) ** m
+
+
+def test_hilbert_polynomials_do_not_depend_on_the_weights():
+    rng = random.Random(13)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            weights = rng.sample([w for w in range(-9, 10) if w], n)
+            fpd = cpn_fixed_points(n, weights)
+            for m in range(n + 1):
+                assert (hilbert_polynomial(fpd, n + 1, m).polynomial
+                        == cpn_hilbert_closed_form(n, m))
 
 
 def test_hilbert_closed_form_samples():
@@ -284,7 +311,20 @@ def test_general_relation_failure_keeps_the_convention(monkeypatch):
                         lambda k, N, prec: real(k, N, prec) + (k == 1))
     report = general_relation_cpn(2, 3, 4, 10)
     assert not report["ok"] and report["zero_index_convention"] == "G_0 = 1"
-    assert report["lhs"] != report["rhs"]
+    assert report["lhs"] == (
+        "-1/240 + (-1 - 2*z)*q + (-3 - 6*z)*q^2 + (-10 - 18*z)*q^3"
+        " + (-13 - 26*z)*q^4 + (-24 - 48*z)*q^5 + (-36 - 54*z)*q^6"
+        " + (-50 - 100*z)*q^7 + (-51 - 102*z)*q^8 + (-109 - 162*z)*q^9 + O(q^10)")
+    assert report["rhs"] == (
+        "-1/240 + (1 + 2*z)*q + (3 + 6*z)*q^2 + (8 + 18*z)*q^3"
+        " + (13 + 26*z)*q^4 + (24 + 48*z)*q^5 + (18 + 54*z)*q^6"
+        " + (50 + 100*z)*q^7 + (51 + 102*z)*q^8 + (53 + 162*z)*q^9 + O(q^10)")
+
+
+@pytest.mark.parametrize("n,N", [(4, 5), (5, 2), (5, 3), (5, 6), (6, 7)])
+def test_general_relation_beyond_the_selftest_levels(n, N):
+    for k in range(n, n + 5):
+        assert general_relation_cpn(n, N, k, 15)["ok"], (n, N, k)
 
 
 def test_product_fixed_points():
