@@ -9,7 +9,7 @@ no floating point anywhere.
 """
 
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, euler_phi
-from .series import TruncSeries, bernoulli, exp_series, geometric_series
+from .series import TruncSeries, bernoulli, exp_series
 from .sparsepoly import SparsePoly
 from .symfunc import (GenusSpec, all_partitions, chi_y_power_series,
                       elementary_sym_poly, elementary_values, f_lambda_symbolic,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CyclotomicNumber", "cyclotomic_polynomial", "euler_phi",
-    "TruncSeries", "bernoulli", "exp_series", "geometric_series",
+    "TruncSeries", "bernoulli", "exp_series",
     "SparsePoly",
     "GenusSpec", "all_partitions", "chi_y_power_series", "elementary_sym_poly",
     "elementary_values", "f_lambda_symbolic", "f_lambda_values",

@@ -19,8 +19,8 @@ precision.  The second genus route, `genus_via_chern`, stays on
 
 Equivariant indices (Hilbert polynomials H_m among them) are computed
 from the Atiyah-Segal fixed-point sum by an exact t -> 1 limit:
-substitute t = exp(s), cancel the order-n pole, and read off the
-constant term.
+substitute t = exp(s), multiply through by s^n to clear the order-n
+pole, and read off the s^n coefficient.
 
 Everything is exact; an unexpected non-integer or a surviving pole is
 reported as bad input data, never rounded away.
@@ -36,7 +36,7 @@ from math import comb, factorial, gcd, lcm, prod
 from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import CyclotomicNumber
-from .modular import eisenstein_packed, eisenstein_qexp, f_lambda_table, nested_coeff
+from .modular import eisenstein_packed, eisenstein_qexp, f_lambda_table
 from .series import PackedSeries, TruncSeries, exp_series
 from .sparsepoly import SparsePoly
 from .symfunc import (Partition, check_partition, elementary_values,
@@ -430,7 +430,8 @@ def genus_via_chern(fpd: FixedPointData, N: int, q_precision: int) -> TruncSerie
 
 
 def _index_total(fpd: FixedPointData, numerators, order: int) -> TruncSeries:
-    """Sum of the per-point s-series, shifted so the pole sits at s^-n."""
+    """s^n times the sum of the per-point s-series: the pole part sits at
+    s^0..s^(n-1) and the index at s^n."""
     n = fpd.n
     denoms = [Fraction(a).denominator for terms in numerators for a, _ in terms]
     D = lcm(*denoms) if denoms else 1
@@ -448,7 +449,7 @@ def _index_total(fpd: FixedPointData, numerators, order: int) -> TruncSeries:
                 "s", {m: Fraction((-a) ** m, factorial(m + 1))
                       for m in range(order)}, cutoff=order)
         scale = Fraction(1, D ** n * prod(weights))
-        term = (num * unit.inverse() * scale).shift(-n)
+        term = num * unit.inverse() * scale
         total = term if total is None else total + term
     return total
 
@@ -460,20 +461,21 @@ def equivariant_index_limit(fpd: FixedPointData, numerators) -> Fraction:
     exponents rational (t^a terms).  Exponents are cleared to integers via
     t = u^D, then u = exp(s) is substituted formally; each denominator
     factor contributes one power of s, the remaining unit series is
-    inverted, and the s^0 coefficient of the sum is the index.  Surviving
-    negative powers of s mean the input was not the fixed-point data of a
-    global index.  Order n+2 suffices: every key below a series' cutoff is
-    exact, so after the shift by s^-n the coefficients of s^-n..s^1 are
-    final, and a higher order would recompute the same pole part.
+    inverted, and the sum is kept multiplied by s^n.  Its s^n coefficient
+    is the index; a nonzero coefficient of s^0..s^(n-1) is a pole at t = 1
+    and means the input was not the fixed-point data of a global index.
+    Order n+2 suffices: every key below a series' cutoff is exact, so the
+    coefficients of s^0..s^(n+1) are final, and a higher order would
+    recompute the same pole part.
     """
     fpd.validate()
     if len(numerators) != len(fpd.points):
         raise ValueError("need one numerator per fixed point")
     numerators = [[(a, c) for a, c in terms] for terms in numerators]
     total = _index_total(fpd, numerators, fpd.n + 2)
-    if any(k < 0 and c for k, c in total.coeffs.items()):
+    if any(k < fpd.n for k in total.coeffs):
         raise ArithmeticError("pole at t=1: not a global index")
-    return total.coeff(0)
+    return total.coeff(fpd.n)
 
 
 def _hilbert_numerators(fpd: FixedPointData, N: int, m: int, k: int) -> list:
@@ -584,17 +586,6 @@ def divides_chi_y(chi_y: SparsePoly, k0: int) -> dict:
     return {"divisible": True, "quotient": quotient}
 
 
-def _power_sum_series(N: int, k_cut: int, q_precision: int) -> TruncSeries:
-    """S(z) = sum_j G_{j,N} z^j, with G_0 := 1."""
-    coeffs = {0: TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)},
-                             cutoff=q_precision)}
-    for j in range(1, k_cut):
-        g = eisenstein_qexp(j, N, q_precision)
-        if g:
-            coeffs[j] = g
-    return TruncSeries("z", coeffs, cutoff=k_cut)
-
-
 def general_relation_cpn(n: int, N: int, k: int, q_precision: int) -> dict:
     """The closed-form projective-space relation, checked as q-series.
 
@@ -603,7 +594,11 @@ def general_relation_cpn(n: int, N: int, k: int, q_precision: int) -> dict:
 
     The sum over j starts at 0 with the convention G_{0,N} = 1.  The
     convention is fixed: it is never chosen by which convention verifies,
-    and the report names it.  On failure the report carries both sides.
+    and the report names it.  S(z) is held as its list of q-series
+    coefficients G_0..G_k; n list convolutions of `TruncSeries`
+    products over Q(zeta_N) give the coefficients of z^0..z^k in S(z)^n,
+    each trusted through q^(q_precision-1).  On failure the report carries
+    both sides.
     """
     if N < 2:
         raise ValueError("Eisenstein level must be at least 2")
@@ -611,13 +606,17 @@ def general_relation_cpn(n: int, N: int, k: int, q_precision: int) -> dict:
         raise ValueError(f"N={N} does not divide n+1={n + 1}")
     if k < n:
         raise ValueError("relation degree k must be at least n")
-    Sn = _power_sum_series(N, k + 1, q_precision) ** n
-    lhs = nested_coeff(Sn, k, q_precision) * Fraction((-1) ** (n + k + 1))
-    rhs = TruncSeries("q", {}, cutoff=q_precision)
+    zero = TruncSeries.zero("q", q_precision)
+    G = [TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=q_precision)]
+    G += [eisenstein_qexp(j, N, q_precision) for j in range(1, k + 1)]
+    power = [G[0]] + [zero] * k          # S(z)^0
+    for _ in range(n):
+        power = [sum((power[i] * G[j - i] for i in range(j + 1)), zero)
+                 for j in range(k + 1)]
+    lhs = power[k] * Fraction((-1) ** (n + k + 1))
+    rhs = zero
     for ell in range(n):
-        g = eisenstein_qexp(k - ell, N, q_precision)
-        rhs = rhs + (g * nested_coeff(Sn, ell, q_precision)
-                     * comb(k - ell - 1, n - ell - 1))
+        rhs = rhs + G[k - ell] * power[ell] * comb(k - ell - 1, n - ell - 1)
     report = {"n": n, "N": N, "k": k, "q_precision": q_precision,
               "ok": lhs == rhs, "zero_index_convention": "G_0 = 1"}
     if not report["ok"]:

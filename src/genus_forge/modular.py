@@ -172,18 +172,6 @@ def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> QnExpans
         for j in range(K)])
 
 
-def nested_coeff(series: TruncSeries, j: int, q_precision: int) -> TruncSeries:
-    """Coefficient j of a series whose coefficients are q-series, as a
-    q-series trusted through q^(q_precision-1)."""
-    c = series.coeff(j)
-    if not isinstance(c, TruncSeries):
-        # identically-zero inner series are pruned inside the nest
-        return TruncSeries("q", {}, cutoff=q_precision)
-    if c.cutoff > q_precision:
-        return c.truncate(cutoff=q_precision)
-    return c
-
-
 def classical_x_series(N: int, x_order: int) -> TruncSeries:
     """x(1 - e^{-x} z)/((1 - e^{-x})(1 - z)): the q -> 0 limit of Q_N(x),
     an x-series with plain cyclotomic coefficients."""
@@ -242,5 +230,4 @@ def series_to_json(series: TruncSeries, level: int) -> dict:
 
 def series_from_json(data: dict) -> TruncSeries:
     coeffs = {int(k): CyclotomicNumber.parse(s) for k, s in data["coeffs"]}
-    return TruncSeries(data["variable"], coeffs, cutoff=int(data["precision"]),
-                       laurent=any(int(k) < 0 for k, _ in data["coeffs"]))
+    return TruncSeries(data["variable"], coeffs, cutoff=int(data["precision"]))

@@ -1,20 +1,18 @@
-"""Truncated formal power and Laurent series over an exact coefficient domain.
+"""Truncated formal power series in one variable over an exact field.
 
 A TruncSeries carries its own truncation bookkeeping: `cutoff` is the first
 untrusted exponent, stored alongside the coefficients, and every operation
 propagates the weakest honest cutoff of its inputs.  Orders are never
 silently extended.
 
-Exponents are integers.  Negative exponents are permitted only when the
-series is flagged as Laurent.
-
-The coefficient domain is duck typed: Fraction, CyclotomicNumber, SparsePoly
-and TruncSeries itself (nested series) all work, since only +, *, unary -,
-bool and an inverse are required.  TruncSeries is the generic reference
+Exponents are nonnegative integers, and the operands of +, - and * are
+series in the same variable, or a series and a scalar.  Coefficients are
+Fraction or int (the s-series of the index limit) or CyclotomicNumber (the
+q- and x-series over Q(zeta_N)).  TruncSeries is the generic reference
 arithmetic.  Its product trusts every key below
 min(cutoff_a + lowest key of b, cutoff_b + lowest key of a), so a factor
 with a zero constant term raises the cutoff of a product above the cutoffs
-of its factors.
+of its factors.  Only a series with a nonzero constant term has an inverse.
 
 PackedSeries is the fast kernel for one case, q-series over Q(zeta_N):
 an integer matrix of shape precision x phi(N) over one common denominator,
@@ -60,23 +58,22 @@ def _invert_coeff(c):
 
 
 class TruncSeries:
-    """A truncated series sum_k c_k * var^k with k < cutoff."""
+    """A truncated power series sum_k c_k * var^k with 0 <= k < cutoff."""
 
-    __slots__ = ("var", "cutoff", "laurent", "coeffs")
+    __slots__ = ("var", "cutoff", "coeffs")
 
-    def __init__(self, var: str, coeffs, *, cutoff: int, laurent: bool = False) -> None:
+    def __init__(self, var: str, coeffs, *, cutoff: int) -> None:
         clean = {}
         for k, c in dict(coeffs).items():
             if not isinstance(k, int):
                 raise TypeError("exponent keys must be integers")
-            if k < 0 and not laurent:
-                raise ValueError("negative exponent in a non-Laurent series")
+            if k < 0:
+                raise ValueError("negative exponent in a power series")
             if k >= cutoff or not c:
                 continue
             clean[k] = c
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "laurent", laurent)
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, name, value):
@@ -85,8 +82,8 @@ class TruncSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, var: str, cutoff: int, *, laurent: bool = False):
-        return cls(var, {}, cutoff=cutoff, laurent=laurent)
+    def zero(cls, var: str, cutoff: int):
+        return cls(var, {}, cutoff=cutoff)
 
     # -- basic queries --------------------------------------------------------
 
@@ -95,9 +92,6 @@ class TruncSeries:
         if key >= self.cutoff:
             raise ValueError(f"exponent {key} is beyond the trusted cutoff")
         return self.coeffs.get(key, Fraction(0))
-
-    def coefficients_through(self, key: int) -> list:
-        return [self.coeff(k) for k in range(0, key + 1)]
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -118,23 +112,23 @@ class TruncSeries:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, TruncSeries) and other.var == self.var:
+        merged = dict(self.coeffs)
+        if isinstance(other, TruncSeries):
+            if other.var != self.var:
+                raise ValueError("series variable mismatch")
             cut = min(self.cutoff, other.cutoff)
-            merged = dict(self.coeffs)
             for k, c in other.coeffs.items():
                 s = merged.get(k)
                 merged[k] = c if s is None else s + c
-            return TruncSeries(self.var, merged, cutoff=cut,
-                               laurent=self.laurent or other.laurent)
-        merged = dict(self.coeffs)
+            return TruncSeries(self.var, merged, cutoff=cut)
         merged[0] = merged.get(0, Fraction(0)) + other
-        return TruncSeries(self.var, merged, cutoff=self.cutoff, laurent=self.laurent)
+        return TruncSeries(self.var, merged, cutoff=self.cutoff)
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncSeries(self.var, {k: -c for k, c in self.coeffs.items()},
-                           cutoff=self.cutoff, laurent=self.laurent)
+                           cutoff=self.cutoff)
 
     def __sub__(self, other):
         return self + (-other)
@@ -143,31 +137,24 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, TruncSeries) and other.var == self.var:
-            if not self.coeffs or not other.coeffs:
-                cut = min(self.cutoff, other.cutoff)
-                return TruncSeries(self.var, {}, cutoff=cut,
-                                   laurent=self.laurent or other.laurent)
-            cut = min(self.cutoff + min(other.coeffs), other.cutoff + min(self.coeffs))
-            out = {}
-            for i, a in self.coeffs.items():
-                for j, b in other.coeffs.items():
-                    k = i + j
-                    if k >= cut:
-                        continue
-                    prod = a * b
-                    s = out.get(k)
-                    out[k] = prod if s is None else s + prod
-            return TruncSeries(self.var, out, cutoff=cut,
-                               laurent=self.laurent or other.laurent)
-        if isinstance(other, TruncSeries):
-            # A series in a different variable is a legitimate scalar only in
-            # the nested case, where our coefficients live in that variable.
-            sample = next(iter(self.coeffs.values()), None)
-            if sample is not None and not (isinstance(sample, TruncSeries)
-                                           and sample.var == other.var):
-                raise ValueError("series variable mismatch")
-        return self._scale(other)
+        if not isinstance(other, TruncSeries):
+            return self._scale(other)
+        if other.var != self.var:
+            raise ValueError("series variable mismatch")
+        if not self.coeffs or not other.coeffs:
+            cut = min(self.cutoff, other.cutoff)
+            return TruncSeries(self.var, {}, cutoff=cut)
+        cut = min(self.cutoff + min(other.coeffs), other.cutoff + min(self.coeffs))
+        out = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                k = i + j
+                if k >= cut:
+                    continue
+                prod = a * b
+                s = out.get(k)
+                out[k] = prod if s is None else s + prod
+        return TruncSeries(self.var, out, cutoff=cut)
 
     __rmul__ = __mul__
 
@@ -175,30 +162,19 @@ class TruncSeries:
         out = {}
         for k, c in self.coeffs.items():
             out[k] = c * factor
-        return TruncSeries(self.var, out, cutoff=self.cutoff, laurent=self.laurent)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers take nonnegative integer exponents")
-        result = TruncSeries(self.var, {0: Fraction(1)}, cutoff=self.cutoff,
-                             laurent=self.laurent)
-        for _ in range(k):
-            result = result * self
-        return result
+        return TruncSeries(self.var, out, cutoff=self.cutoff)
 
     def inverse(self) -> "TruncSeries":
-        if not self.coeffs:
-            raise ValueError("series not invertible")
-        e = min(self.coeffs)
-        c0 = self.coeffs[e]
+        """1/self; the constant term must be nonzero."""
+        c0 = self.coeffs.get(0)
+        if c0 is None:
+            raise ValueError("series with zero constant term is not invertible")
         c0_inv = _invert_coeff(c0)
-        window = self.cutoff - e  # trusted length of the shifted unit part
-        shifted = {k - e: c for k, c in self.coeffs.items()}
         inv = {0: c0_inv}
-        for k in range(1, window):
+        for k in range(1, self.cutoff):
             s = None
             for j in range(1, k + 1):
-                cj = shifted.get(j)
+                cj = self.coeffs.get(j)
                 ij = inv.get(k - j)
                 if cj is None or ij is None:
                     continue
@@ -206,26 +182,12 @@ class TruncSeries:
                 s = t if s is None else s + t
             if s is not None and s:
                 inv[k] = -(c0_inv * s)
-        cut = self.cutoff - 2 * e
-        out = {k - e: c for k, c in inv.items() if k - e < cut and c}
-        laurent = self.laurent or e > 0
-        return TruncSeries(self.var, out, cutoff=cut, laurent=laurent)
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncSeries) and other.var == self.var:
-            return self * other.inverse()
-        return self._scale(_invert_coeff(other))
-
-    def shift(self, keys: int) -> "TruncSeries":
-        """Multiply by var^keys, exactly."""
-        out = {k + keys: c for k, c in self.coeffs.items()}
-        laurent = self.laurent or any(k < 0 for k in out)
-        return TruncSeries(self.var, out, cutoff=self.cutoff + keys, laurent=laurent)
+        return TruncSeries(self.var, inv, cutoff=self.cutoff)
 
     def truncate(self, *, cutoff: int) -> "TruncSeries":
         if cutoff > self.cutoff:
             raise ValueError("cannot extend a series truncation")
-        return TruncSeries(self.var, self.coeffs, cutoff=cutoff, laurent=self.laurent)
+        return TruncSeries(self.var, self.coeffs, cutoff=cutoff)
 
     # -- text form ---------------------------------------------------------------
 
@@ -371,10 +333,7 @@ def _render_series_coeff(c) -> str:
             return str(c.rational_value())
         body = str(c)
         return body[: body.rindex(") @")] + ")"
-    text = str(c)
-    if " " in text and not text.startswith("("):
-        return f"({text})"
-    return text
+    return str(c)
 
 
 def exp_series(var: str, rate, cutoff: int) -> TruncSeries:
@@ -383,7 +342,3 @@ def exp_series(var: str, rate, cutoff: int) -> TruncSeries:
     return TruncSeries(var, {j: rate ** j / factorial(j) for j in range(cutoff)},
                        cutoff=cutoff)
 
-
-def geometric_series(var: str, cutoff: int) -> TruncSeries:
-    """1/(1-x) truncated: 1 + x + x^2 + ..."""
-    return TruncSeries(var, {k: Fraction(1) for k in range(cutoff)}, cutoff=cutoff)

@@ -80,14 +80,6 @@ class SparsePoly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
-
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -251,15 +243,6 @@ class SparsePoly:
                 new[i] = e
             out[tuple(new)] = c
         return SparsePoly(vs, out)
-
-    def univariate_coeffs(self) -> list[Fraction]:
-        """Ascending coefficient list; requires exactly one variable."""
-        if len(self.vars) != 1:
-            raise ValueError("not a univariate polynomial")
-        out = [Fraction(0)] * (self.degree() + 1 if self.terms else 1)
-        for (e,), c in self.terms.items():
-            out[e] = c
-        return out
 
     # -- text form -----------------------------------------------------------------------
 

@@ -114,19 +114,8 @@ def test_with_vars_embedding():
     assert lifted == x() + 2
 
 
-def test_univariate_coeffs():
-    t = SparsePoly.variable("t", ("t",))
-    p = t ** 3 * 2 - t + 5
-    assert p.univariate_coeffs() == [5, -1, 0, 2]
-    with pytest.raises(ValueError):
-        x().univariate_coeffs()
-
-
 def test_constant_queries():
-    assert SparsePoly.constant(XY, Fraction(5, 2)).constant_value() == Fraction(5, 2)
     assert SparsePoly.zero(XY).degree() == -1
-    with pytest.raises(ValueError):
-        x().constant_value()
 
 
 def test_division_stays_exact():
