@@ -3,9 +3,9 @@
 Everything is computed twice, by independent routes, and the routes must
 agree exactly: Eisenstein q-expansions against an infinite-product
 expansion, localization sums against Chern-number genera, divided
-differences against fixed-point data, interpolation against closed
-forms.  All coefficients are rationals or cyclotomic numbers; there is
-no floating point anywhere.
+differences against fixed-point data, fixed-point Hilbert polynomials
+against closed forms.  All coefficients are rationals or cyclotomic
+numbers; there is no floating point anywhere.
 """
 
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, euler_phi
@@ -19,8 +19,8 @@ from .symfunc import (GenusSpec, all_partitions, chi_y_power_series,
 from .modular import (QnExpansion, classical_x_series, eisenstein_qexp,
                       f_lambda_table, qn_expansion_via_product, series_from_json,
                       series_to_json, verify_lemma_eisenstein)
-from .localization import (FixedPointData, HilbertData, Relation, action_type,
-                           build_relation, chern_number, chi_y_from_counts,
+from .localization import (FixedPointData, Relation, action_type, build_relation,
+                           chern_number, chi_y_from_counts,
                            cpn_fixed_points, cpn_hilbert_closed_form,
                            divides_chi_y, eisenstein_product,
                            equivariant_index_limit, general_relation_cpn,
@@ -49,7 +49,7 @@ __all__ = [
     "QnExpansion", "classical_x_series", "eisenstein_qexp", "f_lambda_table",
     "qn_expansion_via_product", "series_from_json", "series_to_json",
     "verify_lemma_eisenstein",
-    "FixedPointData", "HilbertData", "Relation", "action_type", "build_relation",
+    "FixedPointData", "Relation", "action_type", "build_relation",
     "chern_number", "chi_y_from_counts", "cpn_fixed_points",
     "cpn_hilbert_closed_form", "divides_chi_y", "eisenstein_product",
     "equivariant_index_limit", "general_relation_cpn", "genus_qexp",

@@ -126,8 +126,8 @@ def criterion_cp2_chi_y(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 # 5 ------------------------------------------------------------------------------------
 
 def criterion_hilbert_suite(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """Hilbert polynomials of projective n-space, n <= 4: interpolation
-    equals the closed form; H_m(0) = (-1)^m; the (-1)^n H_{n-m}(-x)
+    """Hilbert polynomials of projective n-space, n <= 4: the fixed-point
+    sum equals the closed form; H_m(0) = (-1)^m; the (-1)^n H_{n-m}(-x)
     symmetry; the alternating sum counts the fixed points."""
     for n in range(1, 5):
         fpd = cpn_fixed_points(n, tuple(range(1, n + 1)))
@@ -135,11 +135,12 @@ def criterion_hilbert_suite(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         for m in range(n + 1):
             h = hilbert_polynomial(fpd, n + 1, m)
             closed = cpn_hilbert_closed_form(n, m)
-            if h.polynomial != closed:
-                return False, f"n={n}, m={m}: {h.polynomial} != {closed}"
-            if h(0) != (-1) ** m:
-                return False, f"n={n}, m={m}: H_m(0) = {h(0)}"
-            polys.append(h.polynomial)
+            if h != closed:
+                return False, f"n={n}, m={m}: {h} != {closed}"
+            at_zero = h.evaluate([Fraction(0)])
+            if at_zero != (-1) ** m:
+                return False, f"n={n}, m={m}: H_m(0) = {at_zero}"
+            polys.append(h)
         for m in range(n + 1):
             mirrored = polys[n - m].subs_signed({0: (0, -1)}) * Fraction((-1) ** n)
             if polys[m] != mirrored:

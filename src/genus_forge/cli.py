@@ -190,9 +190,9 @@ def cmd_hilbert(args) -> int:
     lines, items = [], []
     for m in ms:
         h = hilbert_polynomial(fpd, args.level, m)
-        lines.append(f"H_{m}(x) = {h.polynomial}   (H_{m}(0) = {h(0)})")
-        items.append({"m": m, "polynomial": str(h.polynomial),
-                      "at_zero": str(h(0))})
+        at_zero = h.evaluate([Fraction(0)])
+        lines.append(f"H_{m}(x) = {h}   (H_{m}(0) = {at_zero})")
+        items.append({"m": m, "polynomial": str(h), "at_zero": str(at_zero)})
     _emit({"hilbert": items}, args.json, lines)
     return 0
 
@@ -208,9 +208,9 @@ def cmd_hilbert(args) -> int:
 # - genus at precision 60 takes 0.2 s for CP^3, 0.3 s for CP^4 and 1.6 s
 #   for CP^7 (1.9 s for that A4 orbit), nearly all in the Chern-number
 #   route, which grows fast with the dimension n of the data;
-# - the dimension cap also covers chiy and hilbert, whose load-time manifold
-#   check grows fast with n: hilbert at level 2 takes 1.9 s on CP^7 (6 s on
-#   CP^9) and chiy 0.11 s on CP^7;
+# - the dimension cap also covers chiy and hilbert: hilbert at level 2 takes
+#   0.4 s on CP^7 (1.0 s on CP^9), most of it in the fixed-point sum, and
+#   chiy 0.11 s on CP^7;
 # - qn expands its product on a table growing like N prec^2 x-order^2; its
 #   largest admitted request (level 6, precision 60, x-order 10) takes 0.42 s.
 QSERIES_MAX_PREC = 60         # --prec and GENUS_FORGE_PREC
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_relations)
 
-    p = sub.add_parser("hilbert", help="interpolated twisted-index polynomials",
+    p = sub.add_parser("hilbert", help="twisted-index polynomials H_m(x)",
                        epilog=f"Cap (exit 2 beyond it): dimension n <= "
                               f"{QSERIES_MAX_DIM} in the fixed-point file.")
     p.add_argument("fixed_points")

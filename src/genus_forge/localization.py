@@ -17,10 +17,11 @@ precision; the result becomes a `TruncSeries` whose cutoff is the
 precision.  The second genus route, `genus_via_chern`, stays on
 `TruncSeries` and off the memo, so a kernel fault shows as disagreement.
 
-Equivariant indices (Hilbert polynomials H_m among them) are computed
-from the Atiyah-Segal fixed-point sum by an exact t -> 1 limit:
-substitute t = exp(s), multiply through by s^n to clear the order-n
-pole, and read off the s^n coefficient.
+Equivariant indices are computed from the Atiyah-Segal fixed-point sum
+by an exact t -> 1 limit: substitute t = exp(s), multiply through by s^n
+to clear the order-n pole, and read off the s^n coefficient.  The Hilbert
+polynomials H_m(x) come from the same sum in one pass, with the twist
+t^(-x W(P)/N) expanded in x, so each coefficient of x is read off directly.
 
 Everything is exact; an unexpected non-integer or a surviving pole is
 reported as bad input data, never rounded away.
@@ -32,6 +33,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 from typing import Mapping, Optional, Sequence
 
@@ -429,129 +431,71 @@ def genus_via_chern(fpd: FixedPointData, N: int, q_precision: int) -> TruncSerie
 # -- equivariant indices and the t -> 1 limit ------------------------------------------
 
 
-def _index_total(fpd: FixedPointData, numerators, order: int) -> TruncSeries:
-    """s^n times the sum of the per-point s-series: the pole part sits at
-    s^0..s^(n-1) and the index at s^n."""
-    n = fpd.n
-    denoms = [Fraction(a).denominator for terms in numerators for a, _ in terms]
-    D = lcm(*denoms) if denoms else 1
-    total = None
-    for weights, terms in zip(fpd.points, numerators):
-        num = TruncSeries("s", {}, cutoff=order)
-        for a, coeff in terms:
-            rate = Fraction(a) * D
-            assert rate.denominator == 1
-            num = num + exp_series("s", rate, order) * coeff
-        unit = TruncSeries("s", {0: Fraction(1)}, cutoff=order)
-        for w in weights:
-            a = w * D
-            unit = unit * TruncSeries(
-                "s", {m: Fraction((-a) ** m, factorial(m + 1))
-                      for m in range(order)}, cutoff=order)
-        scale = Fraction(1, D ** n * prod(weights))
-        term = num * unit.inverse() * scale
-        total = term if total is None else total + term
-    return total
+def _localized_term(weights: Sequence[int], terms, order: int) -> TruncSeries:
+    """s^n num(t) / prod_j (1 - t^-w_j) at t = exp(s), through s^(order-1),
+    for num(t) = sum c t^a over the (a, c) in terms, a rational.
+
+    Each factor 1 - exp(-w s) is w s times the unit sum_m (-w s)^m / (m+1)!,
+    so s^n cancels and what is left is num(s) / (unit(s) prod_j w_j).
+    """
+    num = TruncSeries.zero("s", order)
+    for a, c in terms:
+        num = num + exp_series("s", a, order) * c
+    unit = TruncSeries("s", {0: Fraction(1)}, cutoff=order)
+    for w in weights:
+        unit = unit * TruncSeries(
+            "s", {m: Fraction((-w) ** m, factorial(m + 1)) for m in range(order)},
+            cutoff=order)
+    return num * unit.inverse() * Fraction(1, prod(weights))
 
 
 def equivariant_index_limit(fpd: FixedPointData, numerators) -> Fraction:
     """The t -> 1 limit of sum_P numerator_P(t) / prod_j (1 - t^-w_j(P)).
 
     numerators: one list per fixed point of (exponent, coefficient) pairs,
-    exponents rational (t^a terms).  Exponents are cleared to integers via
-    t = u^D, then u = exp(s) is substituted formally; each denominator
-    factor contributes one power of s, the remaining unit series is
-    inverted, and the sum is kept multiplied by s^n.  Its s^n coefficient
-    is the index; a nonzero coefficient of s^0..s^(n-1) is a pole at t = 1
-    and means the input was not the fixed-point data of a global index.
-    Order n+2 suffices: every key below a series' cutoff is exact, so the
-    coefficients of s^0..s^(n+1) are final, and a higher order would
-    recompute the same pole part.
+    exponents rational (t^a terms).  With t = exp(s) the sum is kept
+    multiplied by s^n: its s^n coefficient is the index, and a nonzero
+    coefficient of s^0..s^(n-1) is a pole at t = 1 and means the input was
+    not the fixed-point data of a global index.
     """
     fpd.validate()
     if len(numerators) != len(fpd.points):
         raise ValueError("need one numerator per fixed point")
-    numerators = [[(a, c) for a, c in terms] for terms in numerators]
-    total = _index_total(fpd, numerators, fpd.n + 2)
-    if any(k < fpd.n for k in total.coeffs):
+    n = fpd.n
+    total = TruncSeries.zero("s", n + 1)
+    for weights, terms in zip(fpd.points, numerators):
+        total = total + _localized_term(weights, terms, n + 1)
+    if any(k < n for k in total.coeffs):
         raise ArithmeticError("pole at t=1: not a global index")
-    return total.coeff(fpd.n)
+    return total.coeff(n)
 
 
-def _hilbert_numerators(fpd: FixedPointData, N: int, m: int, k: int) -> list:
-    """Numerators of H_m(k) = ind(L^k tensor m-th exterior power of T*):
-    at each point, t^{-k W(P)/N} times e_m(t^{-w_1}, ..., t^{-w_n})."""
-    from itertools import combinations
+def hilbert_polynomial(fpd: FixedPointData, N: int, m: int) -> SparsePoly:
+    """H_m(x) = ind(L^x tensor the m-th exterior power of T*), a polynomial
+    of degree <= n read off the fixed-point sum.
 
-    numerators = []
-    for weights in fpd.points:
-        base = Fraction(-k * sum(weights), N)
-        terms: dict[Fraction, Fraction] = {}
-        for subset in combinations(weights, m):
-            a = base - sum(subset)
-            terms[a] = terms.get(a, Fraction(0)) + 1
-        numerators.append(sorted(terms.items()))
-    return numerators
-
-
-class HilbertData:
-    """The interpolated polynomial H_m(x) for one exterior-power degree m."""
-
-    __slots__ = ("n", "m", "polynomial")
-
-    def __init__(self, n: int, m: int, polynomial: SparsePoly) -> None:
-        if polynomial.degree() > n:
-            raise ValueError("Hilbert polynomial degree exceeds the dimension")
-        self.n = n
-        self.m = m
-        self.polynomial = polynomial
-
-    def __call__(self, x) -> Fraction:
-        return self.polynomial.evaluate([Fraction(x)])
-
-    def __repr__(self) -> str:
-        return f"<HilbertData m={self.m}: H(x) = {self.polynomial}>"
-
-
-def lagrange_interpolate(samples: Sequence[tuple[Fraction, Fraction]],
-                         var: str = "x") -> SparsePoly:
-    """The unique polynomial of degree < len(samples) through the samples."""
-    poly = SparsePoly.zero((var,))
-    xs = [Fraction(x) for x, _ in samples]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    for i, (xi, yi) in enumerate(samples):
-        basis = SparsePoly.constant((var,), 1)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * SparsePoly((var,), {(1,): 1, (0,): -xj})
-            denom *= xi - xj
-        poly = poly + basis * (Fraction(yi) / denom)
-    return poly
-
-
-def hilbert_polynomial(fpd: FixedPointData, N: int, m: int) -> HilbertData:
-    """Interpolate H_m(k) at k = 1..n+1 and confirm the sample at n+2.
-
-    N is the (asserted) index; the equivariant line-bundle lift contributes
-    t^{-k W(P)/N}, fractional exponents and all.
+    N is the (asserted) index.  At P the lift of L^x contributes
+    t^(-x W(P)/N), W(P) the weight sum, and the exterior power contributes
+    e_m(t^-w_1, ..., t^-w_n).  At t = exp(s) the twist is
+    sum_i (-W(P)/N)^i x^i s^i / i!, so in the sum times s^n the coefficient
+    of x^i s^(i+j) is sum_P (-W(P)/N)^i / i! times the s^j coefficient of
+    P's localized e_m term.  H_m takes its x^i coefficient from i + j = n;
+    a nonzero coefficient with i + j < n is a pole at t = 1.
     """
     fpd.validate()
     if not 0 <= m <= fpd.n:
         raise ValueError("exterior power degree out of range")
     n = fpd.n
-    samples = []
-    for k in range(1, n + 2):
-        value = equivariant_index_limit(fpd, _hilbert_numerators(fpd, N, m, k))
-        samples.append((Fraction(k), value))
-    poly = lagrange_interpolate(samples)
-    extra = equivariant_index_limit(fpd, _hilbert_numerators(fpd, N, m, n + 2))
-    if poly.evaluate([Fraction(n + 2)]) != extra:
-        raise ArithmeticError(f"H_{m} not polynomial of degree <= {n}: "
-                              "extra interpolation node disagrees")
-    return HilbertData(n, m, poly)
+    by_power = [TruncSeries.zero("s", n + 1)] * (n + 1)   # x^i: s^(i+j) at key j
+    for weights in fpd.points:
+        e_m = [(-sum(subset), 1) for subset in combinations(weights, m)]
+        term = _localized_term(weights, e_m, n + 1)
+        rate = Fraction(-sum(weights), N)
+        by_power = [total + term * (rate ** i / factorial(i))
+                    for i, total in enumerate(by_power)]
+    if any(j < n - i for i, total in enumerate(by_power) for j in total.coeffs):
+        raise ArithmeticError("pole at t=1: not a global index")
+    return SparsePoly(("x",), {(i,): total.coeff(n - i) for i, total in enumerate(by_power)})
 
 
 def cpn_hilbert_closed_form(n: int, m: int) -> SparsePoly:

@@ -15,6 +15,7 @@ from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DI
                              COADJOINT_MAX_RANK, QN_MAX_PHI_PREC, QN_MAX_X_ORDER,
                              QSERIES_MAX_DIM, QSERIES_MAX_LEVEL, QSERIES_MAX_PREC,
                              QSERIES_MAX_WEIGHT, main)
+from genus_forge.coadjoint import grassmannian_orbit, orbit_fixed_points
 from genus_forge.localization import Relation, cpn_fixed_points, divides_chi_y
 from genus_forge.modular import eisenstein_qexp, series_from_json
 from genus_forge.sparsepoly import SparsePoly
@@ -415,6 +416,7 @@ _GOLDEN = {
                               "--raw", "--prec", "6"]),
     "hilbert_cp1": (0, ["hilbert", "{cp1}", "2"]),
     "hilbert_cp2": (0, ["hilbert", "{cp2}", "3"]),
+    "hilbert_q3": (0, ["hilbert", "{q3}", "3"]),
     "polytope_simplex": (0, ["polytope", "{simplex}"]),
     "polytope_cube_k3": (1, ["polytope", "{cube}", "--k0", "3"]),
 }
@@ -425,6 +427,7 @@ def _golden_inputs(tmp_path) -> dict:
     data = {"cp1": cpn_fixed_points(1, (1,)).to_json(),
             "cp2": cpn_fixed_points(2, (1, 3)).to_json(),
             "cp3": cpn_fixed_points(3, (1, 2, 5)).to_json(),
+            "q3": orbit_fixed_points(grassmannian_orbit(2), (5, 2)).to_json(),
             "simplex": {"f": simplex_f_vector(2),
                         "edges": simplex_edges(2, dilation=3)},
             "cube": {"f": cube_f_vector(2)}}

@@ -1,11 +1,14 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from genus_forge import localization
+from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
+                                   orbit_fixed_points)
 from genus_forge.localization import (FixedPointData, Relation, action_type,
                                       build_relation, chern_number,
                                       chi_y_from_counts, cpn_fixed_points,
@@ -13,7 +16,7 @@ from genus_forge.localization import (FixedPointData, Relation, action_type,
                                       eisenstein_product, equivariant_index_limit,
                                       general_relation_cpn, genus_qexp,
                                       genus_via_chern, hilbert_polynomial,
-                                      lagrange_interpolate, product_fixed_points,
+                                      product_fixed_points,
                                       random_product_of_projective_spaces,
                                       relation_coefficient, verify_relation)
 from genus_forge.sparsepoly import SparsePoly
@@ -252,22 +255,13 @@ def test_equivariant_index_limit_pole_of_every_order(n):
             equivariant_index_limit(fpd, bad)
 
 
-def test_lagrange_interpolation():
-    samples = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)),
-               (Fraction(2), Fraction(5))]
-    poly = lagrange_interpolate(samples)
-    assert poly == SparsePoly(("x",), {(2,): 1, (0,): 1})
-    with pytest.raises(ValueError):
-        lagrange_interpolate([(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))])
-
-
 def test_hilbert_polynomials_match_closed_forms():
     for n in (1, 2, 3):
         fpd = cpn_fixed_points(n, tuple(range(1, n + 1)))
         for m in range(n + 1):
             h = hilbert_polynomial(fpd, n + 1, m)
-            assert h.polynomial == cpn_hilbert_closed_form(n, m)
-            assert h(0) == (-1) ** m
+            assert h == cpn_hilbert_closed_form(n, m)
+            assert h.evaluate([Fraction(0)]) == (-1) ** m
 
 
 def test_hilbert_polynomials_do_not_depend_on_the_weights():
@@ -277,8 +271,68 @@ def test_hilbert_polynomials_do_not_depend_on_the_weights():
             weights = rng.sample([w for w in range(-9, 10) if w], n)
             fpd = cpn_fixed_points(n, weights)
             for m in range(n + 1):
-                assert (hilbert_polynomial(fpd, n + 1, m).polynomial
-                        == cpn_hilbert_closed_form(n, m))
+                assert hilbert_polynomial(fpd, n + 1, m) == cpn_hilbert_closed_form(n, m)
+
+
+# Q^3, Q^5, Gr(2,4), the A2 full flags and CP^3, each with its index
+_INDEXED_DATA = {
+    "Q3": (orbit_fixed_points(grassmannian_orbit(2), (5, 2)), 3),
+    "Q5": (orbit_fixed_points(grassmannian_orbit(3), (7, 3, 1)), 5),
+    "Gr24": (orbit_fixed_points(OrbitSpec(RootSystem("A", 3), (1, 3)), (4, -2, 1, 7)), 4),
+    "A2flags": (orbit_fixed_points(OrbitSpec(RootSystem("A", 2), ()), (1, 5, -3)), 2),
+    "CP3": (cpn_fixed_points(3, (1, 2, 5)), 4),
+}
+
+
+def _hilbert_numerators(fpd, N, m, k):
+    """t^(-k W(P)/N) e_m(t^-w_1, ..., t^-w_n) at each fixed point P."""
+    return [[(Fraction(-k * sum(weights), N) - sum(c), 1) for c in combinations(weights, m)]
+            for weights in fpd.points]
+
+
+_HILBERT_DIFF_DATA = {
+    **{f"product-n{n}-seed{seed}": random_product_of_projective_spaces(random.Random(seed), n)
+       for seed, n in ((1, 1), (2, 2), (3, 2), (4, 3), (5, 3), (6, 4), (7, 4))},
+    **{name: _INDEXED_DATA[name][0] for name in ("Q3", "Q5", "Gr24", "A2flags")},
+    "non-manifold": FixedPointData(2, [(1, 2), (-1, 3), (2, -5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HILBERT_DIFF_DATA))
+def test_hilbert_polynomial_matches_the_pointwise_limit(name):
+    fpd = _HILBERT_DIFF_DATA[name]
+    # the pointwise limit at k = -2..n+3 is the reference; where it has a
+    # pole at some k, the polynomial route must refuse the whole H_m
+    ks = range(-2, fpd.n + 4)
+    for N in range(1, 5):
+        for m in range(fpd.n + 1):
+            values = {}
+            for k in ks:
+                try:
+                    values[k] = equivariant_index_limit(fpd, _hilbert_numerators(fpd, N, m, k))
+                except ArithmeticError as exc:
+                    assert "pole at t=1" in str(exc)
+            try:
+                h = hilbert_polynomial(fpd, N, m)
+            except ArithmeticError as exc:
+                assert "pole at t=1" in str(exc)
+                assert len(values) < len(ks)
+            else:
+                assert values == {k: h.evaluate([Fraction(k)]) for k in ks}
+
+
+@pytest.mark.parametrize("name", sorted(_INDEXED_DATA))
+def test_hilbert_polynomial_vanishes_below_the_index(name):
+    # rigidity: with N the index, H_0(0) = 1 and H_0(j) = 0 for j = 1..N-1
+    fpd, N = _INDEXED_DATA[name]
+    h = hilbert_polynomial(fpd, N, 0)
+    assert [h.evaluate([Fraction(j)]) for j in range(N)] == [1] + [0] * (N - 1)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_hilbert_polynomial_pole_detection(m):
+    with pytest.raises(ArithmeticError, match="pole at t=1"):
+        hilbert_polynomial(FixedPointData(1, [(1,)]), 1, m)
 
 
 def test_hilbert_closed_form_samples():
