@@ -205,9 +205,9 @@ def cmd_hilbert(args) -> int:
 # - relations --verify at precision 60 takes 0.9 s for CP^4, k = 4..12, and
 #   9 s for CP^7, k = 7..20 (14 s for the A4 orbit with J = {1, 2}, n = 7
 #   with 20 fixed points), growing with k and n: k = 7..24 takes 26 s;
-# - genus at precision 60 takes 0.2 s for CP^3, 0.3 s for CP^4 and 1.6 s
-#   for CP^7 (1.9 s for that A4 orbit), nearly all in the Chern-number
-#   route, which grows fast with the dimension n of the data;
+# - genus at precision 60 takes 0.2 s for CP^3, 0.2 s for CP^4 and 0.6 s
+#   for CP^7 (0.5 s for that A4 orbit); the Chern-number route, which grows
+#   fast with the dimension n of the data, is 0.2 s of it on CP^7;
 # - the dimension cap also covers chiy and hilbert: hilbert at level 2 takes
 #   0.4 s on CP^7 (1.0 s on CP^9), most of it in the fixed-point sum, and
 #   chiy 0.11 s on CP^7;

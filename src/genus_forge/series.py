@@ -8,18 +8,30 @@ silently extended.
 Exponents are nonnegative integers, and the operands of +, - and * are
 series in the same variable, or a series and a scalar.  Coefficients are
 Fraction or int (the s-series of the index limit) or CyclotomicNumber (the
-q- and x-series over Q(zeta_N)).  TruncSeries is the generic reference
-arithmetic.  Its product trusts every key below
+q- and x-series over Q(zeta_N)).  A product trusts every key below
 min(cutoff_a + lowest key of b, cutoff_b + lowest key of a), so a factor
 with a zero constant term raises the cutoff of a product above the cutoffs
 of its factors.  Only a series with a nonzero constant term has an inverse.
 
-PackedSeries is the fast kernel for one case, q-series over Q(zeta_N):
-an integer matrix of shape precision x phi(N) over one common denominator,
-multiplied by Kronecker substitution into a single Python int (Harvey,
-arXiv:0712.4046).  Its cutoff is always its precision, and a product is
-truncated there, whatever TruncSeries would trust.  It meets the rest of
-the program only through `to_series`.
+A product has two paths, with the same cutoff, the same dropped zeros and
+the same canonical coefficients.  When every coefficient of both factors
+lies in one Q(zeta_N), it is one fused multiply-accumulate on integers:
+each factor becomes rows of phi(N) numerators over one common
+denominator, each row one Python int (Kronecker substitution in zeta
+only), each pair of coefficients one integer multiply into the unreduced
+sum of its q-degree, and each output coefficient is reduced mod Phi_N and
+divided by a gcd once.  Factors of two levels raise ValueError.  Any other
+product, with a rational coefficient on either side, is the
+per-coefficient double loop on the coefficients' own arithmetic.
+
+PackedSeries is the kernel of the localization route, q-series over
+Q(zeta_N) at one precision: an integer matrix of shape precision x phi(N)
+over one common denominator, multiplied by Kronecker substitution in q
+and zeta into a single Python int (Harvey, arXiv:0712.4046).  Its cutoff
+is always its precision, and a product is truncated there, whatever
+TruncSeries would trust.  It meets the rest of the program only through
+`to_series`.  The fused TruncSeries product shares no code with it, so
+the two genus routes, one on each, share no product.
 
 All instances are immutable, and the Bernoulli cache below is append-only,
 so everything here is safe to share across threads.
@@ -145,6 +157,11 @@ class TruncSeries:
             cut = min(self.cutoff, other.cutoff)
             return TruncSeries(self.var, {}, cutoff=cut)
         cut = min(self.cutoff + min(other.coeffs), other.cutoff + min(self.coeffs))
+        level = _field_level(self.coeffs, other.coeffs)
+        if level is not None:
+            return TruncSeries(self.var, _field_product(level, self.coeffs,
+                                                        other.coeffs, cut),
+                               cutoff=cut)
         out = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
@@ -325,6 +342,77 @@ def _pack(entries, phi: int, span: int, width: int) -> int:
         chunks.append(pad)
     return (int.from_bytes(b"".join(chunks), "little")
             - int.from_bytes(borrow, "little"))
+
+
+def _field_level(a: dict, b: dict):
+    """N when every coefficient of a and b is a CyclotomicNumber of level N,
+    None when some coefficient is rational."""
+    coeffs = [*a.values(), *b.values()]
+    if any(type(c) is not CyclotomicNumber for c in coeffs):
+        return None
+    levels = {c.level for c in coeffs}
+    if len(levels) > 1:
+        raise ValueError("incompatible cyclotomic levels")
+    return levels.pop()
+
+
+def _field_rows(coeffs: dict):
+    """The coefficients as (key, phi integer numerators) in key order, over
+    their least common denominator, and that denominator."""
+    den = lcm(*(c.den for c in coeffs.values()))
+    return ([(k, [x * (den // c.den) for x in c.nums]) for k, c in sorted(coeffs.items())],
+            den)
+
+
+def _field_product(level: int, a: dict, b: dict, cut: int) -> dict:
+    """The coefficients below `cut` of the product of two series over
+    Q(zeta_level), given as {key: CyclotomicNumber}.
+
+    Every q^k coefficient is summed over its pairs (i, j), i + j = k, on
+    integers, then reduced once mod Phi_level and divided through by one gcd.
+    Each numerator row is packed into one int, entry e at bit `width` * e
+    (Kronecker substitution in zeta only), so the product of two packed rows
+    holds their 2*phi - 1 convolution entries and a pair costs one integer
+    multiply.  An entry of a q^k sum is at most phi * max|a| * max|b| per
+    pair, over at most min(len(a), len(b)) pairs; `width` is one bit more
+    than that bound needs, for the sign, so no entry spills into the next.
+    """
+    phi = euler_phi(level)
+    rows_a, den_a = _field_rows(a)
+    rows_b, den_b = _field_rows(b)
+    bound = (max(abs(x) for _, row in rows_a for x in row)
+             * max(abs(x) for _, row in rows_b for x in row)
+             * phi * min(len(rows_a), len(rows_b)))
+    width = bound.bit_length() + 1
+    packed_b = [(j, _pack_row(row, width)) for j, row in rows_b]
+    sums: dict[int, int] = {}
+    for i, row in rows_a:
+        x = _pack_row(row, width)
+        for j, y in packed_b:
+            k = i + j
+            if k >= cut:
+                break
+            sums[k] = sums.get(k, 0) + x * y
+    # add half of each entry's range so that every entry reads nonnegative,
+    # with no borrow between entries
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    span = range(0, (2 * phi - 1) * width, width)
+    bias = sum(half << shift for shift in span)
+    den, out = den_a * den_b, {}
+    for k, v in sums.items():
+        v += bias
+        nums = _reduce(level, [((v >> shift) & mask) - half for shift in span])
+        if any(nums):
+            out[k] = CyclotomicNumber._normalized(level, nums, den)
+    return out
+
+
+def _pack_row(row: list, width: int) -> int:
+    """sum of row[e] * 2^(width*e), as one int."""
+    x = 0
+    for e in reversed(row):
+        x = (x << width) + e
+    return x
 
 
 def _render_series_coeff(c) -> str:

@@ -15,7 +15,8 @@ from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DI
                              COADJOINT_MAX_RANK, QN_MAX_PHI_PREC, QN_MAX_X_ORDER,
                              QSERIES_MAX_DIM, QSERIES_MAX_LEVEL, QSERIES_MAX_PREC,
                              QSERIES_MAX_WEIGHT, main)
-from genus_forge.coadjoint import grassmannian_orbit, orbit_fixed_points
+from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
+                                  orbit_fixed_points)
 from genus_forge.localization import Relation, cpn_fixed_points, divides_chi_y
 from genus_forge.modular import eisenstein_qexp, series_from_json
 from genus_forge.sparsepoly import SparsePoly
@@ -408,6 +409,7 @@ _GOLDEN = {
     "qn_12": (0, ["qn", "12", "--x-order", "5", "--prec", "12"]),
     "genus_cp2_4": (0, ["genus", "{cp2}", "4", "--prec", "4"]),
     "genus_cp3_5": (0, ["genus", "{cp3}", "5", "--prec", "3"]),
+    "genus_gr24_12": (0, ["genus", "{gr24}", "12", "--prec", "20"]),
     "chiy_cp3_k4": (0, ["chiy", "{cp3}", "--k0", "4"]),
     "chiy_cp3_k3": (1, ["chiy", "{cp3}", "--k0", "3"]),
     "relations_cp2": (0, ["relations", "{cp2}", "3", "4", "7", "--verify",
@@ -428,6 +430,8 @@ def _golden_inputs(tmp_path) -> dict:
             "cp2": cpn_fixed_points(2, (1, 3)).to_json(),
             "cp3": cpn_fixed_points(3, (1, 2, 5)).to_json(),
             "q3": orbit_fixed_points(grassmannian_orbit(2), (5, 2)).to_json(),
+            "gr24": orbit_fixed_points(OrbitSpec(RootSystem("A", 3), (1, 3)),
+                                       (4, -2, 1, 7)).to_json(),
             "simplex": {"f": simplex_f_vector(2),
                         "edges": simplex_edges(2, dilation=3)},
             "cube": {"f": cube_f_vector(2)}}

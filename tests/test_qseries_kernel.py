@@ -1,28 +1,33 @@
 """Differential tests of the fast q-series paths against plain references.
 
-Each fast path of the localization route is compared here with the
-generic `TruncSeries` arithmetic, or with a divisor sum written out in
-this file: the packed kernel's product, G_{k,N} from its sieve, the
-memoized products G_I, and the residual string of a relation that fails.
-Products are compared at the kernel's precision (`.truncate(cutoff=P)`),
-because `TruncSeries.__mul__` trusts one more coefficient per zero
-leading term of a factor.
+Each fast path of the localization route is compared here with
+`TruncSeries` arithmetic, or with a divisor sum written out in this file:
+the packed kernel's product, G_{k,N} from its sieve, the memoized products
+G_I, and the residual string of a relation that fails.  Products are
+compared at the kernel's precision (`.truncate(cutoff=P)`), because
+`TruncSeries.__mul__` trusts one more coefficient per zero leading term of
+a factor.  The fused field product of `TruncSeries.__mul__` is compared in
+turn with a per-coefficient double loop on `CyclotomicNumber` written out
+here.  Broken kernels must make the two genus routes disagree, and each
+route must run with the other route's kernel made to raise.
 """
 
 import json
+from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus_forge import localization
+from genus_forge import localization, series
 from genus_forge.acceptance import run_all
 from genus_forge.cli import main
 from genus_forge.cyclotomic import CyclotomicNumber, euler_phi
 from genus_forge.localization import (FixedPointData, Relation, build_relation,
                                       cpn_fixed_points, eisenstein_product,
-                                      genus_qexp, verify_relation)
+                                      general_relation_cpn, genus_qexp,
+                                      genus_via_chern, verify_relation)
 from genus_forge.modular import eisenstein_packed, eisenstein_qexp
 from genus_forge.series import PackedSeries, TruncSeries, bernoulli
 
@@ -149,6 +154,110 @@ def test_failing_residual_matches_a_fold(n, N, extra, P, shift, rng):
     assert report["residual"] == str(want)
 
 
+def _reference_product(a, b):
+    """a * b by the per-coefficient double loop on the field's own
+    multiply and add, with the cutoff rule of `TruncSeries.__mul__`."""
+    if not a.coeffs or not b.coeffs:
+        return TruncSeries(a.var, {}, cutoff=min(a.cutoff, b.cutoff))
+    cut = min(a.cutoff + min(b.coeffs), b.cutoff + min(a.coeffs))
+    out = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            if i + j < cut:
+                out[i + j] = x * y if i + j not in out else out[i + j] + x * y
+    return TruncSeries(a.var, out, cutoff=cut)
+
+
+@st.composite
+def _field_series(draw, N, cutoff):
+    """A sparse q-series over Q(zeta_N): numerators of either sign, small or
+    far wider than a machine word, over mixed denominators; sometimes with a
+    zero constant term, and sometimes every entry the same extreme value,
+    where a sum of products reaches the kernel's slot bound exactly once
+    its q-degree has as many pairs as the sparser factor has keys."""
+    phi = euler_phi(N)
+    start = draw(st.sampled_from((0, 0, 0, 1, 3)))
+    keys = draw(st.lists(st.integers(start, cutoff + 2), max_size=8, unique=True))
+    if draw(st.booleans()):
+        extreme = draw(st.sampled_from((1, -1))) * (2 ** draw(st.integers(1, 130)) - 1)
+        return TruncSeries("q", {k: CyclotomicNumber(N, [extreme] * phi) for k in keys},
+                           cutoff=cutoff)
+    size = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
+    dens = st.one_of(st.integers(1, 12), st.integers(1, 2 ** 70))
+    coeffs = {}
+    for k in keys:
+        den = draw(dens)
+        coeffs[k] = CyclotomicNumber(N, [Fraction(draw(size), den) for _ in range(phi)])
+    return TruncSeries("q", coeffs, cutoff=cutoff)
+
+
+@given(st.data(), st.integers(2, 12), st.integers(1, 12), st.integers(1, 12),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_fused_field_product_matches_the_per_coefficient_loop(data, N, cut_a, cut_b,
+                                                              mirror):
+    a = data.draw(_field_series(N, cut_a))
+    if mirror:
+        # a(q) * a(-q) is even in q: every odd coefficient cancels to zero
+        b = TruncSeries("q", {k: -c if k % 2 else c for k, c in a.coeffs.items()},
+                        cutoff=a.cutoff)
+    else:
+        b = data.draw(_field_series(N, cut_b))
+    want = _reference_product(a, b)
+    got = a * b
+    assert got == want
+    assert str(got) == str(want)
+    assert [(k, c.nums, c.den) for k, c in sorted(got.coeffs.items())] == \
+        [(k, c.nums, c.den) for k, c in sorted(want.coeffs.items())]
+    if mirror:
+        assert not any(k % 2 for k in got.coeffs)
+
+
+def test_fused_field_product_refuses_mismatched_levels():
+    a = TruncSeries("q", {0: CyclotomicNumber.zeta(5), 2: CyclotomicNumber.zeta(5, 3)},
+                    cutoff=4)
+    b = TruncSeries("q", {1: CyclotomicNumber.zeta(7)}, cutoff=4)
+    with pytest.raises(ValueError, match="incompatible cyclotomic levels"):
+        a * b
+    with pytest.raises(ValueError, match="incompatible cyclotomic levels"):
+        b * a
+    mixed = TruncSeries("q", {0: CyclotomicNumber.zeta(5), 1: CyclotomicNumber.zeta(7)},
+                        cutoff=4)
+    with pytest.raises(ValueError, match="incompatible cyclotomic levels"):
+        mixed * mixed
+
+
+@given(st.data(), st.sampled_from((2, 3, 5, 12)), st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_series_mixing_rationals_and_field_elements_match_the_loop(data, N, cutoff):
+    field = data.draw(_field_series(N, cutoff))
+    rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+    mixed = dict(field.coeffs)
+    for k in data.draw(st.lists(st.integers(0, cutoff), max_size=4)):
+        mixed[k] = data.draw(rationals)
+    a = TruncSeries("q", mixed, cutoff=cutoff)
+    for b in (a, field):
+        assert a * b == _reference_product(a, b)
+        assert str(a * b) == str(_reference_product(a, b))
+
+
+@pytest.fixture
+def broken_fused_product(monkeypatch):
+    """A fused field product that adds 1 to the lowest coefficient of each
+    product of two series that both hold an irrational coefficient."""
+    fused = series._field_product
+
+    def plus_one(level, a, b, cut):
+        out = fused(level, a, b, cut)
+        if out and not all(c.is_rational() for c in a.values()) \
+                and not all(c.is_rational() for c in b.values()):
+            k = min(out)
+            out[k] = out[k] + 1
+        return out
+
+    monkeypatch.setattr(series, "_field_product", plus_one)
+
+
 @pytest.fixture
 def broken_kernel(monkeypatch):
     """A kernel product that is off by one in its first entry."""
@@ -199,9 +308,11 @@ def broken_field(monkeypatch):
         cache.cache_clear()
 
 
-def test_broken_field_makes_the_genus_routes_disagree(broken_field, tmp_path, capsys):
+def test_broken_field_makes_the_genus_routes_disagree(broken_fused_product, tmp_path,
+                                                     capsys):
     # the localization route builds G_{k,N} and the G_I from integer rows
-    # and never calls the field product, so only the Chern route follows it
+    # and never calls the fused field product of TruncSeries.__mul__, so
+    # only the Chern route follows it
     path = tmp_path / "cp2.json"
     path.write_text(json.dumps(cpn_fixed_points(2, (1, 3)).to_json()))
     assert main(["genus", str(path), "3", "--prec", "5"]) == 1
@@ -219,13 +330,33 @@ def test_broken_field_fails_the_lemma_criterion(broken_field):
     assert "a_0 != 1" in lines[2]
 
 
+def _relations(fpd, N):
+    """The k = n+1 relation at level N, and a copy with one coefficient
+    shifted, so that one of the two fails."""
+    rel = build_relation(fpd, N, fpd.n + 1)
+    first = rel.terms[0][0]
+    shifted = Relation(rel.n, rel.k, rel.N,
+                       [(I, c + 1 if I == first else c) for I, c in rel.terms],
+                       rel.provenance)
+    return rel, shifted
+
+
 def test_localization_route_takes_no_field_arithmetic(monkeypatch):
     # G_{k,N} (the k = 1 constant included), the G_I and their sum all come
-    # from integer rows, so field arithmetic that raises leaves genus_qexp
-    # as it was; the only input both routes share is G_{k,N}, which
-    # criterion 3 checks against the product route
+    # from integer rows, so field arithmetic or a fused field product that
+    # raises leaves genus_qexp and verify_relation as they were; the only
+    # input both routes share is G_{k,N}, which criterion 3 checks against
+    # the product route
     fpd = cpn_fixed_points(2, (1, 3))
-    want = {N: genus_qexp(fpd, N, 6) for N in (3, 5, 12)}
+    unasserted = FixedPointData(fpd.n, fpd.points)
+
+    def localization_route():
+        return ({N: genus_qexp(fpd, N, 6) for N in (3, 5, 12)},
+                [verify_relation(rel, 8) for data, N in ((fpd, 3), (unasserted, 5))
+                 for rel in _relations(data, N)])
+
+    want = localization_route()
+    assert [report["ok"] for report in want[1]] == [True, False, True, False]
 
     def no_field_arithmetic(*args):
         raise AssertionError("field arithmetic on the packed kernel")
@@ -233,10 +364,41 @@ def test_localization_route_takes_no_field_arithmetic(monkeypatch):
     caches = (eisenstein_packed, eisenstein_qexp, localization._packed_product)
     for cache in caches:
         cache.cache_clear()
+    monkeypatch.setattr(series, "_field_product", no_field_arithmetic)
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                  "__rmul__", "__truediv__", "__neg__", "inverse"):
         monkeypatch.setattr(CyclotomicNumber, name, no_field_arithmetic)
-    got = {N: genus_qexp(fpd, N, 6) for N in (3, 5, 12)}
+    got = localization_route()
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
+    assert got == want
+
+
+def test_chern_route_takes_no_packed_product(monkeypatch):
+    # genus_via_chern and general_relation_cpn multiply on TruncSeries (the
+    # fused field product), so a packed product that raises leaves them as
+    # they were; G_{k,N} itself comes from the packed sieve, which neither
+    # multiplies nor packs
+    fpd = cpn_fixed_points(3, (1, 2, 5))
+
+    def chern_route():
+        return ({N: genus_via_chern(fpd, N, 8) for N in (2, 5, 12)},
+                [general_relation_cpn(n, n + 1, k, 10)
+                 for n in (2, 3) for k in (n, n + 2)])
+
+    want = chern_route()
+    assert all(report["ok"] for report in want[1])
+
+    def no_packed_product(*args):
+        raise AssertionError("packed product on the Chern route")
+
+    caches = (eisenstein_packed, eisenstein_qexp, localization._packed_product)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(PackedSeries, "__mul__", no_packed_product)
+    monkeypatch.setattr(series, "_pack", no_packed_product)
+    got = chern_route()
     monkeypatch.undo()
     for cache in caches:
         cache.cache_clear()
