@@ -104,9 +104,9 @@ def cmd_qn(args) -> int:
         raise ValueError(f"phi(N) * --prec = {euler_phi(args.level) * args.prec} "
                          f"exceeds the cap QN_MAX_PHI_PREC = {QN_MAX_PHI_PREC}")
     qn = qn_expansion_via_product(args.level, args.x_order, args.prec)
-    lines = [f"a_{k} = {qn.coeffs[k]}" for k in range(args.x_order)]
+    lines = [f"a_{k} = {qn[k]}" for k in range(args.x_order)]
     payload = {"level": args.level,
-               "coeffs": [[k, series_to_json(qn.coeffs[k], args.level)]
+               "coeffs": [[k, series_to_json(qn[k], args.level)]
                           for k in range(args.x_order)]}
     _emit(payload, args.json, lines)
     return 0
@@ -171,10 +171,16 @@ def cmd_relations(args) -> int:
         if args.verify:
             report = verify_relation(rel, args.prec)
             entry["verified"] = report["ok"]
+            first = report.get("first_nonzero")
             if report["ok"]:
                 line += f"   [verified to q^{args.prec}]"
+            elif k == fpd.n:
+                # the sum over |I| = n is the level-N genus, not a relation
+                entry["nonzero_genus"] = True
+                line += (f"   [k = n: the level-N genus (up to scale), nonzero at "
+                         f"q^{first['exponent']}: {first['coefficient']}; N | index "
+                         "does not imply that it vanishes]")
             else:
-                first = report["first_nonzero"]
                 line += (f"   [FAILED: q^{first['exponent']} coefficient "
                          f"{first['coefficient']}; residual {report['residual']}]")
                 code = 1

@@ -268,11 +268,6 @@ class OrbitSpec:
         return {"family": self.rs.family, "rank": self.rs.rank,
                 "J": list(self.J)}
 
-    @classmethod
-    def from_json(cls, data) -> "OrbitSpec":
-        return cls(RootSystem(data["family"], int(data["rank"])),
-                   [int(j) for j in data.get("J", [])])
-
 
 def _span_positive_roots(rs: RootSystem, J: Sequence[int]) -> set:
     """Positive roots lying in the span of the simple roots in J.
@@ -375,7 +370,7 @@ def orbit_fixed_points(orbit: OrbitSpec, xi: Sequence[int]) -> FixedPointData:
             raise ValueError(f"non-generic circle direction: <{w!r}({root}), {xi}> = 0")
         points.append(weights)
         labels.append(w.label())
-    return FixedPointData(orbit.n, points, labels).validate()
+    return FixedPointData(orbit.n, points, labels)
 
 
 def crosscheck_qI(orbit: OrbitSpec, I: Sequence[int], xi: Sequence[int]) -> dict:

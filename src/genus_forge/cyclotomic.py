@@ -5,9 +5,9 @@ over one positive integer denominator `den`, in the power basis 1, zeta, ...,
 zeta^(phi(N)-1), with gcd(den, *nums) = 1, so zero is (0, ..., 0)/1.
 Equality is exact equality of (nums, den), so values coming from different
 computation routes can be compared directly.  There is one reduction rule:
-a power of zeta, a product, an inverse or a Galois image is written as a
-dense polynomial in zeta (exponents folded mod N) and reduced once, to its
-remainder modulo the N-th cyclotomic polynomial Phi_N.
+a power of zeta, a product or an inverse is written as a dense polynomial
+in zeta (exponents folded mod N) and reduced once, to its remainder modulo
+the N-th cyclotomic polynomial Phi_N.
 
 The arithmetic is on integers: a product is an integer convolution of the
 numerators, reduced mod Phi_N, over the product of the denominators, and
@@ -22,7 +22,6 @@ only ever added, never mutated).
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -31,12 +30,6 @@ from typing import Union
 from .text import join_terms
 
 Scalar = Union[int, Fraction]
-
-_TERM_RE = re.compile(
-    r"^(-?\d+(?:/\d+)?)$"            # plain rational
-    r"|^(-?)(?:(\d+(?:/\d+)?)\*)?z(?:\^(\d+))?$"  # [c*]z[^k] with optional sign
-)
-_WRAP_RE = re.compile(r"^\(\s*(.*?)\s*\)\s*@\s*Q\(zeta_(\d+)\)$")
 
 
 def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
@@ -250,41 +243,6 @@ class CyclotomicNumber:
             raise AssertionError("cyclotomic polynomial was not coprime to the element")
         return CyclotomicNumber(self.level, _reduce(self.level, [c / r0[0] for c in s0]))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        out = CyclotomicNumber.from_rational(self.level, 1)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
-    # -- field automorphisms ----------------------------------------------
-
-    def galois(self, m: int) -> "CyclotomicNumber":
-        """The automorphism zeta -> zeta^m; requires gcd(m, N) = 1."""
-        if gcd(m, self.level) != 1:
-            raise ValueError(f"zeta -> zeta^{m} is not an automorphism at level {self.level}")
-        poly = [0] * self.level
-        for i, c in enumerate(self.nums):
-            poly[i * m % self.level] += c
-        return CyclotomicNumber._normalized(self.level, _reduce(self.level, poly), self.den)
-
-    def conjugate(self) -> "CyclotomicNumber":
-        return self.galois(-1)
-
     # -- predicates and conversions ----------------------------------------
 
     def is_rational(self) -> bool:
@@ -334,26 +292,3 @@ class CyclotomicNumber:
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self.level}, {[str(c) for c in self.coeffs]})"
-
-    @classmethod
-    def parse(cls, text: str) -> "CyclotomicNumber":
-        m = _WRAP_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"cannot parse cyclotomic literal: {text!r}")
-        body, level = m.group(1), int(m.group(2))
-        out = cls.from_rational(level, 0)
-        if body == "0":
-            return out
-        for token in body.replace(" - ", " + -").split(" + "):
-            token = token.strip()
-            tm = _TERM_RE.match(token)
-            if not tm:
-                raise ValueError(f"cannot parse cyclotomic term: {token!r}")
-            if tm.group(1) is not None:
-                out = out + Fraction(tm.group(1))
-            else:
-                sign = -1 if tm.group(2) == "-" else 1
-                coeff = Fraction(tm.group(3)) if tm.group(3) else Fraction(1)
-                power = int(tm.group(4)) if tm.group(4) else 1
-                out = out + sign * coeff * cls.zeta(level, power)
-        return out

@@ -8,14 +8,15 @@ turns integrals into the sums
     C_lambda = sum_P  prod_i e_{lambda_i}(w(P)) / prod_j w_j(P)
     q_I      = sum_P  m_I(w(P)) / prod_j w_j(P).
 
-For k >= n the numbers q_I over partitions I of k assemble into relations
+For k > n the numbers q_I over partitions I of k assemble into relations
 sum_I q_I * G_{I,N} = 0 among products of Eisenstein series whenever N
-divides the index of the manifold; for |I| = n they assemble the elliptic
-genus itself.  Those sums run on the packed kernel (`PackedSeries`), with
-each product G_I memoized per (I, N, precision) and truncated at that
-precision; the result becomes a `TruncSeries` whose cutoff is the
-precision.  The second genus route, `genus_via_chern`, stays on
-`TruncSeries` and off the memo, so a kernel fault shows as disagreement.
+divides the index of the manifold.  For k = n the same sum is the level-N
+elliptic genus, and N | index alone does not make it vanish.  Those sums
+run on the packed kernel (`PackedSeries`), with each product G_I memoized
+per (I, N, precision) and truncated at that precision; the result becomes
+a `TruncSeries` whose cutoff is the precision.  The second genus route,
+`genus_via_chern`, stays on `TruncSeries` and off the memo, so a kernel
+fault shows as disagreement.
 
 Equivariant indices are computed from the Atiyah-Segal fixed-point sum
 by an exact t -> 1 limit: substitute t = exp(s), multiply through by s^n
@@ -35,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cyclotomic import CyclotomicNumber
 from .modular import eisenstein_packed, eisenstein_qexp, f_lambda_table
@@ -48,7 +49,8 @@ from .text import join_terms
 
 
 class FixedPointData:
-    """Isolated fixed points of a circle action: one weight vector per point."""
+    """Isolated fixed points of a circle action: one weight vector per point,
+    checked by `validate` as the data is built."""
 
     __slots__ = ("n", "points", "labels", "asserted_index")
 
@@ -62,6 +64,7 @@ class FixedPointData:
         else:
             self.labels = [str(s) for s in labels]
         self.asserted_index = asserted_index
+        self.validate()
 
     def validate(self) -> "FixedPointData":
         if self.n < 1:
@@ -121,7 +124,7 @@ class FixedPointData:
         return cls(json_int(data.get("n"), "n"),
                    [json_int_list(p.get("weights"), f"point {i} weights")
                     for i, p in enumerate(points)],
-                   [p.get("label", f"P{i}") for i, p in enumerate(points)], index).validate()
+                   [p.get("label", f"P{i}") for i, p in enumerate(points)], index)
 
 
 def json_int(value, what: str) -> int:
@@ -158,7 +161,7 @@ def cpn_fixed_points(n: int, weights: Sequence[int],
         points.append(tuple(-ws[j] if k == j else ws[k] - ws[j]
                             for k in range(n)))
         labels.append(f"P{j + 1}")
-    return FixedPointData(n, points, labels, asserted_index=n + 1).validate()
+    return FixedPointData(n, points, labels, asserted_index=n + 1)
 
 
 def product_fixed_points(a: FixedPointData, b: FixedPointData) -> FixedPointData:
@@ -203,7 +206,6 @@ def random_product_of_projective_spaces(rng: random.Random, n: int,
 
 def action_type(fpd: FixedPointData, N: int) -> dict:
     """Whether sum of weights mod N is the same at every fixed point."""
-    fpd.validate()
     if N < 1:
         raise ValueError("modulus must be positive")
     residue = fpd.weight_sum(0) % N
@@ -217,7 +219,6 @@ def action_type(fpd: FixedPointData, N: int) -> dict:
 
 def chern_number(fpd: FixedPointData, lam: Sequence[int]) -> Fraction:
     """C_lambda by localization; must come out an integer."""
-    fpd.validate()
     lam = check_partition(lam)
     if sum(lam) != fpd.n:
         raise ValueError("Chern numbers pair partitions of weight n "
@@ -238,7 +239,6 @@ def chern_number(fpd: FixedPointData, lam: Sequence[int]) -> Fraction:
 
 def chi_y_from_counts(fpd: FixedPointData) -> SparsePoly:
     """The chi_y genus from negative-weight counts: sum over P of (-y)^#neg."""
-    fpd.validate()
     terms: dict[tuple, Fraction] = {}
     for weights in fpd.points:
         j = sum(1 for w in weights if w < 0)
@@ -249,7 +249,6 @@ def chi_y_from_counts(fpd: FixedPointData) -> SparsePoly:
 
 def relation_coefficient(fpd: FixedPointData, I: Sequence[int]) -> Fraction:
     """q_I = sum over P of m_I(weights) / product of weights."""
-    fpd.validate()
     I = check_partition(I) if I else ()
     if len(I) > fpd.n:
         raise ValueError("partition has more parts than there are weights")
@@ -276,13 +275,6 @@ class Relation:
         self.terms = [(check_partition(I), Fraction(c)) for I, c in terms]
         self.terms.sort(key=lambda t: partition_sort_key(t[0]))
         self.provenance = provenance
-
-    def coefficient(self, I: Sequence[int]) -> Fraction:
-        I = tuple(I)
-        for J, c in self.terms:
-            if J == I:
-                return c
-        raise KeyError(f"no term for partition {partition_str(I)}")
 
     def primitive(self) -> "Relation":
         """Divide out the rational content and fix the sign of the first
@@ -329,12 +321,6 @@ class Relation:
                           for I, c in self.terms],
                 "provenance": self.provenance}
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "Relation":
-        terms = [(tuple(t["partition"]), Fraction(t["coefficient"]))
-                 for t in data["terms"]]
-        return cls(data["n"], data["k"], data["N"], terms, data["provenance"])
-
     def __repr__(self) -> str:
         return f"<Relation n={self.n} k={self.k} N={self.N}: {self.render()}>"
 
@@ -342,11 +328,12 @@ class Relation:
 def build_relation(fpd: FixedPointData, N: int, k: int) -> Relation:
     """The raw relation sum_I q_I G_{I,N} = 0 for partitions I of k.
 
-    Valid when N divides the index of the underlying manifold; the weights
-    alone cannot certify that, so the assumption is recorded (or checked
-    against an asserted index when the data carries one).
+    For k > n it holds when N divides the index of the underlying manifold;
+    the weights alone cannot certify that, so the assumption is recorded (or
+    checked against an asserted index when the data carries one).  For
+    k = n the sum is the level-N genus itself, which N | index does not make
+    vanish: it does on CP^n, but not on the quadric Q^3 at N = 3.
     """
-    fpd.validate()
     if N < 2:
         raise ValueError("Eisenstein level must be at least 2")
     if k < fpd.n:
@@ -410,7 +397,6 @@ def verify_relation(rel: Relation, q_precision: int) -> dict:
 def genus_qexp(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
     """The level-N elliptic genus as a q-series: sum_{|I| = n} q_I G_{I,N},
     with the products G_I on the packed kernel."""
-    fpd.validate()
     if N < 2:
         raise ValueError("the level-N genus needs N >= 2")
     return _relation_sum([(I, relation_coefficient(fpd, I))
@@ -458,7 +444,6 @@ def equivariant_index_limit(fpd: FixedPointData, numerators) -> Fraction:
     coefficient of s^0..s^(n-1) is a pole at t = 1 and means the input was
     not the fixed-point data of a global index.
     """
-    fpd.validate()
     if len(numerators) != len(fpd.points):
         raise ValueError("need one numerator per fixed point")
     n = fpd.n
@@ -482,7 +467,6 @@ def hilbert_polynomial(fpd: FixedPointData, N: int, m: int) -> SparsePoly:
     P's localized e_m term.  H_m takes its x^i coefficient from i + j = n;
     a nonzero coefficient with i + j < n is a pole at t = 1.
     """
-    fpd.validate()
     if not 0 <= m <= fpd.n:
         raise ValueError("exterior power degree out of range")
     n = fpd.n

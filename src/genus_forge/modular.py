@@ -9,9 +9,10 @@ rows of a `PackedSeries`, which `eisenstein_qexp` converts to a
              * prod_{r>=1} (1 - e^{-x} z q^r)(1 - e^x z^{-1} q^r)(1 - q^r)^2
                          / ((1 - e^{-x} q^r)(1 - e^x q^r)(1 - z q^r)(1 - z^{-1} q^r))
 
-(z = zeta_N) come from expanding that product on a table of integers.  The
-identity a_k = G_{k,N} is checked, never assumed: `verify_lemma_eisenstein`
-compares the two routes coefficient by coefficient.
+(z = zeta_N) come from expanding that product on a table of integers, as
+a plain list of q-series a_0, a_1, ....  The identity a_k = G_{k,N} is
+checked, never assumed: `verify_lemma_eisenstein` compares the two routes
+coefficient by coefficient.
 
 Precision T for a q-series always means: coefficients of q^0 .. q^{T-1}
 are trusted.  The simple zero of (1 - e^{-x}) at x = 0 is cancelled
@@ -77,32 +78,9 @@ def eisenstein_qexp(k: int, N: int, precision: int) -> TruncSeries:
     return eisenstein_packed(k, N, precision).to_series()
 
 
-class QnExpansion:
-    """The x-coefficients of Q_N(x), each a q-series over Q(zeta_N)."""
-
-    __slots__ = ("level", "x_order", "q_precision", "coeffs")
-
-    def __init__(self, level: int, x_order: int, q_precision: int, coeffs) -> None:
-        coeffs = list(coeffs)
-        if len(coeffs) != x_order:
-            raise ValueError("coefficient list does not match x_order")
-        if coeffs and coeffs[0] != 1:
-            raise ArithmeticError("Q_N lost its normalization: a_0 != 1")
-        self.level = level
-        self.x_order = x_order
-        self.q_precision = q_precision
-        self.coeffs = coeffs
-
-    def coefficient(self, j: int) -> TruncSeries:
-        return self.coeffs[j]
-
-    def __repr__(self) -> str:
-        return (f"<QnExpansion N={self.level} a_0..a_{self.x_order - 1} "
-                f"through q^{self.q_precision - 1}>")
-
-
-def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> QnExpansion:
-    """Expand the defining infinite product of Q_N(x) on one integer table.
+def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> list[TruncSeries]:
+    """a_0..a_(x_order-1), the x-coefficients of Q_N(x), each a q-series over
+    Q(zeta_N): the defining infinite product expanded on one integer table.
 
     Column j holds j! times the x^j coefficient, each q^n of it as N ints
     in Z[z]/(z^N - 1): e^{+-x} has the integer coefficients (+-1)^j, a
@@ -167,9 +145,11 @@ def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> QnExpans
                 N, _reduce(N, column[n * N:(n + 1) * N]), factorial(j))
                 for j, column in enumerate(table)}, cutoff=K)
             for n in range(P)]
-    return QnExpansion(N, K, P, [
-        TruncSeries("q", {n: row.coeff(j) for n, row in enumerate(rows)}, cutoff=P)
-        for j in range(K)])
+    coeffs = [TruncSeries("q", {n: row.coeff(j) for n, row in enumerate(rows)}, cutoff=P)
+              for j in range(K)]
+    if coeffs[0] != 1:
+        raise ArithmeticError("Q_N lost its normalization: a_0 != 1")
+    return coeffs
 
 
 def classical_x_series(N: int, x_order: int) -> TruncSeries:
@@ -195,7 +175,7 @@ def verify_lemma_eisenstein(N: int, k_max: int, q_precision: int) -> dict:
     qn = qn_expansion_via_product(N, k_max + 1, q_precision)
     report = {"level": N, "k_max": k_max, "q_precision": q_precision, "ok": True}
     for k in range(1, k_max + 1):
-        lhs = qn.coefficient(k)
+        lhs = qn[k]
         rhs = eisenstein_qexp(k, N, q_precision)
         for n in range(q_precision):
             a, b = lhs.coeff(n), rhs.coeff(n)
@@ -227,7 +207,3 @@ def series_to_json(series: TruncSeries, level: int) -> dict:
     return {"variable": series.var, "level": level,
             "precision": series.cutoff, "coeffs": coeffs}
 
-
-def series_from_json(data: dict) -> TruncSeries:
-    coeffs = {int(k): CyclotomicNumber.parse(s) for k, s in data["coeffs"]}
-    return TruncSeries(data["variable"], coeffs, cutoff=int(data["precision"]))

@@ -201,11 +201,6 @@ class TruncSeries:
                 inv[k] = -(c0_inv * s)
         return TruncSeries(self.var, inv, cutoff=self.cutoff)
 
-    def truncate(self, *, cutoff: int) -> "TruncSeries":
-        if cutoff > self.cutoff:
-            raise ValueError("cannot extend a series truncation")
-        return TruncSeries(self.var, self.coeffs, cutoff=cutoff)
-
     # -- text form ---------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -86,9 +86,6 @@ class SparsePoly:
         exp = max(self.terms, key=_glex_key)
         return exp, self.terms[exp]
 
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -233,10 +233,6 @@ class GenusSpec:
         raise AttributeError("GenusSpec is immutable")
 
     @property
-    def normalized(self) -> bool:
-        return self.coefficients[0] == 1
-
-    @property
     def order(self) -> int:
         """Largest index with a stored coefficient."""
         return len(self.coefficients) - 1
@@ -246,13 +242,10 @@ class GenusSpec:
         return self.coefficients[0] * 0 + 1
 
     @classmethod
-    def symbolic(cls, n: int, normalized: bool = False) -> "GenusSpec":
-        """Coefficients as indeterminates a_0..a_n (a_0 = 1 when normalized)."""
+    def symbolic(cls, n: int) -> "GenusSpec":
+        """Coefficients as indeterminates a_0..a_n."""
         avars = tuple(f"a{k}" for k in range(n + 1))
-        coeffs = [SparsePoly.variable(v, avars) for v in avars]
-        if normalized:
-            coeffs[0] = SparsePoly.constant(avars, 1)
-        return cls(coeffs)
+        return cls([SparsePoly.variable(v, avars) for v in avars])
 
 
 def _genus_spec_vars(spec: GenusSpec) -> tuple[str, ...]:

@@ -17,8 +17,8 @@ from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DI
                              QSERIES_MAX_WEIGHT, main)
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
                                   orbit_fixed_points)
-from genus_forge.localization import Relation, cpn_fixed_points, divides_chi_y
-from genus_forge.modular import eisenstein_qexp, series_from_json
+from genus_forge.localization import build_relation, cpn_fixed_points, divides_chi_y
+from genus_forge.modular import eisenstein_qexp, series_to_json
 from genus_forge.sparsepoly import SparsePoly
 
 
@@ -37,8 +37,7 @@ def test_eisenstein_text(capsys):
 def test_eisenstein_json_roundtrip(capsys):
     assert main(["eisenstein", "4", "3", "--prec", "8", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    series = series_from_json(payload["series"])
-    assert series == eisenstein_qexp(4, 3, 8)
+    assert payload == {"series": series_to_json(eisenstein_qexp(4, 3, 8), 3)}
 
 
 def test_usage_errors_exit_2():
@@ -99,13 +98,16 @@ def test_chiy_divisor_longer_than_chi_y(tmp_path, capsys):
 
 
 def test_relations_verified(tmp_path, capsys):
+    # from k = n = 2: the level-3 genus of CP^2 vanishes, so its line
+    # verifies like the relations above it
     path = _write_cp2(tmp_path)
-    assert main(["relations", path, "3", "4", "5", "--verify",
+    assert main(["relations", path, "3", "2", "5", "--verify",
                  "--prec", "10"]) == 0
-    out = capsys.readouterr().out
-    assert "k=4: 4*G[1,3]*G[3,3] + G[2,3]^2 + 5*G[4,3] = 0" in out
-    assert "k=5: -G[2,3]*G[3,3] + G[5,3] = 0" in out
-    assert out.count("[verified to q^10]") == 2
+    assert capsys.readouterr().out == (
+        "k=2: G[1,3]^2 + G[2,3] = 0   [verified to q^10]\n"
+        "k=3: 0 = 0   [verified to q^10]\n"
+        "k=4: 4*G[1,3]*G[3,3] + G[2,3]^2 + 5*G[4,3] = 0   [verified to q^10]\n"
+        "k=5: -G[2,3]*G[3,3] + G[5,3] = 0   [verified to q^10]\n")
 
 
 def test_relations_failure_names_the_first_coefficient(tmp_path, capsys):
@@ -122,6 +124,31 @@ def test_relations_failure_names_the_first_coefficient(tmp_path, capsys):
         "coefficient (2) @ Q(zeta_2); residual 2*q + 16*q^2 + 56*q^3 + O(q^4)]\n")
 
 
+def test_relations_at_k_equal_n_report_the_genus_on_the_quadric(tmp_path, capsys):
+    # Q^3 has index 3, and its level-3 genus is nonzero: the k = n line is
+    # labelled as the genus and does not fail the run; k > n all verify
+    data = orbit_fixed_points(grassmannian_orbit(2), (5, 2)).to_json()
+    path = tmp_path / "q3.json"
+    path.write_text(json.dumps({**data, "asserted_index": 3}))
+    assert main(["relations", str(path), "3", "3", "7", "--verify",
+                 "--prec", "15"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"k={k}" for k in range(3, 8)]
+    assert lines[0] == (
+        "k=3: -2*G[1,3]^3 - 6*G[1,3]*G[2,3] + 3*G[3,3] = 0   [k = n: the "
+        "level-N genus (up to scale), nonzero at q^0: (-1/18 - 1/9*z) @ "
+        "Q(zeta_3); N | index does not imply that it vanishes]")
+    assert all(line.endswith("   [verified to q^15]") for line in lines[1:])
+    assert main(["relations", str(path), "3", "3", "4", "--verify", "--json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["relations"]
+    assert [(e["k"], e["verified"], e.get("nonzero_genus")) for e in entries] == [
+        (3, False, True), (4, True, None)]
+    assert main(["genus", str(path), "3", "--prec", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "routes agree: yes" in out
+    assert out.startswith("genus (localization)  = (1/9 + 2/9*z) + ")
+
+
 def test_relations_raw_differs_from_primitive(tmp_path, capsys):
     path = _write_cp2(tmp_path)
     assert main(["relations", path, "3", "4", "4"]) == 0
@@ -136,9 +163,11 @@ def test_relations_json_roundtrip(tmp_path, capsys):
     assert main(["relations", path, "3", "4", "6", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [entry["k"] for entry in payload["relations"]] == [4, 5, 6]
+    fpd = cpn_fixed_points(2, (1, 3))
     for entry in payload["relations"]:
-        rel = Relation.from_json(entry["relation"])
-        assert rel.render() == entry["display"]
+        rel = build_relation(fpd, 3, entry["k"]).primitive()
+        assert entry["relation"] == rel.to_json()
+        assert entry["display"] == rel.render()
 
 
 def test_relations_bad_range(tmp_path, capsys):

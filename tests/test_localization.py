@@ -35,10 +35,15 @@ def test_fixed_point_validation():
         cpn_fixed_points(2, (1, 1))       # repeated weight
     with pytest.raises(ValueError):
         cpn_fixed_points(2, (0, 1))       # zero weight
-    with pytest.raises(ValueError):
-        FixedPointData(2, [(1,)], ["P"]).validate()  # wrong arity
-    with pytest.raises(ValueError):
-        FixedPointData(1, [(1,), (2,)], ["P"]).validate()  # label count
+    # FixedPointData checks itself as it is built, not at first use
+    with pytest.raises(ValueError, match="zero weight"):
+        FixedPointData(2, [(1, 0), (-1, 2)])
+    with pytest.raises(ValueError, match="expected 2 weights"):
+        FixedPointData(2, [(1,)], ["P"])  # wrong arity
+    with pytest.raises(ValueError, match="label list"):
+        FixedPointData(1, [(1,), (2,)], ["P"])  # label count
+    with pytest.raises(ValueError, match="no fixed points"):
+        FixedPointData(1, [])
 
 
 def test_zero_sum_constraint_flag():
@@ -152,9 +157,7 @@ def test_primitive_normalization():
     rel = Relation(2, 4, 3, [((4,), Fraction(-10)), ((3, 1), Fraction(-5))],
                    provenance="test")
     prim = rel.primitive()
-    assert prim.coefficient((3, 1)) == 1 and prim.coefficient((4,)) == 2
-    with pytest.raises(KeyError):
-        prim.coefficient((2, 2))
+    assert dict(prim.terms) == {(4,): 2, (3, 1): 1}
 
 
 def test_perturbed_relation_fails_verification():
@@ -413,6 +416,11 @@ def test_fixed_point_json_roundtrip():
 
 def test_relation_json_roundtrip():
     rel = build_relation(cpn_fixed_points(2, (1, 3)), 3, 5).primitive()
-    back = Relation.from_json(json.loads(json.dumps(rel.to_json())))
-    assert back.terms == rel.terms
-    assert back.n == rel.n and back.k == rel.k and back.N == rel.N
+    assert json.loads(json.dumps(rel.to_json())) == {
+        "n": 2, "k": 5, "N": 3,
+        "terms": [{"partition": [5], "coefficient": "1"},
+                  {"partition": [4, 1], "coefficient": "0"},
+                  {"partition": [3, 2], "coefficient": "-1"}],
+        "provenance": "3 fixed points, n=2, asserted index 3; "
+                      "index 3 divisible by N=3; primitive"}
+    assert rel.render() == "-G[2,3]*G[3,3] + G[5,3] = 0"

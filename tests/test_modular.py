@@ -5,9 +5,8 @@ import pytest
 from genus_forge.cyclotomic import CyclotomicNumber
 from genus_forge.modular import (classical_x_series, eisenstein_qexp,
                                  f_lambda_table, qn_expansion_via_product,
-                                 series_from_json, series_to_json,
-                                 verify_lemma_eisenstein)
-from genus_forge.series import bernoulli
+                                 series_to_json, verify_lemma_eisenstein)
+from genus_forge.series import TruncSeries, bernoulli
 
 
 def test_constant_terms():
@@ -19,7 +18,7 @@ def test_constant_terms():
             assert eisenstein_qexp(k, N, 3).coeff(0) == want
     z = CyclotomicNumber.zeta(3)
     one = CyclotomicNumber.from_rational(3, 1)
-    assert eisenstein_qexp(1, 3, 3).coeff(0) == (one + z) / ((one - z) * 2)
+    assert eisenstein_qexp(1, 3, 3).coeff(0) == (one + z) * ((one - z) * 2).inverse()
     assert eisenstein_qexp(1, 2, 3).coeff(0) == 0
 
 
@@ -36,14 +35,21 @@ def test_first_fourier_coefficients_level_three():
         assert series.coeff(j) == CyclotomicNumber.from_rational(3, want)
 
 
+def _conjugate(c):
+    """The image of c under zeta -> zeta^-1."""
+    out = CyclotomicNumber.from_rational(c.level, 0)
+    for i, a in enumerate(c.coeffs):
+        out = out + CyclotomicNumber.zeta(c.level, -i) * a
+    return out
+
+
 def test_conjugation_symmetry():
     # conj(G_k) = (-1)^k G_k
     for N in (3, 4, 5):
         for k in (1, 2, 3, 4):
             series = eisenstein_qexp(k, N, 8)
-            for j in range(8):
-                c = series.coeff(j)
-                assert c.conjugate() == c * ((-1) ** k)
+            for c in series.coeffs.values():
+                assert _conjugate(c) == c * ((-1) ** k)
 
 
 def test_weight_one_level_five_not_rational():
@@ -62,12 +68,13 @@ def test_validation_errors():
 
 def test_qn_expansion_normalization_and_vanishing():
     qn = qn_expansion_via_product(2, 6, 6)
-    assert qn.coeffs[0].coeff(0) == 1
+    assert len(qn) == 6
+    assert qn[0] == 1
     # at level 2 every odd x-coefficient vanishes identically
     for j in range(6):
-        assert qn.coeffs[1].coeff(j) == 0
-        assert qn.coeffs[3].coeff(j) == 0
-        assert qn.coeffs[5].coeff(j) == 0
+        assert qn[1].coeff(j) == 0
+        assert qn[3].coeff(j) == 0
+        assert qn[5].coeff(j) == 0
 
 
 def test_lemma_product_equals_fourier():
@@ -89,7 +96,7 @@ def test_classical_limit_is_q_to_zero():
         qn = qn_expansion_via_product(N, x_order, 5)
         classical = classical_x_series(N, x_order)
         for k in range(x_order):
-            assert qn.coeffs[k].coeff(0) == classical.coeff(k)
+            assert qn[k].coeff(0) == classical.coeff(k)
 
 
 def test_classical_series_at_level_two_is_half_coth():
@@ -120,8 +127,15 @@ def test_series_json_roundtrip():
     series = eisenstein_qexp(2, 4, 7)
     payload = series_to_json(series, 4)
     assert payload["variable"] == "q" and payload["precision"] == 7
-    back = series_from_json(payload)
-    assert back == series
+    assert payload["level"] == 4
+    # B_2/2! = 1/12, then -sum_{d|n} (n/d)(i^-d + i^d): zero for odd n
+    assert payload["coeffs"] == [[0, "(1/12) @ Q(zeta_4)"], [2, "(2) @ Q(zeta_4)"],
+                                 [4, "(2) @ Q(zeta_4)"], [6, "(8) @ Q(zeta_4)"]]
+    assert payload["coeffs"] == [[k, str(c)] for k, c in sorted(series.coeffs.items())]
+    # rational coefficients are written in the field of the given level
+    rational = TruncSeries("q", {0: Fraction(1, 2), 3: -2}, cutoff=5)
+    assert series_to_json(rational, 3)["coeffs"] == [
+        [0, "(1/2) @ Q(zeta_3)"], [3, "(-2) @ Q(zeta_3)"]]
 
 
 def test_eisenstein_cache_returns_equal_objects():

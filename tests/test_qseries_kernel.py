@@ -4,7 +4,7 @@ Each fast path of the localization route is compared here with
 `TruncSeries` arithmetic, or with a divisor sum written out in this file:
 the packed kernel's product, G_{k,N} from its sieve, the memoized products
 G_I, and the residual string of a relation that fails.  Products are
-compared at the kernel's precision (`.truncate(cutoff=P)`), because
+compared at the kernel's precision (rebuilt with `cutoff=P`), because
 `TruncSeries.__mul__` trusts one more coefficient per zero leading term of
 a factor.  The fused field product of `TruncSeries.__mul__` is compared in
 turn with a per-coefficient double loop on `CyclotomicNumber` written out
@@ -38,7 +38,7 @@ def _divisor_sum(k, N, P):
     """G_{k,N} term by term: -sum_{d|n} (n/d)^(k-1) (z^-d + (-1)^k z^d)/(k-1)!."""
     z = [CyclotomicNumber.zeta(N, e) for e in range(N)]
     if k == 1:
-        const = (1 + z[1]) / (2 * (1 - z[1]))
+        const = (1 + z[1]) * (2 * (1 - z[1])).inverse()
     else:
         const = CyclotomicNumber.from_rational(N, bernoulli(k) / factorial(k))
     coeffs = {0: const}
@@ -47,7 +47,7 @@ def _divisor_sum(k, N, P):
         for d in range(1, n + 1):
             if n % d == 0:
                 acc = acc + (n // d) ** (k - 1) * (z[-d % N] + (-1) ** k * z[d % N])
-        coeffs[n] = -acc / factorial(k - 1)
+        coeffs[n] = -acc * Fraction(1, factorial(k - 1))
     return TruncSeries("q", coeffs, cutoff=P)
 
 
@@ -69,7 +69,8 @@ def _packed(draw, N, P):
 @settings(max_examples=80, deadline=None)
 def test_kernel_product_matches_truncseries(data, N, P):
     a, b = data.draw(_packed(N, P)), data.draw(_packed(N, P))
-    want = (a.to_series() * b.to_series()).truncate(cutoff=P)
+    fold = a.to_series() * b.to_series()
+    want = TruncSeries(fold.var, fold.coeffs, cutoff=P)
     assert (a * b).to_series() == want
 
 
@@ -77,7 +78,8 @@ def test_kernel_product_matches_truncseries(data, N, P):
        st.integers(1, 20))
 @settings(max_examples=30, deadline=None)
 def test_kernel_product_of_eisenstein_series(j, k, N, P):
-    want = (eisenstein_qexp(j, N, P) * eisenstein_qexp(k, N, P)).truncate(cutoff=P)
+    fold = eisenstein_qexp(j, N, P) * eisenstein_qexp(k, N, P)
+    want = TruncSeries(fold.var, fold.coeffs, cutoff=P)
     assert (eisenstein_packed(j, N, P) * eisenstein_packed(k, N, P)).to_series() == want
 
 
@@ -91,7 +93,7 @@ def test_kernel_truncates_at_its_precision():
     # G[5,3] and G[3,3] have no constant term: TruncSeries trusts q^50 too
     fold = eisenstein_qexp(5, 3, 50) * eisenstein_qexp(3, 3, 50)
     assert fold.cutoff == 51
-    assert eisenstein_product((5, 3), 3, 50) == fold.truncate(cutoff=50)
+    assert eisenstein_product((5, 3), 3, 50) == TruncSeries(fold.var, fold.coeffs, cutoff=50)
 
 
 def test_packed_series_is_canonical():
@@ -110,7 +112,7 @@ def _fold(I, N, P):
     series = TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=P)
     for part in I:
         series = series * eisenstein_qexp(part, N, P)
-    return series.truncate(cutoff=P)
+    return TruncSeries(series.var, series.coeffs, cutoff=P)
 
 
 @given(st.integers(1, 8), st.sampled_from(range(2, 13)), st.integers(1, 40))
@@ -129,7 +131,7 @@ def test_products_match_a_fold(I, N, P):
     # every prefix first, so the longer products can reuse the shorter ones
     for end in range(1, len(I) + 1):
         got = eisenstein_product(I[:end], N, P)
-        assert got.truncate(cutoff=P) == _fold(I[:end], N, P)
+        assert got == _fold(I[:end], N, P)
 
 
 @given(st.integers(1, 3), st.sampled_from((2, 3, 4, 5, 7)), st.integers(0, 2),
@@ -366,7 +368,7 @@ def test_localization_route_takes_no_field_arithmetic(monkeypatch):
         cache.cache_clear()
     monkeypatch.setattr(series, "_field_product", no_field_arithmetic)
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__truediv__", "__neg__", "inverse"):
+                 "__rmul__", "__neg__", "inverse"):
         monkeypatch.setattr(CyclotomicNumber, name, no_field_arithmetic)
     got = localization_route()
     monkeypatch.undo()

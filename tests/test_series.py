@@ -100,13 +100,6 @@ def test_inverse_needs_a_nonzero_constant_term():
         TruncSeries.zero("q", 6).inverse()
 
 
-def test_truncate_cannot_extend():
-    s = q({0: Fraction(1)}, cutoff=5)
-    assert s.truncate(cutoff=3).cutoff == 3
-    with pytest.raises(ValueError):
-        s.truncate(cutoff=9)
-
-
 def test_different_variable_mismatch():
     a = TruncSeries("x", {0: Fraction(1)}, cutoff=4)
     b = TruncSeries("q", {0: Fraction(1)}, cutoff=4)
@@ -131,5 +124,5 @@ def test_equality_requires_same_cutoff():
     a = q({0: Fraction(1)}, cutoff=4)
     b = q({0: Fraction(1)}, cutoff=5)
     assert a != b
-    assert a == a.truncate(cutoff=4)
+    assert a == TruncSeries(b.var, b.coeffs, cutoff=4)
     assert q({0: Fraction(7)}) == 7  # scalar comparison

@@ -47,14 +47,14 @@ def test_arithmetic_identities():
 def test_scalar_mixing():
     p = x() + 1
     assert 2 * p == p * 2
-    assert (p * Fraction(1, 3)).coefficient((1, 0)) == Fraction(1, 3)
+    assert (p * Fraction(1, 3)).terms[(1, 0)] == Fraction(1, 3)
     assert p - 1 == x()
 
 
 def test_power():
     p = x() + y()
     cube = p ** 3
-    assert cube.coefficient((2, 1)) == 3
+    assert cube.terms[(2, 1)] == 3
     assert p ** 0 == 1
 
 
