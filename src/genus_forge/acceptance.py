@@ -18,11 +18,11 @@ from fractions import Fraction
 from .coadjoint import (cpn_orbit, crosscheck_qI, grassmannian_orbit,
                         orbit_fixed_points)
 from .cyclotomic import CyclotomicNumber
-from .localization import (build_relation, chern_number, chi_y_from_counts,
+from .localization import (build_relations, chern_number, chi_y_from_counts,
                            cpn_fixed_points, cpn_hilbert_closed_form,
                            general_relation_cpn, genus_qexp,
                            hilbert_polynomial, random_product_of_projective_spaces,
-                           relation_coefficient, verify_relation)
+                           relation_coefficients, verify_relation)
 from .modular import f_lambda_table, verify_lemma_eisenstein
 from .polytope import (betti_pattern, combinatorial_index, cube_f_vector,
                        h_divisibility, h_from_f, simplex_edges, simplex_f_vector)
@@ -78,11 +78,12 @@ def criterion_cp2_relations(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     fixed-point data, rendered, and verified to vanish through q^20."""
     fpd = cpn_fixed_points(2, (1, 3))
     other = cpn_fixed_points(2, (2, 5))
-    for k, display in sorted(_CP2_RELATIONS.items()):
-        rel = build_relation(fpd, 3, k).primitive()
+    ks = sorted(_CP2_RELATIONS)
+    for raw, raw_other in zip(build_relations(fpd, 3, ks), build_relations(other, 3, ks)):
+        k, rel, display = raw.k, raw.primitive(), _CP2_RELATIONS[raw.k]
         if rel.render() != display:
             return False, f"k={k}: got {rel.render()!r}, want {display!r}"
-        if rel.terms != build_relation(other, 3, k).primitive().terms:
+        if rel.terms != raw_other.primitive().terms:
             return False, f"k={k}: primitive form depends on the weights"
         report = verify_relation(rel, 20)
         if not report["ok"]:
@@ -176,11 +177,10 @@ def criterion_toric_vanishing(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
                 series = genus_qexp(fpd, N, 15)
                 if series:
                     return False, f"n={n}, N={N}, weights={weights}: genus != 0"
-                for k in range(n + 1, n + 5):
-                    rel = build_relation(fpd, N, k)
+                for rel in build_relations(fpd, N, range(n + 1, n + 5)):
                     report = verify_relation(rel, 15)
                     if not report["ok"]:
-                        return False, (f"n={n}, N={N}, weights={weights}, k={k}: "
+                        return False, (f"n={n}, N={N}, weights={weights}, k={rel.k}: "
                                        f"residual {report['residual']}")
                 checked += 1
     return True, (f"{checked} (n, N, weights) runs: zero q-expansion and "
@@ -190,18 +190,17 @@ def criterion_toric_vanishing(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 # 7 ------------------------------------------------------------------------------------
 
 def criterion_degree_vanishing(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """relation_coefficient(I) == 0 whenever |I| < n, on 50 random
+    """q_I == 0 whenever |I| < n, on 50 random
     products of projective spaces with weights in [-9,9] minus 0."""
     rng = random.Random(seed)
     for trial in range(50):
         n = rng.randint(1, 4)
         fpd = random_product_of_projective_spaces(rng, n)
-        for k in range(n):
-            for I in partitions_at_most(k, n):
-                value = relation_coefficient(fpd, I)
-                if value != 0:
-                    return False, (f"trial {trial}: n={n}, I={list(I)}, "
-                                   f"points={fpd.points}: got {value}")
+        low = [I for k in range(n) for I in partitions_at_most(k, n)]
+        for I, value in zip(low, relation_coefficients(fpd, low)):
+            if value != 0:
+                return False, (f"trial {trial}: n={n}, I={list(I)}, "
+                               f"points={list(fpd.points)}: got {value}")
     return True, "50 random manifold models, all coefficients below degree n vanish"
 
 
@@ -226,12 +225,12 @@ def criterion_divided_difference(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     checks = 0
     for orbit, tag in orbits:
         for xi in _ORBIT_DIRECTIONS[tag]:
-            for k in range(orbit.n, orbit.n + 4):
-                for I in partitions_at_most(k, orbit.n):
-                    report = crosscheck_qI(orbit, I, xi)
-                    if not report["ok"]:
-                        return False, f"{report}"
-                    checks += 1
+            partitions = [I for k in range(orbit.n, orbit.n + 4)
+                          for I in partitions_at_most(k, orbit.n)]
+            for report in crosscheck_qI(orbit, partitions, xi):
+                if not report["ok"]:
+                    return False, f"{report}"
+                checks += 1
     for n, weights in ((1, (3,)), (2, (1, 2)), (3, (1, 2, 5))):
         xi = (0,) + tuple(-w for w in weights)
         via_orbit = orbit_fixed_points(cpn_orbit(n), xi)

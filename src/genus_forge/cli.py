@@ -28,9 +28,9 @@ from .coadjoint import (OrbitSpec, RootSystem, cpn_orbit, crosscheck_qI,
                         grassmannian_orbit, orbit_fixed_points,
                         q_I_via_divided_diff)
 from .cyclotomic import euler_phi
-from .localization import (FixedPointData, build_relation, chi_y_from_counts,
+from .localization import (FixedPointData, build_relations, chi_y_from_counts,
                            divides_chi_y, genus_qexp, genus_via_chern,
-                           hilbert_polynomial, json_int_list, relation_coefficient,
+                           hilbert_polynomial, json_int_list, relation_coefficients,
                            verify_relation)
 from .modular import eisenstein_qexp, qn_expansion_via_product, series_to_json
 from .polytope import (FHVectors, betti_pattern, combinatorial_index,
@@ -65,13 +65,12 @@ def _load_fixed_points(path: str) -> FixedPointData:
     if fpd.n > QSERIES_MAX_DIM:
         raise ValueError(f"dimension n = {fpd.n} exceeds the cap "
                          f"QSERIES_MAX_DIM = {QSERIES_MAX_DIM}")
-    for k in range(fpd.n):
-        for I in partitions_at_most(k, fpd.n):
-            value = relation_coefficient(fpd, I)
-            if value:
-                raise ValueError(f"not the fixed points of a manifold: "
-                                 f"q_{partition_str(I)} = {value}, but q_I = 0 "
-                                 f"for every |I| < n = {fpd.n}")
+    low = [I for k in range(fpd.n) for I in partitions_at_most(k, fpd.n)]
+    for I, value in zip(low, relation_coefficients(fpd, low)):
+        if value:
+            raise ValueError(f"not the fixed points of a manifold: "
+                             f"q_{partition_str(I)} = {value}, but q_I = 0 "
+                             f"for every |I| < n = {fpd.n}")
     return fpd
 
 
@@ -162,8 +161,8 @@ def cmd_relations(args) -> int:
         raise ValueError("k-max must be >= k-min")
     code = 0
     lines, items = [], []
-    for k in range(args.k_min, args.k_max + 1):
-        rel = build_relation(fpd, args.level, k)
+    for rel in build_relations(fpd, args.level, range(args.k_min, args.k_max + 1)):
+        k = rel.k
         if not args.raw:
             rel = rel.primitive()
         entry = {"k": k, "relation": rel.to_json(), "display": rel.render()}
@@ -209,7 +208,7 @@ def cmd_hilbert(args) -> int:
 # (phi = 10, the widest field below the level cap):
 # - eisenstein at precision 60 takes 0.13 s for weight 20;
 # - relations --verify at precision 60 takes 0.9 s for CP^4, k = 4..12, and
-#   9 s for CP^7, k = 7..20 (14 s for the A4 orbit with J = {1, 2}, n = 7
+#   7 s for CP^7, k = 7..20 (13 s for the A4 orbit with J = {1, 2}, n = 7
 #   with 20 fixed points), growing with k and n: k = 7..24 takes 26 s;
 # - genus at precision 60 takes 0.2 s for CP^3, 0.2 s for CP^4 and 0.6 s
 #   for CP^7 (0.5 s for that A4 orbit); the Chern-number route, which grows
@@ -301,16 +300,15 @@ def cmd_coadjoint(args) -> int:
         lines += [f"fixed points at xi={tuple(args.xi)}:"] + [
             f"  {label}: {point}" for label, point in zip(fpd.labels, fpd.points)]
     if args.partition is not None:
-        poly = q_I_via_divided_diff(orbit, tuple(args.partition))
+        [poly] = q_I_via_divided_diff(orbit, [args.partition])
         lines.append(f"q_{partition_str(args.partition)} = {poly}")
         payload["q_I"] = str(poly)
     if args.crosscheck:
         if not args.xi:
             raise ValueError("--crosscheck needs --xi")
-        checks = []
-        for k in range(orbit.n, orbit.n + 1 + args.extra_degrees):
-            for I in partitions_at_most(k, orbit.n):
-                checks.append(crosscheck_qI(orbit, I, args.xi))
+        checks = crosscheck_qI(
+            orbit, [I for k in range(orbit.n, orbit.n + 1 + args.extra_degrees)
+                    for I in partitions_at_most(k, orbit.n)], args.xi)
         for report in checks:
             mark = "ok" if report["ok"] else "MISMATCH"
             lines.append(f"  {report['partition']}: divided-difference "

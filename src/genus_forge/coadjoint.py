@@ -10,15 +10,19 @@ ranging over the positive roots outside the span of J.
 The same numbers q_I admit a second, purely algebraic route: apply the
 divided-difference operator of the longest coset representative, in closed
 form on monomials, to the monomial symmetric polynomial m_I evaluated at
-those roots.  `crosscheck_qI` insists the two routes agree exactly.
+those roots.  `crosscheck_qI` insists the two routes agree exactly, on a
+batch of partitions at one direction: the fixed points are built once,
+and each route evaluates every m_I of the batch from one table of its own
+(`symfunc.monomial_sym_eval` here, `relation_coefficients` in localization).
 
 Weyl elements are stored as signed permutations (w(e_i) = s_i * e_{p_i}).
 An orbit enumerates only the minimal coset representatives W^J, level by
 level from the identity, each carrying its reduced word, so it builds
 |W/W_J| elements: 5 for CP^4, 7 for CP^6.  With J empty that is all of W:
 |W(A_m)| = (m+1)! and |W(B_m)| = 2^m m!, 120 at A_4 and 48 at B_3 but
-40320 at A_7.  Each q_I costs one m_I over the n roots outside <J> and n
-divided differences, and grows quickly with n and |I|.  Both run on
+40320 at A_7.  The q_I of a batch share one table of m_R over the n roots
+outside <J>, and each costs n divided differences; both grow quickly with
+n and |I|.  Both run on
 `SparsePoly` with `int` coefficients, as the roots and the closed form are
 integral, so no `Fraction` arises before q_I is evaluated at xi.  The CLI
 caps the rank, n and |I| - n (`COADJOINT_MAX_*` in `genus_forge.cli`) so
@@ -32,7 +36,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
-from .localization import FixedPointData, relation_coefficient
+from .localization import FixedPointData, relation_coefficients
 from .sparsepoly import SparsePoly
 from .symfunc import check_partition, monomial_sym_eval, partition_str
 
@@ -329,26 +333,29 @@ def divided_difference_word(rs: RootSystem, word: Sequence[int],
     return poly
 
 
-def q_I_via_divided_diff(orbit: OrbitSpec, I: Sequence[int]) -> SparsePoly:
-    """The pushforward of m_I(roots outside <J>) along the longest coset
-    representative; degree |I| - n, constant for |I| = n.
+def q_I_via_divided_diff(orbit: OrbitSpec,
+                         partitions: Sequence[Sequence[int]]) -> list[SparsePoly]:
+    """For each I in partitions, the pushforward of m_I(roots outside <J>)
+    along the longest coset representative; degree |I| - n, constant for
+    |I| = n.
 
-    Computed once per (orbit, I) and kept on the orbit: it does not depend
-    on the circle direction, so a crosscheck at several directions reuses it.
+    The m_I of the partitions not yet on the orbit come from one
+    `monomial_sym_eval` table over the roots.  Each q_I is kept on the
+    orbit: it does not depend on the circle direction, so a crosscheck at
+    several directions reuses it.
     """
-    I = check_partition(I) if I else ()
-    cached = orbit._q_by_partition.get(I)
-    if cached is not None:
-        return cached
-    values = [orbit.rs.root_polynomial(r) for r in orbit.complement_roots]
-    if len(I) > len(values):
-        raise ValueError("partition has more parts than available roots")
-    poly = monomial_sym_eval(I, values)
-    if not isinstance(poly, SparsePoly):
-        poly = SparsePoly.constant(orbit.rs.variables(), poly)
-    poly = divided_difference_word(orbit.rs, orbit.longest_rep.word, poly)
-    orbit._q_by_partition[I] = poly
-    return poly
+    parts = [check_partition(I) if I else () for I in partitions]
+    missing = [I for I in dict.fromkeys(parts) if I not in orbit._q_by_partition]
+    if missing:
+        values = [orbit.rs.root_polynomial(r) for r in orbit.complement_roots]
+        if any(len(I) > len(values) for I in missing):
+            raise ValueError("partition has more parts than available roots")
+        for I, poly in zip(missing, monomial_sym_eval(missing, values)):
+            if not isinstance(poly, SparsePoly):
+                poly = SparsePoly.constant(orbit.rs.variables(), poly)
+            orbit._q_by_partition[I] = divided_difference_word(
+                orbit.rs, orbit.longest_rep.word, poly)
+    return [orbit._q_by_partition[I] for I in parts]
 
 
 def orbit_fixed_points(orbit: OrbitSpec, xi: Sequence[int]) -> FixedPointData:
@@ -373,13 +380,18 @@ def orbit_fixed_points(orbit: OrbitSpec, xi: Sequence[int]) -> FixedPointData:
     return FixedPointData(orbit.n, points, labels)
 
 
-def crosscheck_qI(orbit: OrbitSpec, I: Sequence[int], xi: Sequence[int]) -> dict:
-    """Both routes to q_I: divided differences vs localization at xi."""
-    I = check_partition(I)
-    poly = q_I_via_divided_diff(orbit, I)
-    algebraic = poly.evaluate([Fraction(x) for x in xi])
-    fpd = orbit_fixed_points(orbit, xi)
-    localized = relation_coefficient(fpd, I)
-    return {"orbit": repr(orbit), "partition": partition_str(I),
-            "xi": list(xi), "ok": algebraic == localized,
-            "divided_difference": algebraic, "localization": localized}
+def crosscheck_qI(orbit: OrbitSpec, partitions: Sequence[Sequence[int]],
+                  xi: Sequence[int]) -> list[dict]:
+    """Both routes to q_I, for each I in partitions: divided differences vs
+    localization at xi, each route with one m_I table for the whole batch."""
+    parts = [check_partition(I) for I in partitions]
+    algebraic = q_I_via_divided_diff(orbit, parts)
+    localized = relation_coefficients(orbit_fixed_points(orbit, xi), parts)
+    point = [Fraction(x) for x in xi]
+    reports = []
+    for I, poly, value in zip(parts, algebraic, localized):
+        at_xi = poly.evaluate(point)
+        reports.append({"orbit": repr(orbit), "partition": partition_str(I),
+                        "xi": list(xi), "ok": at_xi == value,
+                        "divided_difference": at_xi, "localization": value})
+    return reports

@@ -8,6 +8,10 @@ turns integrals into the sums
     C_lambda = sum_P  prod_i e_{lambda_i}(w(P)) / prod_j w_j(P)
     q_I      = sum_P  m_I(w(P)) / prod_j w_j(P).
 
+The q_I of a request come from one `relation_coefficients` call, with one
+integer table of m_R per fixed point: the m_I kernel of this route alone,
+apart from the one of the divided-difference route in `coadjoint`.
+
 For k > n the numbers q_I over partitions I of k assemble into relations
 sum_I q_I * G_{I,N} = 0 among products of Eisenstein series whenever N
 divides the index of the manifold.  For k = n the same sum is the level-N
@@ -20,7 +24,9 @@ fault shows as disagreement.
 
 Equivariant indices are computed from the Atiyah-Segal fixed-point sum
 by an exact t -> 1 limit: substitute t = exp(s), multiply through by s^n
-to clear the order-n pole, and read off the s^n coefficient.  The Hilbert
+to clear the order-n pole, and read off the s^n coefficient.  The factor
+s^n / prod_j (1 - t^-w_j) of a point is built once and kept per weight
+vector, as it does not depend on the numerator.  The Hilbert
 polynomials H_m(x) come from the same sum in one pass, with the twist
 t^(-x W(P)/N) expanded in x, so each coefficient of x is read off directly.
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -43,28 +50,31 @@ from .modular import eisenstein_packed, eisenstein_qexp, f_lambda_table
 from .series import PackedSeries, TruncSeries, exp_series
 from .sparsepoly import SparsePoly
 from .symfunc import (Partition, check_partition, elementary_values,
-                      monomial_sym_eval, partition_sort_key, partition_str,
-                      partitions_at_most)
+                      partition_sort_key, partition_str, partitions_at_most)
 from .text import join_terms
 
 
 class FixedPointData:
     """Isolated fixed points of a circle action: one weight vector per point,
-    checked by `validate` as the data is built."""
+    checked by `validate` as the data is built.  Immutable, with `points` and
+    `labels` held as tuples, so the checked data cannot change afterwards."""
 
     __slots__ = ("n", "points", "labels", "asserted_index")
 
     def __init__(self, n: int, points: Sequence[Sequence[int]],
                  labels: Optional[Sequence[str]] = None,
                  asserted_index: Optional[int] = None) -> None:
-        self.n = int(n)
-        self.points = [tuple(int(w) for w in p) for p in points]
+        points = tuple(tuple(int(w) for w in p) for p in points)
         if labels is None:
-            self.labels = [f"P{i}" for i in range(len(self.points))]
-        else:
-            self.labels = [str(s) for s in labels]
-        self.asserted_index = asserted_index
+            labels = tuple(f"P{i}" for i in range(len(points)))
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "labels", tuple(str(s) for s in labels))
+        object.__setattr__(self, "asserted_index", asserted_index)
         self.validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FixedPointData is immutable")
 
     def validate(self) -> "FixedPointData":
         if self.n < 1:
@@ -247,15 +257,81 @@ def chi_y_from_counts(fpd: FixedPointData) -> SparsePoly:
     return SparsePoly(("y",), terms)
 
 
+def relation_coefficients(fpd: FixedPointData,
+                          partitions: Sequence[Sequence[int]]) -> list[Fraction]:
+    """q_I = sum over P of m_I(w(P)) / prod_j w_j(P), for each I in partitions.
+
+    Each fixed point gets one table of integers m_R(w_1..w_k) over every
+    sub-multiset R of the partitions, grown one weight v = w_k at a time:
+
+        m_R(w_1..w_k) = m_R(w_1..w_(k-1))
+                      + sum over distinct parts e of R of
+                            v^e m_(R minus e)(w_1..w_(k-1)),
+
+    updated longest R first, so that R minus e still holds its value at
+    k - 1.  The values at the points are summed as integers over the lcm of
+    the prod_j w_j(P), so each q_I costs one Fraction.  This kernel belongs
+    to the localization route alone: the divided-difference route evaluates
+    m_I with `symfunc.monomial_sym_eval`, so a fault in either shows as a
+    crosscheck mismatch.
+    """
+    parts = [check_partition(I) if I else () for I in partitions]
+    if any(len(I) > fpd.n for I in parts):
+        raise ValueError("partition has more parts than there are weights")
+    steps, closure = _table_steps(parts, fpd.n)
+    top = max((I[0] for I in parts if I), default=0)
+    dens = [prod(weights) for weights in fpd.points]
+    common = lcm(*dens)
+    totals = [0] * len(parts)
+    for weights, den in zip(fpd.points, dens):
+        table = dict.fromkeys(closure, 0)
+        table[()] = 1
+        for v, active in zip(weights, steps):
+            powers = [1, v]
+            for _ in range(top - 1):
+                powers.append(powers[-1] * v)
+            for R, pairs in active:
+                total = table[R]
+                for e, rest in pairs:
+                    total += powers[e] * table[rest]
+                table[R] = total
+        scale = common // den
+        totals = [t + scale * table[I] for t, I in zip(totals, parts)]
+    return [Fraction(t, common) for t in totals]
+
+
+def _table_steps(parts: Sequence[Partition], n: int):
+    """The update schedule of the m_R table for n weights, and its keys.
+
+    Entry k - 1 lists the R to update at weight k, longest first, each with
+    its (e, R minus e) pairs over the distinct parts e.  An R updates at
+    weight k when it has at most k parts (m_R is 0 before) and can still
+    grow into a requested I: a requested I that contains R has at most
+    n - k more parts.
+    """
+    by_length: list[dict] = [{} for _ in range(max(map(len, parts), default=0) + 1)]
+    for I in parts:
+        by_length[len(I)][I] = 0   # R -> fewest parts some requested I adds to R
+    pairs = {}
+    for length in range(len(by_length) - 1, 0, -1):
+        shorter = by_length[length - 1]
+        for R, slack in by_length[length].items():
+            pairs[R] = []
+            for i, e in enumerate(R):
+                if i and R[i - 1] == e:
+                    continue
+                rest = R[:i] + R[i + 1:]
+                pairs[R].append((e, rest))
+                shorter[rest] = min(shorter.get(rest, slack + 1), slack + 1)
+    steps = [[(R, pairs[R]) for length in range(min(k, len(by_length) - 1), 0, -1)
+              for R, slack in by_length[length].items() if k <= n - slack]
+             for k in range(1, n + 1)]
+    return steps, [*pairs, ()]
+
+
 def relation_coefficient(fpd: FixedPointData, I: Sequence[int]) -> Fraction:
     """q_I = sum over P of m_I(weights) / product of weights."""
-    I = check_partition(I) if I else ()
-    if len(I) > fpd.n:
-        raise ValueError("partition has more parts than there are weights")
-    total = Fraction(0)
-    for weights in fpd.points:
-        total += monomial_sym_eval(I, weights) / prod(weights)
-    return total
+    return relation_coefficients(fpd, [I])[0]
 
 
 # -- relations among Eisenstein series ------------------------------------------------
@@ -325,30 +401,38 @@ class Relation:
         return f"<Relation n={self.n} k={self.k} N={self.N}: {self.render()}>"
 
 
-def build_relation(fpd: FixedPointData, N: int, k: int) -> Relation:
-    """The raw relation sum_I q_I G_{I,N} = 0 for partitions I of k.
+def build_relations(fpd: FixedPointData, N: int, ks: Sequence[int]) -> list[Relation]:
+    """The raw relations sum_I q_I G_{I,N} = 0 over partitions I of k, for
+    each k in ks, with every q_I from one `relation_coefficients` table.
 
-    For k > n it holds when N divides the index of the underlying manifold;
-    the weights alone cannot certify that, so the assumption is recorded (or
-    checked against an asserted index when the data carries one).  For
-    k = n the sum is the level-N genus itself, which N | index does not make
-    vanish: it does on CP^n, but not on the quadric Q^3 at N = 3.
+    For k > n a relation holds when N divides the index of the underlying
+    manifold; the weights alone cannot certify that, so the assumption is
+    recorded (or checked against an asserted index when the data carries
+    one).  For k = n the sum is the level-N genus itself, which N | index
+    does not make vanish: it does on CP^n, but not on the quadric Q^3 at N = 3.
     """
     if N < 2:
         raise ValueError("Eisenstein level must be at least 2")
-    if k < fpd.n:
-        raise ValueError(f"below localization degree: k={k} < n={fpd.n}")
+    for k in ks:
+        if k < fpd.n:
+            raise ValueError(f"below localization degree: k={k} < n={fpd.n}")
     if fpd.asserted_index is not None and fpd.asserted_index % N:
         raise ValueError(f"N={N} does not divide the asserted index "
                          f"{fpd.asserted_index}")
-    terms = [(I, relation_coefficient(fpd, I))
-             for I in partitions_at_most(k, fpd.n)]
+    groups = [partitions_at_most(k, fpd.n) for k in ks]
+    coefficients = iter(relation_coefficients(fpd, [I for group in groups for I in group]))
     if fpd.asserted_index is not None:
         assumption = f"index {fpd.asserted_index} divisible by N={N}"
     else:
         assumption = f"caller asserts N={N} divides the index"
     provenance = f"{fpd.describe()}; {assumption}"
-    return Relation(fpd.n, k, N, terms, provenance)
+    return [Relation(fpd.n, k, N, [(I, next(coefficients)) for I in group], provenance)
+            for k, group in zip(ks, groups)]
+
+
+def build_relation(fpd: FixedPointData, N: int, k: int) -> Relation:
+    """The raw relation sum_I q_I G_{I,N} = 0 for partitions I of k."""
+    return build_relations(fpd, N, [k])[0]
 
 
 @lru_cache(maxsize=None)
@@ -399,8 +483,8 @@ def genus_qexp(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
     with the products G_I on the packed kernel."""
     if N < 2:
         raise ValueError("the level-N genus needs N >= 2")
-    return _relation_sum([(I, relation_coefficient(fpd, I))
-                          for I in partitions_at_most(fpd.n, fpd.n)],
+    partitions = partitions_at_most(fpd.n, fpd.n)
+    return _relation_sum(zip(partitions, relation_coefficients(fpd, partitions)),
                          N, q_precision)
 
 
@@ -417,22 +501,29 @@ def genus_via_chern(fpd: FixedPointData, N: int, q_precision: int) -> TruncSerie
 # -- equivariant indices and the t -> 1 limit ------------------------------------------
 
 
-def _localized_term(weights: Sequence[int], terms, order: int) -> TruncSeries:
+def _localized_term(weights: tuple[int, ...], terms, order: int) -> TruncSeries:
     """s^n num(t) / prod_j (1 - t^-w_j) at t = exp(s), through s^(order-1),
-    for num(t) = sum c t^a over the (a, c) in terms, a rational.
-
-    Each factor 1 - exp(-w s) is w s times the unit sum_m (-w s)^m / (m+1)!,
-    so s^n cancels and what is left is num(s) / (unit(s) prod_j w_j).
-    """
+    for num(t) = sum c t^a over the (a, c) in terms, a rational."""
     num = TruncSeries.zero("s", order)
     for a, c in terms:
         num = num + exp_series("s", a, order) * c
+    return num * _unit_factor(weights, order)
+
+
+@lru_cache(maxsize=256)
+def _unit_factor(weights: tuple[int, ...], order: int) -> TruncSeries:
+    """s^n / prod_j (1 - exp(-w_j s)), through s^(order-1).
+
+    Each factor 1 - exp(-w s) is w s times the unit sum_m (-w s)^m / (m+1)!,
+    so s^n cancels and what is left is 1 / (unit(s) prod_j w_j).  It does not
+    depend on the numerator, so each point builds it once for all its terms.
+    """
     unit = TruncSeries("s", {0: Fraction(1)}, cutoff=order)
     for w in weights:
         unit = unit * TruncSeries(
             "s", {m: Fraction((-w) ** m, factorial(m + 1)) for m in range(order)},
             cutoff=order)
-    return num * unit.inverse() * Fraction(1, prod(weights))
+    return unit.inverse() * Fraction(1, prod(weights))
 
 
 def equivariant_index_limit(fpd: FixedPointData, numerators) -> Fraction:
@@ -472,8 +563,8 @@ def hilbert_polynomial(fpd: FixedPointData, N: int, m: int) -> SparsePoly:
     n = fpd.n
     by_power = [TruncSeries.zero("s", n + 1)] * (n + 1)   # x^i: s^(i+j) at key j
     for weights in fpd.points:
-        e_m = [(-sum(subset), 1) for subset in combinations(weights, m)]
-        term = _localized_term(weights, e_m, n + 1)
+        e_m = Counter(-sum(subset) for subset in combinations(weights, m))
+        term = _localized_term(weights, e_m.items(), n + 1)
         rate = Fraction(-sum(weights), N)
         by_power = [total + term * (rate ** i / factorial(i))
                     for i, total in enumerate(by_power)]

@@ -88,6 +88,17 @@ class TruncSeries:
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _raw(cls, var: str, coeffs: dict, cutoff: int) -> "TruncSeries":
+        """Trusted construction, with nothing checked or dropped: coeffs
+        must have int keys in [0, cutoff) and no zero coefficient, as this
+        class's own arithmetic builds them."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
 
@@ -132,15 +143,17 @@ class TruncSeries:
             for k, c in other.coeffs.items():
                 s = merged.get(k)
                 merged[k] = c if s is None else s + c
-            return TruncSeries(self.var, merged, cutoff=cut)
-        merged[0] = merged.get(0, Fraction(0)) + other
-        return TruncSeries(self.var, merged, cutoff=self.cutoff)
+        else:
+            cut = self.cutoff
+            merged[0] = merged.get(0, Fraction(0)) + other
+        return TruncSeries._raw(self.var, {k: c for k, c in merged.items()
+                                           if k < cut and c}, cut)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.var, {k: -c for k, c in self.coeffs.items()},
-                           cutoff=self.cutoff)
+        return TruncSeries._raw(self.var, {k: -c for k, c in self.coeffs.items()},
+                                self.cutoff)
 
     def __sub__(self, other):
         return self + (-other)
@@ -155,13 +168,12 @@ class TruncSeries:
             raise ValueError("series variable mismatch")
         if not self.coeffs or not other.coeffs:
             cut = min(self.cutoff, other.cutoff)
-            return TruncSeries(self.var, {}, cutoff=cut)
+            return TruncSeries._raw(self.var, {}, cut)
         cut = min(self.cutoff + min(other.coeffs), other.cutoff + min(self.coeffs))
         level = _field_level(self.coeffs, other.coeffs)
         if level is not None:
-            return TruncSeries(self.var, _field_product(level, self.coeffs,
-                                                        other.coeffs, cut),
-                               cutoff=cut)
+            return TruncSeries._raw(self.var, _field_product(level, self.coeffs,
+                                                             other.coeffs, cut), cut)
         out = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
@@ -171,15 +183,14 @@ class TruncSeries:
                 prod = a * b
                 s = out.get(k)
                 out[k] = prod if s is None else s + prod
-        return TruncSeries(self.var, out, cutoff=cut)
+        return TruncSeries._raw(self.var, {k: c for k, c in out.items() if c}, cut)
 
     __rmul__ = __mul__
 
     def _scale(self, factor):
-        out = {}
-        for k, c in self.coeffs.items():
-            out[k] = c * factor
-        return TruncSeries(self.var, out, cutoff=self.cutoff)
+        # exact coefficients have no zero divisors: only a zero factor gives zeros
+        out = {k: c * factor for k, c in self.coeffs.items()} if factor else {}
+        return TruncSeries._raw(self.var, out, self.cutoff)
 
     def inverse(self) -> "TruncSeries":
         """1/self; the constant term must be nonzero."""
@@ -199,7 +210,7 @@ class TruncSeries:
                 s = t if s is None else s + t
             if s is not None and s:
                 inv[k] = -(c0_inv * s)
-        return TruncSeries(self.var, inv, cutoff=self.cutoff)
+        return TruncSeries._raw(self.var, inv, self.cutoff)
 
     # -- text form ---------------------------------------------------------------
 

@@ -101,43 +101,58 @@ def _distinct_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
-def monomial_sym_eval(I: Sequence[int], values: Sequence):
-    """m_I at concrete values, by recursion on the last value v_k:
+def monomial_sym_eval(partitions: Sequence[Sequence[int]], values: Sequence) -> list:
+    """m_I at concrete values, for each I in partitions, from one table.
+
+    The table holds m_R(v_1..v_k) for every sub-multiset R of the
+    partitions and grows by recursion on the last value v_k:
 
         m_R(v_1..v_k) = m_R(v_1..v_{k-1})                 [0 if |R| = k]
                       + sum over distinct parts e of R of
                             v_k^e * m_{R minus e}(v_1..v_{k-1}),
 
-    in one table over the sub-multisets R of I, updated in place with the
-    longer R first so that R minus e still holds its value at k - 1.  This
-    sums the monomials of `monomial_sym_poly` with far fewer products.
+    updated in place with the longer R first so that R minus e still holds
+    its value at k - 1.  Partitions that share sub-multisets share their
+    entries, and v_k^e is formed once per k and e.  This is the m_I of the
+    divided-difference route, whose values are the roots as `SparsePoly`;
+    any ring with + and * works, and an integer result comes back as a
+    `Fraction`.
     """
-    I = check_partition(I) if I else ()
+    parts = [check_partition(I) if I else () for I in partitions]
     n = len(values)
-    if n < len(I):
-        raise ValueError("monomial symmetric function needs at least "
-                         f"{len(I)} values, got {len(values)}")
-    table: dict = {(): 1}  # m_R(v_1..v_k), and 0 for an R longer than k
-    for part in I:  # parts arrive non-increasing, so R + (part,) stays sorted
-        table.update({R + (part,): 0 for R in table})
-    longest_first = sorted(table, key=len, reverse=True)
+    for I in parts:
+        if n < len(I):
+            raise ValueError("monomial symmetric function needs at least "
+                             f"{len(I)} values, got {n}")
+    # R -> [(e, R minus e) over distinct parts e]; `last` is the last k at
+    # which R can still grow into some requested I, which needs len(I) - len(R)
+    # more values
+    removals: dict = {}
+    last = {I: n for I in parts}
+    longest_first = []
+    for length in range(max(map(len, parts), default=0), 0, -1):
+        level = [R for R in last if len(R) == length]
+        longest_first += level
+        for R in level:
+            removals[R] = [(e, R[:i] + R[i + 1:]) for i, e in enumerate(R)
+                           if not i or R[i - 1] != e]
+            for _, rest in removals[R]:
+                last[rest] = max(last.get(rest, 0), last[R] - 1)
+    table: dict = dict.fromkeys(last, 0)
+    table[()] = 1
     for k, v in enumerate(values, start=1):
-        # an R shorter than len(I) - (n - k) cannot grow back to I in time
-        lo = max(len(I) - (n - k), 1)
-        powers: dict = {}
-        for R in (R for R in longest_first if lo <= len(R) <= k):
+        active = [R for R in longest_first if len(R) <= k <= last[R]]
+        top = max((R[0] for R in active), default=0)
+        powers = [1, v]
+        for _ in range(top - 1):
+            powers.append(powers[-1] * v)
+        for R in active:
             total = table[R]
-            for i, e in enumerate(R):
-                if i and R[i - 1] == e:
-                    continue
-                p = powers.get(e)
-                if p is None:
-                    p = powers[e] = v ** e
-                rest = R[:i] + R[i + 1:]
-                total = total + (p * table[rest] if rest else p)
+            for e, rest in removals[R]:
+                total = total + (powers[e] * table[rest] if rest else powers[e])
             table[R] = total
-    total = table[I]
-    return Fraction(total) if isinstance(total, int) else total
+    return [Fraction(table[I]) if isinstance(table[I], int) else table[I]
+            for I in parts]
 
 
 def monomial_sym_poly(I: Sequence[int], variables: Sequence[str]) -> SparsePoly:

@@ -123,9 +123,9 @@ def test_divided_differences_reuse_the_simple_reflections(monkeypatch):
     monkeypatch.setattr(WeylElement, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
     orbit = cpn_orbit(4)
-    for k in (orbit.n, orbit.n + 1):
-        for I in partitions_at_most(k, orbit.n):
-            assert crosscheck_qI(orbit, I, (5, 1, -2, 3, -4))["ok"]
+    partitions = [I for k in (orbit.n, orbit.n + 1) for I in partitions_at_most(k, orbit.n)]
+    for report in crosscheck_qI(orbit, partitions, (5, 1, -2, 3, -4)):
+        assert report["ok"]
     assert len(built) == len(orbit.cosets) + 1
     with pytest.raises(ValueError):
         divided_difference(orbit.rs, 0, SparsePoly.zero(orbit.rs.variables()))
@@ -237,15 +237,14 @@ def test_orbit_J_validation():
 
 def test_q_degree_law():
     orbit = cpn_orbit(2)
+    q1, q2, q11, q31 = q_I_via_divided_diff(orbit, [(1,), (2,), (1, 1), (3, 1)])
     # |I| < n: the divided-difference operator kills the polynomial
-    assert q_I_via_divided_diff(orbit, (1,)) == SparsePoly.zero(
-        orbit.rs.variables())
+    assert q1 == SparsePoly.zero(orbit.rs.variables())
     # |I| = n: constants (Chern-number combinations)
     vs = orbit.rs.variables()
-    assert q_I_via_divided_diff(orbit, (2,)) == SparsePoly.constant(vs, 3)
-    assert q_I_via_divided_diff(orbit, (1, 1)) == SparsePoly.constant(vs, 3)
+    assert q2 == SparsePoly.constant(vs, 3)
+    assert q11 == SparsePoly.constant(vs, 3)
     # |I| > n: homogeneous of degree |I| - n
-    q31 = q_I_via_divided_diff(orbit, (3, 1))
     assert _poly_degree(q31) == 2
 
 
@@ -254,24 +253,25 @@ def test_cp1_q_values():
     vs = orbit.rs.variables()
     x1 = SparsePoly.variable("x1", vs)
     x2 = SparsePoly.variable("x2", vs)
-    assert q_I_via_divided_diff(orbit, (1,)) == SparsePoly.constant(vs, 2)
-    assert q_I_via_divided_diff(orbit, (2,)) == SparsePoly.zero(vs)
-    assert q_I_via_divided_diff(orbit, (3,)) == 2 * (x1 - x2) ** 2
+    q1, q2, q3 = q_I_via_divided_diff(orbit, [(1,), (2,), (3,)])
+    assert q1 == SparsePoly.constant(vs, 2)
+    assert q2 == SparsePoly.zero(vs)
+    assert q3 == 2 * (x1 - x2) ** 2
 
 
 def test_q_I_is_reused_per_orbit():
     orbit = grassmannian_orbit(2)
     for I in ((3,), (2, 1, 1), (4, 1)):
-        first = q_I_via_divided_diff(orbit, I)
-        assert q_I_via_divided_diff(orbit, list(I)) is first
-        assert q_I_via_divided_diff(grassmannian_orbit(2), I) == first
+        [first] = q_I_via_divided_diff(orbit, [I])
+        assert q_I_via_divided_diff(orbit, [list(I)])[0] is first
+        assert q_I_via_divided_diff(grassmannian_orbit(2), [I]) == [first]
     with pytest.raises(ValueError, match="more parts"):
-        q_I_via_divided_diff(orbit, (1, 1, 1, 1))
+        q_I_via_divided_diff(orbit, [(1, 1, 1, 1)])
 
 
 def test_grassmannian_fixed_points_pinned():
     fpd = orbit_fixed_points(grassmannian_orbit(2), (5, 2))
-    assert fpd.points == [(3, 7, 5), (-3, 7, 2), (-7, 3, -2), (-7, -3, -5)]
+    assert fpd.points == ((3, 7, 5), (-3, 7, 2), (-7, 3, -2), (-7, -3, -5))
 
 
 def test_cpn_orbit_matches_projective_space_model():
@@ -288,11 +288,10 @@ def test_crosscheck_grid():
     cases = [(cpn_orbit(1), (0, -3)), (cpn_orbit(2), (1, 5, -3)),
              (grassmannian_orbit(2), (5, 2))]
     for orbit, xi in cases:
-        for k in range(orbit.n, orbit.n + 3):
-            from genus_forge.symfunc import partitions_at_most
-            for I in partitions_at_most(k, orbit.n):
-                report = crosscheck_qI(orbit, I, xi)
-                assert report["ok"], report
+        partitions = [I for k in range(orbit.n, orbit.n + 3)
+                      for I in partitions_at_most(k, orbit.n)]
+        for report in crosscheck_qI(orbit, partitions, xi):
+            assert report["ok"], report
 
 
 def test_wrong_composition_order_fails_crosscheck():
@@ -302,7 +301,7 @@ def test_wrong_composition_order_fails_crosscheck():
     xi = (1, 5, -3)
     I = (3, 1)
     values = [orbit.rs.root_polynomial(r) for r in orbit.complement_roots]
-    poly = monomial_sym_eval(I, values)
+    [poly] = monomial_sym_eval([I], values)
     for j in orbit.longest_rep.word:               # forward, not reversed
         poly = divided_difference(orbit.rs, j, poly)
     algebraic = poly.evaluate([Fraction(x) for x in xi])
@@ -338,3 +337,40 @@ def test_b2_weights_are_integral():
     for I in ((3,), (2, 1), (1, 1, 1), (4,)):
         value = relation_coefficient(fpd, I)
         assert value.denominator == 1
+
+
+def test_crosscheck_builds_one_table_and_one_fixed_point_set(monkeypatch):
+    from genus_forge import coadjoint
+    calls = {"orbit_fixed_points": 0, "monomial_sym_eval": 0}
+    for name in calls:
+        original = getattr(coadjoint, name)
+        monkeypatch.setattr(coadjoint, name,
+                            lambda *a, _f=original, _n=name: calls.__setitem__(
+                                _n, calls[_n] + 1) or _f(*a))
+    orbit = grassmannian_orbit(2)
+    partitions = [I for k in range(3, 6) for I in partitions_at_most(k, 3)]
+    reports = crosscheck_qI(orbit, partitions, (5, 2))
+    assert [r["partition"] for r in reports] == [
+        "[" + ",".join(map(str, I)) + "]" for I in partitions]
+    assert all(r["ok"] for r in reports)
+    assert calls == {"orbit_fixed_points": 1, "monomial_sym_eval": 1}
+
+
+def test_broken_monomial_kernel_shows_as_a_crosscheck_mismatch(monkeypatch):
+    # the localization route has its own m_I table: breaking the kernel of
+    # the divided-difference route everywhere it is bound must not break both
+    from genus_forge import acceptance, cli, coadjoint, localization, symfunc
+    original = symfunc.monomial_sym_eval
+    assert not hasattr(localization, "monomial_sym_eval")
+
+    def doubled(partitions, values):
+        return [2 * v for v in original(partitions, values)]
+
+    for module in (symfunc, coadjoint, localization, acceptance, cli):
+        if getattr(module, "monomial_sym_eval", None) is original:
+            monkeypatch.setattr(module, "monomial_sym_eval", doubled)
+    orbit = cpn_orbit(2)      # a fresh orbit keeps no q_I from earlier tests
+    reports = crosscheck_qI(orbit, [(2,), (1, 1), (3, 1)], (1, 5, -3))
+    assert [r["ok"] for r in reports] == [False, False, False]
+    assert [r["divided_difference"] for r in reports] == [
+        2 * r["localization"] for r in reports]

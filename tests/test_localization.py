@@ -2,15 +2,17 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus_forge import localization
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
                                    orbit_fixed_points)
 from genus_forge.localization import (FixedPointData, Relation, action_type,
-                                      build_relation, chern_number,
+                                      build_relation, build_relations, chern_number,
                                       chi_y_from_counts, cpn_fixed_points,
                                       cpn_hilbert_closed_form, divides_chi_y,
                                       eisenstein_product, equivariant_index_limit,
@@ -18,16 +20,18 @@ from genus_forge.localization import (FixedPointData, Relation, action_type,
                                       genus_via_chern, hilbert_polynomial,
                                       product_fixed_points,
                                       random_product_of_projective_spaces,
-                                      relation_coefficient, verify_relation)
+                                      relation_coefficient, relation_coefficients,
+                                      verify_relation)
+from genus_forge.series import TruncSeries
 from genus_forge.sparsepoly import SparsePoly
-from genus_forge.symfunc import partitions_at_most
+from genus_forge.symfunc import monomial_sym_poly, partitions_at_most
 
 
 def test_cpn_fixed_points_shape():
     fpd = cpn_fixed_points(2, (1, 2))
-    assert fpd.points == [(1, 2), (-1, 1), (-1, -2)]
+    assert fpd.points == ((1, 2), (-1, 1), (-1, -2))
     assert fpd.asserted_index == 3
-    assert fpd.labels == ["P0", "P1", "P2"]
+    assert fpd.labels == ("P0", "P1", "P2")
 
 
 def test_fixed_point_validation():
@@ -44,6 +48,23 @@ def test_fixed_point_validation():
         FixedPointData(1, [(1,), (2,)], ["P"])  # label count
     with pytest.raises(ValueError, match="no fixed points"):
         FixedPointData(1, [])
+
+
+def test_fixed_point_data_is_immutable():
+    fpd = cpn_fixed_points(2, (1, 3))
+    for name, value in (("points", [(0, 1)]), ("labels", ["A"]), ("n", 3),
+                        ("asserted_index", 2)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(fpd, name, value)
+    with pytest.raises((AttributeError, TypeError)):
+        fpd.points.append((1, 1))
+    with pytest.raises(TypeError):
+        fpd.points[0] = (0, 1)
+    with pytest.raises(TypeError):
+        fpd.labels[0] = "A"
+    # the data still reads as it was checked
+    assert fpd.points == ((1, 3), (-1, 2), (-2, -3))
+    assert chern_number(fpd, (2,)) == 3
 
 
 def test_zero_sum_constraint_flag():
@@ -116,6 +137,45 @@ def test_top_degree_weight_independence():
         fpd = cpn_fixed_points(2, ws)
         assert relation_coefficient(fpd, (2,)) == 3
         assert relation_coefficient(fpd, (1, 1)) == 3
+
+
+_weight = st.integers(-9, 9).filter(bool)
+
+
+@given(st.data(), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_relation_coefficients_match_the_monomial_polynomial(data, n):
+    # any nonzero weights, manifold or not: the table is plain arithmetic
+    points = data.draw(st.lists(st.lists(_weight, min_size=n, max_size=n),
+                                min_size=1, max_size=4))
+    parts = st.lists(st.integers(1, 4), max_size=n).map(
+        lambda p: tuple(sorted(p, reverse=True))).filter(lambda p: sum(p) <= 9)
+    batch = data.draw(st.lists(parts, min_size=1, max_size=8))
+    fpd = FixedPointData(n, points)
+    vs = tuple(f"w{i}" for i in range(n))
+    want = [sum((monomial_sym_poly(I, vs).evaluate([Fraction(w) for w in p])
+                 / prod(p) for p in points), Fraction(0)) for I in batch]
+    assert relation_coefficients(fpd, batch) == want
+    assert [relation_coefficient(fpd, I) for I in batch] == want
+
+
+def test_relation_coefficients_reject_long_partitions():
+    with pytest.raises(ValueError, match="more parts"):
+        relation_coefficients(cpn_fixed_points(2, (1, 3)), [(2,), (1, 1, 1)])
+    assert relation_coefficients(cpn_fixed_points(2, (1, 3)), []) == []
+
+
+def test_build_relations_match_one_relation_at_a_time():
+    fpd = cpn_fixed_points(3, (1, -4, 6))
+    together = build_relations(fpd, 2, range(3, 9))
+    assert [rel.k for rel in together] == list(range(3, 9))
+    for rel in together:
+        alone = build_relation(fpd, 2, rel.k)
+        assert rel.to_json() == alone.to_json()
+        assert rel.terms == [(I, relation_coefficient(fpd, I))
+                             for I in partitions_at_most(rel.k, 3)]
+    with pytest.raises(ValueError, match="below localization degree"):
+        build_relations(fpd, 2, [4, 2])
 
 
 def test_relation_above_top_degree_depends_on_weights():
@@ -336,6 +396,19 @@ def test_hilbert_polynomial_vanishes_below_the_index(name):
 def test_hilbert_polynomial_pole_detection(m):
     with pytest.raises(ArithmeticError, match="pole at t=1"):
         hilbert_polynomial(FixedPointData(1, [(1,)]), 1, m)
+
+
+def test_hilbert_builds_each_unit_series_once(monkeypatch):
+    # the inverted unit of a point does not depend on m: one inverse per point
+    localization._unit_factor.cache_clear()
+    inverses = []
+    inverse = TruncSeries.inverse
+    monkeypatch.setattr(TruncSeries, "inverse",
+                        lambda self: inverses.append(1) or inverse(self))
+    fpd = cpn_fixed_points(4, (1, 3, -2, 7))
+    for m in range(5):
+        assert hilbert_polynomial(fpd, 5, m) == cpn_hilbert_closed_form(4, m)
+    assert len(inverses) == len(fpd.points)
 
 
 def test_hilbert_closed_form_samples():

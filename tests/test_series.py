@@ -126,3 +126,22 @@ def test_equality_requires_same_cutoff():
     assert a != b
     assert a == TruncSeries(b.var, b.coeffs, cutoff=4)
     assert q({0: Fraction(7)}) == 7  # scalar comparison
+
+
+@given(st.lists(_coeff, max_size=7), st.lists(_coeff, max_size=7),
+       st.integers(0, 7), st.integers(0, 7), _coeff)
+@settings(max_examples=80, deadline=None)
+def test_arithmetic_results_are_canonical(a_list, b_list, cut_a, cut_b, scalar):
+    # results built by the trusted constructor keep the public one's
+    # invariants: keys below the cutoff, no zero coefficient; b - b and
+    # a + (-a) cancel every key
+    a = q(dict(enumerate(a_list)), cutoff=cut_a)
+    b = q(dict(enumerate(b_list)), cutoff=cut_b)
+    results = [a + b, a - b, b - b, a + (-a), a * b, a * scalar, a + scalar]
+    if a.coeffs.get(0):
+        results.append(a.inverse())
+    for r in results:
+        assert r == TruncSeries(r.var, r.coeffs, cutoff=r.cutoff)
+        assert all(0 <= k < r.cutoff and c for k, c in r.coeffs.items())
+    assert not b - b and not a + (-a)
+    assert (a + b).cutoff == min(cut_a, cut_b)

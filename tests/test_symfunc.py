@@ -39,27 +39,25 @@ def test_partition_str():
 
 def test_monomial_sym_eval_bruteforce_value():
     # orbit sum of x^2 y over three values
-    assert monomial_sym_eval((2, 1), (1, 2, 3)) == 48
-    assert monomial_sym_eval((1, 1), (1, 2, 3)) == 11
-    assert monomial_sym_eval((2,), (1, 2, 3)) == 14
+    assert monomial_sym_eval([(2, 1), (1, 1), (2,)], (1, 2, 3)) == [48, 11, 14]
     # more parts than values is rejected, not silently zero
     with pytest.raises(ValueError):
-        monomial_sym_eval((1, 1), (5,))
-    assert monomial_sym_eval((), (1, 2)) == 1
+        monomial_sym_eval([(1, 1)], (5,))
+    assert monomial_sym_eval([()], (1, 2)) == [1]
 
 
 def test_monomial_sym_eval_repeated_parts_no_double_count():
     # m_[1,1](a, b) = ab exactly once
-    assert monomial_sym_eval((1, 1), (3, 4)) == 12
-    assert monomial_sym_eval((2, 2), (3, 4)) == 144
+    assert monomial_sym_eval([(1, 1), (2, 2)], (3, 4)) == [12, 144]
 
 
 def test_monomial_and_elementary_polys_agree_with_eval():
     values = (Fraction(2), Fraction(-1), Fraction(3))
     vs = ("a", "b", "c")
-    for I in [(1,), (2,), (1, 1), (2, 1), (3, 2, 1)]:
+    partitions = [(1,), (2,), (1, 1), (2, 1), (3, 2, 1)]
+    for I, value in zip(partitions, monomial_sym_eval(partitions, values)):
         poly = monomial_sym_poly(I, vs)
-        assert poly.evaluate(list(values)) == monomial_sym_eval(I, values)
+        assert poly.evaluate(list(values)) == value
     for m in range(4):
         poly = elementary_sym_poly(m, vs)
         assert poly.evaluate(list(values)) == elementary_values(values)[m]
@@ -77,7 +75,7 @@ def test_monomial_sym_eval_matches_reference_over_fractions(data):
     values = data.draw(st.lists(st.fractions(-5, 5, max_denominator=6),
                                 min_size=len(I), max_size=len(I) + 3))
     variables = tuple(f"v{i}" for i in range(len(values)))
-    fast = monomial_sym_eval(I, values)
+    [fast] = monomial_sym_eval([I], values)
     assert isinstance(fast, Fraction)
     assert fast == monomial_sym_poly(I, variables).evaluate(values)
 
@@ -95,7 +93,27 @@ def test_monomial_sym_eval_matches_reference_over_linear_forms(data):
     variables = tuple(f"v{i}" for i in range(len(forms)))
     reference = monomial_sym_poly(I, variables).evaluate(
         forms, one=SparsePoly.constant(xs, 1))
-    assert monomial_sym_eval(I, forms) == reference
+    assert monomial_sym_eval([I], forms) == [reference]
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_monomial_sym_eval_batch_matches_one_partition_at_a_time(data):
+    # one table for the batch, on root-like linear forms, against one table
+    # per partition; batches mix lengths, repeat parts and repeat partitions
+    xs = ("x1", "x2", "x3", "x4")
+    n = data.draw(st.integers(1, 5))
+    forms = []
+    for _ in range(n):
+        i, j = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+        a, b = data.draw(st.sampled_from(((1, -1), (1, 1), (1, 0), (-1, 2))))
+        forms.append(SparsePoly(xs, {tuple(int(m == i) for m in range(4)): a,
+                                     tuple(int(m == j) for m in range(4)): b}))
+    parts = st.lists(st.integers(1, 4), max_size=n).map(
+        lambda p: tuple(sorted(p, reverse=True))).filter(lambda p: sum(p) <= 9)
+    batch = data.draw(st.lists(parts, min_size=1, max_size=6))
+    assert monomial_sym_eval(batch, forms) == [monomial_sym_eval([I], forms)[0]
+                                               for I in batch]
 
 
 def test_elementary_values_running_product():
@@ -112,7 +130,7 @@ def test_monomial_to_elementary_roundtrip():
             expr = monomial_to_elementary(I, n)
             values = [Fraction(rng.randint(-6, 6)) for _ in range(n)]
             e_vals = elementary_values(values)[1:]  # e_1..e_n
-            assert expr.evaluate(e_vals) == monomial_sym_eval(I, values)
+            assert [expr.evaluate(e_vals)] == monomial_sym_eval([I], values)
 
 
 def test_monomial_to_elementary_substitutes_back_exactly():
