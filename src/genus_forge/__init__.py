@@ -7,3 +7,7 @@ differences against fixed-point data, fixed-point Hilbert polynomials
 against closed forms.  All coefficients are rationals or cyclotomic
 numbers; there is no floating point anywhere.
 """
+
+# Seed of the acceptance suite's random draws (`genus-forge selftest --seed`),
+# kept here so that the CLI parser reads it without loading the suite.
+DEFAULT_SEED = 2026

@@ -15,21 +15,21 @@ import random
 import time
 from fractions import Fraction
 
+from . import DEFAULT_SEED
 from .coadjoint import (cpn_orbit, crosscheck_qI, grassmannian_orbit,
                         orbit_fixed_points)
 from .cyclotomic import CyclotomicNumber
+from .fixedpoints import relation_coefficients
 from .localization import (build_relations, chern_number, chi_y_from_counts,
                            cpn_fixed_points, cpn_hilbert_closed_form,
                            general_relation_cpn, genus_qexp,
                            hilbert_polynomial, random_product_of_projective_spaces,
-                           relation_coefficients, verify_relation)
+                           verify_relation)
 from .modular import f_lambda_table, verify_lemma_eisenstein
 from .polytope import (betti_pattern, combinatorial_index, cube_f_vector,
                        h_divisibility, h_from_f, simplex_edges, simplex_f_vector)
 from .sparsepoly import SparsePoly
 from .symfunc import chi_y_power_series, genus_value, partitions_at_most
-
-DEFAULT_SEED = 2026
 
 
 # 1 ------------------------------------------------------------------------------------

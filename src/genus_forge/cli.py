@@ -13,6 +13,10 @@ The default q-precision is 15, overridable with GENUS_FORGE_PREC or
 cap the request exits 2 with a message naming it.  All output is plain
 text, or JSON under --json, with entries sorted so runs are reproducible
 byte for byte.
+
+Each subcommand imports the library modules it runs inside its own
+function, so a request loads only those: `eisenstein` loads no orbit
+code, and `coadjoint` none of the q-series stack.
 """
 
 from __future__ import annotations
@@ -22,20 +26,13 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import acceptance
-from .coadjoint import (OrbitSpec, RootSystem, cpn_orbit, crosscheck_qI,
-                        grassmannian_orbit, orbit_fixed_points,
-                        q_I_via_divided_diff)
-from .cyclotomic import euler_phi
-from .localization import (FixedPointData, build_relations, chi_y_from_counts,
-                           divides_chi_y, genus_qexp, genus_via_chern,
-                           hilbert_polynomial, json_int_list, relation_coefficients,
-                           verify_relation)
-from .modular import eisenstein_qexp, qn_expansion_via_product, series_to_json
-from .polytope import (FHVectors, betti_pattern, combinatorial_index,
-                       h_divisibility)
-from .symfunc import partition_str, partitions_at_most
+from . import DEFAULT_SEED
+
+if TYPE_CHECKING:   # for the annotations only; each subcommand imports its own
+    from .coadjoint import OrbitSpec
+    from .fixedpoints import FixedPointData
 
 
 def _default_precision() -> int:
@@ -60,6 +57,9 @@ def _default_precision() -> int:
 def _load_fixed_points(path: str) -> FixedPointData:
     """Fixed-point data from a JSON file, checked to be a manifold's; a
     dimension n above QSERIES_MAX_DIM is refused before that check."""
+    from .fixedpoints import FixedPointData, relation_coefficients
+    from .symfunc import partition_str, partitions_at_most
+
     with open(path, "r", encoding="utf-8") as fh:
         fpd = FixedPointData.from_json(json.load(fh))
     if fpd.n > QSERIES_MAX_DIM:
@@ -86,6 +86,8 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 
 
 def cmd_eisenstein(args) -> int:
+    from .modular import eisenstein_qexp, series_to_json
+
     _check_qseries_caps(args)
     _check_weight("weight", args.weight)
     series = eisenstein_qexp(args.weight, args.level, args.prec)
@@ -95,6 +97,9 @@ def cmd_eisenstein(args) -> int:
 
 
 def cmd_qn(args) -> int:
+    from .cyclotomic import euler_phi
+    from .modular import qn_expansion_via_product, series_to_json
+
     _check_qseries_caps(args)
     if args.x_order > QN_MAX_X_ORDER:
         raise ValueError(f"--x-order {args.x_order} exceeds the cap "
@@ -112,6 +117,9 @@ def cmd_qn(args) -> int:
 
 
 def cmd_genus(args) -> int:
+    from .localization import genus_qexp, genus_via_chern
+    from .modular import series_to_json
+
     _check_qseries_caps(args)
     fpd = _load_fixed_points(args.fixed_points)
     via_loc = genus_qexp(fpd, args.level, args.prec)
@@ -133,6 +141,8 @@ def cmd_genus(args) -> int:
 
 
 def cmd_chiy(args) -> int:
+    from .localization import chi_y_from_counts, divides_chi_y
+
     fpd = _load_fixed_points(args.fixed_points)
     chi = chi_y_from_counts(fpd)
     euler = chi.evaluate([Fraction(-1)])
@@ -154,6 +164,8 @@ def cmd_chiy(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    from .localization import build_relations, verify_relation
+
     _check_qseries_caps(args)
     _check_weight("k-max", args.k_max)
     fpd = _load_fixed_points(args.fixed_points)
@@ -190,6 +202,8 @@ def cmd_relations(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from .localization import hilbert_polynomial
+
     fpd = _load_fixed_points(args.fixed_points)
     ms = [args.m] if args.m is not None else list(range(fpd.n + 1))
     lines, items = [], []
@@ -245,8 +259,9 @@ def _check_weight(name: str, k: int) -> None:
 # well inside a minute.  Medians of 3 fresh processes, shared 2-core x86-64:
 # - an orbit has one coset, and with --xi one fixed point, per element of
 #   W^J, which for J = () is all of W; with --xi and J = (), A6 (|W| = 5040)
-#   takes 0.43 s and B5 (3840) 0.37 s; past the cap, building the orbit and
-#   its fixed points takes 2.5 s for A7 (40320) and for B6 (46080);
+#   takes 0.42 s and B5 (3840) 0.30 s; past the cap, enumerating the orbit
+#   takes 1.7 s for A7 (40320) and 1.4 s for B6 (46080), and building its
+#   fixed points as well 2.5 s for A7 and 2.6 s for B6;
 # - a crosscheck over |I| = n..n+extra grows with n and with the degree:
 #   with 2 extra degrees CP^6 takes 0.40 s, A4 J=[1,2] (n = 7) 0.61 s and
 #   the slowest admitted orbits, A5 J=[1,3,4,5] and J=[1,2,3,5] (n = 8),
@@ -257,6 +272,8 @@ COADJOINT_MAX_EXTRA_DEGREES = 2  # |I| - n, for --extra-degrees and --partition
 
 
 def _build_orbit(args) -> OrbitSpec:
+    from .coadjoint import OrbitSpec, RootSystem, cpn_orbit, grassmannian_orbit
+
     if args.cpn is not None:
         family, rank, build = "A", args.cpn, cpn_orbit
     elif args.grassmannian is not None:
@@ -274,6 +291,9 @@ def _build_orbit(args) -> OrbitSpec:
 
 
 def cmd_coadjoint(args) -> int:
+    from .coadjoint import crosscheck_qI, orbit_fixed_points, q_I_via_divided_diff
+    from .symfunc import partition_str, partitions_at_most
+
     if not 0 <= args.extra_degrees <= COADJOINT_MAX_EXTRA_DEGREES:
         raise ValueError(f"--extra-degrees must be between 0 and the cap "
                          f"COADJOINT_MAX_EXTRA_DEGREES = "
@@ -325,6 +345,9 @@ def cmd_coadjoint(args) -> int:
 
 
 def cmd_polytope(args) -> int:
+    from .fixedpoints import json_int_list
+    from .polytope import FHVectors, betti_pattern, combinatorial_index, h_divisibility
+
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -374,6 +397,8 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import acceptance
+
     def timing(number, seconds):
         print(f"criterion {number}: {seconds:.3f} s", file=sys.stderr)
 
@@ -511,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Run the ten acceptance criteria; the "
                                    "report goes to stdout and each criterion's "
                                    "wall-clock time to stderr.")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(fn=cmd_selftest)
 
     return parser

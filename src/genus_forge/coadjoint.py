@@ -13,7 +13,8 @@ form on monomials, to the monomial symmetric polynomial m_I evaluated at
 those roots.  `crosscheck_qI` insists the two routes agree exactly, on a
 batch of partitions at one direction: the fixed points are built once,
 and each route evaluates every m_I of the batch from one table of its own
-(`symfunc.monomial_sym_eval` here, `relation_coefficients` in localization).
+(`symfunc.monomial_sym_eval` here, `relation_coefficients` in
+`fixedpoints`).
 
 Weyl elements are stored as signed permutations (w(e_i) = s_i * e_{p_i}).
 An orbit enumerates only the minimal coset representatives W^J, level by
@@ -36,7 +37,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
-from .localization import FixedPointData, relation_coefficients
+from .fixedpoints import FixedPointData, relation_coefficients
 from .sparsepoly import SparsePoly
 from .symfunc import check_partition, monomial_sym_eval, partition_str
 

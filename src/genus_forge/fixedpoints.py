@@ -1,0 +1,193 @@
+"""Fixed-point data of a circle action, and the numbers q_I it determines.
+
+A manifold enters the computation only through its isolated fixed points:
+at each one the n tangent weights are nonzero integers.  `FixedPointData`
+holds them, checked as they are built or read from JSON, and
+`relation_coefficients` sums
+
+    q_I = sum_P  m_I(w(P)) / prod_j w_j(P)
+
+over the points, with one integer table of m_R per fixed point: the m_I
+kernel of the localization route alone, apart from the one of the
+divided-difference route in `coadjoint`.
+
+This module imports only `symfunc`, so a request on coadjoint orbits
+loads none of the q-series stack that `localization` builds on.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+from math import lcm, prod
+from typing import Optional, Sequence
+
+from .symfunc import Partition, check_partition
+
+
+class FixedPointData:
+    """Isolated fixed points of a circle action: one weight vector per point,
+    checked by `validate` as the data is built.  Immutable, with `points` and
+    `labels` held as tuples, so the checked data cannot change afterwards."""
+
+    __slots__ = ("n", "points", "labels", "asserted_index")
+
+    def __init__(self, n: int, points: Sequence[Sequence[int]],
+                 labels: Optional[Sequence[str]] = None,
+                 asserted_index: Optional[int] = None) -> None:
+        points = tuple(tuple(int(w) for w in p) for p in points)
+        if labels is None:
+            labels = tuple(f"P{i}" for i in range(len(points)))
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "labels", tuple(str(s) for s in labels))
+        object.__setattr__(self, "asserted_index", asserted_index)
+        self.validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FixedPointData is immutable")
+
+    def validate(self) -> "FixedPointData":
+        if self.n < 1:
+            raise ValueError("half-dimension n must be at least 1")
+        if not self.points:
+            raise ValueError("no fixed points: a compact manifold with a "
+                             "circle action has at least one")
+        if len(self.labels) != len(self.points):
+            raise ValueError("label list does not match the point list")
+        for label, weights in zip(self.labels, self.points):
+            if len(weights) != self.n:
+                raise ValueError(f"point {label}: expected {self.n} weights, "
+                                 f"got {len(weights)}")
+            for slot, w in enumerate(weights, start=1):
+                if w == 0:
+                    raise ValueError(f"point {label}: zero weight in slot {slot} "
+                                     "(fixed point would not be isolated)")
+        return self
+
+    def weight_sum(self, i: int) -> int:
+        return sum(self.points[i])
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __repr__(self) -> str:
+        return f"<FixedPointData n={self.n}, {len(self.points)} points>"
+
+    def describe(self) -> str:
+        core = f"{len(self.points)} fixed points, n={self.n}"
+        if self.asserted_index is not None:
+            core += f", asserted index {self.asserted_index}"
+        return core
+
+    def to_json(self) -> dict:
+        data = {"n": self.n,
+                "points": [{"label": lab, "weights": list(ws)}
+                           for lab, ws in zip(self.labels, self.points)]}
+        if self.asserted_index is not None:
+            data["asserted_index"] = self.asserted_index
+        return data
+
+    @classmethod
+    def from_json(cls, data) -> "FixedPointData":
+        """Read the JSON form written by `to_json`; a value of the wrong
+        shape is a ValueError, never coerced."""
+        points = data.get("points") if isinstance(data, dict) else None
+        if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):
+            raise ValueError('fixed-point data must be an object with a "points" list '
+                             "of objects")
+        index = data.get("asserted_index")
+        if index is not None and json_int(index, "asserted_index") < 1:
+            raise ValueError(f"asserted_index must be positive, got {index}")
+        for i, label in enumerate(p.get("label", "") for p in points):
+            if type(label) is not str:
+                raise ValueError(f"point {i} label must be a string, got {json.dumps(label)}")
+        return cls(json_int(data.get("n"), "n"),
+                   [json_int_list(p.get("weights"), f"point {i} weights")
+                    for i, p in enumerate(points)],
+                   [p.get("label", f"P{i}") for i, p in enumerate(points)], index)
+
+
+def json_int(value, what: str) -> int:
+    """value, if it is a JSON integer; true, 1.5 and "1" are not."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def json_int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, got {json.dumps(value)}")
+    return [json_int(v, f"{what} entry") for v in value]
+
+
+def relation_coefficients(fpd: FixedPointData,
+                          partitions: Sequence[Sequence[int]]) -> list[Fraction]:
+    """q_I = sum over P of m_I(w(P)) / prod_j w_j(P), for each I in partitions.
+
+    Each fixed point gets one table of integers m_R(w_1..w_k) over every
+    sub-multiset R of the partitions, grown one weight v = w_k at a time:
+
+        m_R(w_1..w_k) = m_R(w_1..w_(k-1))
+                      + sum over distinct parts e of R of
+                            v^e m_(R minus e)(w_1..w_(k-1)),
+
+    updated longest R first, so that R minus e still holds its value at
+    k - 1.  The values at the points are summed as integers over the lcm of
+    the prod_j w_j(P), so each q_I costs one Fraction.  This kernel belongs
+    to the localization route alone: the divided-difference route evaluates
+    m_I with `symfunc.monomial_sym_eval`, so a fault in either shows as a
+    crosscheck mismatch.
+    """
+    parts = [check_partition(I) if I else () for I in partitions]
+    if any(len(I) > fpd.n for I in parts):
+        raise ValueError("partition has more parts than there are weights")
+    steps, closure = _table_steps(parts, fpd.n)
+    top = max((I[0] for I in parts if I), default=0)
+    dens = [prod(weights) for weights in fpd.points]
+    common = lcm(*dens)
+    totals = [0] * len(parts)
+    for weights, den in zip(fpd.points, dens):
+        table = dict.fromkeys(closure, 0)
+        table[()] = 1
+        for v, active in zip(weights, steps):
+            powers = [1, v]
+            for _ in range(top - 1):
+                powers.append(powers[-1] * v)
+            for R, pairs in active:
+                total = table[R]
+                for e, rest in pairs:
+                    total += powers[e] * table[rest]
+                table[R] = total
+        scale = common // den
+        totals = [t + scale * table[I] for t, I in zip(totals, parts)]
+    return [Fraction(t, common) for t in totals]
+
+
+def _table_steps(parts: Sequence[Partition], n: int):
+    """The update schedule of the m_R table for n weights, and its keys.
+
+    Entry k - 1 lists the R to update at weight k, longest first, each with
+    its (e, R minus e) pairs over the distinct parts e.  An R updates at
+    weight k when it has at most k parts (m_R is 0 before) and can still
+    grow into a requested I: a requested I that contains R has at most
+    n - k more parts.
+    """
+    by_length: list[dict] = [{} for _ in range(max(map(len, parts), default=0) + 1)]
+    for I in parts:
+        by_length[len(I)][I] = 0   # R -> fewest parts some requested I adds to R
+    pairs = {}
+    for length in range(len(by_length) - 1, 0, -1):
+        shorter = by_length[length - 1]
+        for R, slack in by_length[length].items():
+            pairs[R] = []
+            for i, e in enumerate(R):
+                if i and R[i - 1] == e:
+                    continue
+                rest = R[:i] + R[i + 1:]
+                pairs[R].append((e, rest))
+                shorter[rest] = min(shorter.get(rest, slack + 1), slack + 1)
+    steps = [[(R, pairs[R]) for length in range(min(k, len(by_length) - 1), 0, -1)
+              for R, slack in by_length[length].items() if k <= n - slack]
+             for k in range(1, n + 1)]
+    return steps, [*pairs, ()]

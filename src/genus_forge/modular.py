@@ -27,7 +27,6 @@ from math import comb, factorial, lcm
 
 from .cyclotomic import CyclotomicNumber, _reduce
 from .series import PackedSeries, TruncSeries, bernoulli
-from .symfunc import GenusSpec, Partition, f_lambda_values
 
 
 @lru_cache(maxsize=None)
@@ -186,8 +185,12 @@ def verify_lemma_eisenstein(N: int, k_max: int, q_precision: int) -> dict:
     return report
 
 
-def f_lambda_table(N: int, n: int, q_precision: int) -> dict[Partition, TruncSeries]:
+def f_lambda_table(N: int, n: int,
+                   q_precision: int) -> dict[tuple[int, ...], TruncSeries]:
     """f_lambda for partitions of n, with a_k = G_{k,N}: q-series over Q(zeta_N)."""
+    # local import: eisenstein and qn requests never load symfunc
+    from .symfunc import GenusSpec, f_lambda_values
+
     one = TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=q_precision)
     spec = GenusSpec([one] + [eisenstein_qexp(k, N, q_precision)
                               for k in range(1, n + 1)])

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genus_forge
 from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DIM,
                              COADJOINT_MAX_RANK, QN_MAX_PHI_PREC, QN_MAX_X_ORDER,
                              QSERIES_MAX_DIM, QSERIES_MAX_LEVEL, QSERIES_MAX_PREC,
@@ -653,3 +655,73 @@ def test_selftest(capsys):
     assert len(lines) == 10
     for number, line in enumerate(lines, 1):
         assert re.fullmatch(rf"criterion {number}: \d+\.\d{{3}} s", line)
+
+
+def test_selftest_default_seed_is_2026(capsys):
+    from genus_forge import acceptance
+    from genus_forge.cli import build_parser
+    assert build_parser().parse_args(["selftest"]).seed == acceptance.DEFAULT_SEED == 2026
+    assert main(["selftest"]) == 0
+    default = capsys.readouterr().out
+    assert main(["selftest", "--seed", "2026"]) == 0
+    assert capsys.readouterr().out == default
+
+
+# Each request imports only the modules it runs: the exact genus_forge
+# modules that one request leaves in sys.modules of a fresh interpreter,
+# keyed by a stem of _GOLDEN (None: importing the CLI and building its
+# parser, as the benchmark's start-up does).  A module-level import added
+# to the CLI or to a library module changes some set here.
+_CLI = {"genus_forge", "genus_forge.cli"}
+_QSERIES = _CLI | {f"genus_forge.{m}" for m in ("cyclotomic", "modular", "series", "text")}
+_FIXED_POINTS = {f"genus_forge.{m}" for m in ("fixedpoints", "symfunc", "sparsepoly", "text")}
+_LOCALIZATION = _QSERIES | _FIXED_POINTS | {"genus_forge.localization"}
+_ORBITS = _CLI | _FIXED_POINTS | {"genus_forge.coadjoint"}
+_IMPORTED = {
+    None: _CLI,
+    "eisenstein_3_5": _QSERIES,
+    "qn_5": _QSERIES,
+    "genus_cp2_4": _LOCALIZATION,
+    "relations_cp2": _LOCALIZATION,
+    "chiy_cp3_k3": _LOCALIZATION,
+    "hilbert_q3": _LOCALIZATION,
+    "coadjoint_a3": _ORBITS,             # --xi and --crosscheck
+    "coadjoint_a3_q4211": _ORBITS,       # no --xi
+    "polytope_cube_k3": _CLI | _FIXED_POINTS | {"genus_forge.polytope"},
+    "selftest": _LOCALIZATION | _ORBITS | {"genus_forge.acceptance",
+                                           "genus_forge.polytope"},
+}
+_REQUEST = """
+import json, sys
+from genus_forge import cli
+out, argv = sys.argv[1], sys.argv[2:]
+if argv:
+    code = cli.main(argv)
+else:
+    cli.build_parser()
+    code = 0
+with open(out, "w") as fh:
+    json.dump(sorted(m for m in sys.modules if m.partition(".")[0] == "genus_forge"), fh)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("stem", list(_IMPORTED), ids=str)
+def test_each_request_imports_only_the_modules_it_runs(stem, tmp_path):
+    if stem is None:
+        code, argv, golden = 0, [], ""
+    elif stem == "selftest":
+        code, argv = 0, ["selftest"]
+        golden = (_DATA / "selftest.txt").read_text(encoding="utf-8")
+    else:
+        code, argv = _GOLDEN[stem]
+        argv = [arg.format(**_golden_inputs(tmp_path)) for arg in argv]
+        golden = (_DATA / f"{stem}.txt").read_text(encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GENUS_FORGE_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(genus_forge.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    out = tmp_path / "modules.json"
+    proc = subprocess.run([sys.executable, "-c", _REQUEST, str(out), *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, golden), proc.stderr
+    assert set(json.loads(out.read_text())) == _IMPORTED[stem]

@@ -359,14 +359,16 @@ def test_crosscheck_builds_one_table_and_one_fixed_point_set(monkeypatch):
 def test_broken_monomial_kernel_shows_as_a_crosscheck_mismatch(monkeypatch):
     # the localization route has its own m_I table: breaking the kernel of
     # the divided-difference route everywhere it is bound must not break both
-    from genus_forge import acceptance, cli, coadjoint, localization, symfunc
+    from genus_forge import (acceptance, cli, coadjoint, fixedpoints, localization,
+                             symfunc)
     original = symfunc.monomial_sym_eval
+    assert not hasattr(fixedpoints, "monomial_sym_eval")
     assert not hasattr(localization, "monomial_sym_eval")
 
     def doubled(partitions, values):
         return [2 * v for v in original(partitions, values)]
 
-    for module in (symfunc, coadjoint, localization, acceptance, cli):
+    for module in (symfunc, coadjoint, fixedpoints, localization, acceptance, cli):
         if getattr(module, "monomial_sym_eval", None) is original:
             monkeypatch.setattr(module, "monomial_sym_eval", doubled)
     orbit = cpn_orbit(2)      # a fresh orbit keeps no q_I from earlier tests
