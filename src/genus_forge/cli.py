@@ -8,11 +8,11 @@ stdout pipe closed by its reader.  Input files are checked as they are
 loaded: a value of the wrong JSON shape is rejected, never coerced, and
 fixed-point data must have q_I = 0 for |I| < n, as every manifold does.
 
-The default q-precision is 15, overridable with GENUS_FORGE_PREC or
---prec.  Requests are capped by the *_MAX_* constants below: beyond a
-cap the request exits 2 with a message naming it.  All output is plain
-text, or JSON under --json, with entries sorted so runs are reproducible
-byte for byte.
+The default q-precision is DEFAULT_PREC = 15; --prec sets another.
+Requests are capped by the *_MAX_* constants below: beyond a cap the
+request exits 2 with a message naming it.  All output is plain text, or
+JSON under --json, with entries sorted so runs are reproducible byte for
+byte.
 
 Each subcommand imports the library modules it runs inside its own
 function, so a request loads only those: `eisenstein` loads no orbit
@@ -34,24 +34,7 @@ if TYPE_CHECKING:   # for the annotations only; each subcommand imports its own
     from .coadjoint import OrbitSpec
     from .fixedpoints import FixedPointData
 
-
-def _default_precision() -> int:
-    raw = os.environ.get("GENUS_FORGE_PREC", "")
-    if not raw:
-        return 15
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        print(f"error: GENUS_FORGE_PREC must be a positive integer, got {raw!r}",
-              file=sys.stderr)
-        sys.exit(2)
-    if value > QSERIES_MAX_PREC:
-        print(f"error: GENUS_FORGE_PREC = {value} exceeds the cap "
-              f"QSERIES_MAX_PREC = {QSERIES_MAX_PREC}", file=sys.stderr)
-        sys.exit(2)
-    return value
+DEFAULT_PREC = 15             # q-precision when --prec is not given
 
 
 def _load_fixed_points(path: str) -> FixedPointData:
@@ -232,7 +215,7 @@ def cmd_hilbert(args) -> int:
 #   chiy 0.11 s on CP^7;
 # - qn expands its product on a table growing like N prec^2 x-order^2; its
 #   largest admitted request (level 6, precision 60, x-order 10) takes 0.42 s.
-QSERIES_MAX_PREC = 60         # --prec and GENUS_FORGE_PREC
+QSERIES_MAX_PREC = 60         # --prec
 QSERIES_MAX_LEVEL = 12        # N, for eisenstein, qn, genus and relations
 QN_MAX_X_ORDER = 10           # --x-order
 QN_MAX_PHI_PREC = 150         # phi(N) * --prec, for qn
@@ -429,16 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "series, fixed-point localization, relations, and the "
                     "polytope combinatorics they constrain.")
     sub = parser.add_subparsers(dest="command", required=True)
-    prec = _default_precision()
 
     def common(p, with_prec=True):
         if with_prec:
-            p.add_argument("--prec", type=_positive_int, default=prec,
-                           help=f"q-series precision (default {prec})")
+            p.add_argument("--prec", type=_positive_int, default=DEFAULT_PREC,
+                           help=f"q-series precision (default {DEFAULT_PREC})")
         p.add_argument("--json", action="store_true", help="JSON output")
 
-    caps = (f"Caps (exit 2 beyond them): --prec <= {QSERIES_MAX_PREC}, also for "
-            f"GENUS_FORGE_PREC; level N <= {QSERIES_MAX_LEVEL}.")
+    caps = (f"Caps (exit 2 beyond them): --prec <= {QSERIES_MAX_PREC}; "
+            f"level N <= {QSERIES_MAX_LEVEL}.")
 
     p = sub.add_parser("eisenstein", help="q-expansion of G[k,N]",
                        epilog=f"{caps} Weight k <= {QSERIES_MAX_WEIGHT}.")

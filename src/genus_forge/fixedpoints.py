@@ -65,9 +65,6 @@ class FixedPointData:
                                      "(fixed point would not be isolated)")
         return self
 
-    def weight_sum(self, i: int) -> int:
-        return sum(self.points[i])
-
     def __len__(self) -> int:
         return len(self.points)
 

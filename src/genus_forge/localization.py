@@ -55,8 +55,7 @@ from .symfunc import (Partition, check_partition, elementary_values,
 from .text import join_terms
 
 
-def cpn_fixed_points(n: int, weights: Sequence[int],
-                     require_zero_sum: bool = False) -> FixedPointData:
+def cpn_fixed_points(n: int, weights: Sequence[int]) -> FixedPointData:
     """Standard circle action on complex projective n-space.
 
     At the 0th fixed point the weights are w_1..w_n; at the j-th they are
@@ -68,8 +67,6 @@ def cpn_fixed_points(n: int, weights: Sequence[int],
         raise ValueError(f"need exactly {n} weights")
     if 0 in ws or len(set(ws)) != n:
         raise ValueError("weights must be distinct and nonzero")
-    if require_zero_sum and sum(ws):
-        raise ValueError("weights do not sum to zero")
     points = [tuple(ws)]
     labels = ["P0"]
     for j in range(n):
@@ -92,10 +89,9 @@ def product_fixed_points(a: FixedPointData, b: FixedPointData) -> FixedPointData
     return FixedPointData(a.n + b.n, points, labels, asserted_index=index)
 
 
-def random_product_of_projective_spaces(rng: random.Random, n: int,
-                                        weight_bound: int = 9) -> FixedPointData:
+def random_product_of_projective_spaces(rng: random.Random, n: int) -> FixedPointData:
     """A random product of projective spaces of total half-dimension n,
-    each factor with random distinct nonzero weights in [-bound, bound].
+    each factor with random distinct nonzero weights in [-9, 9].
 
     These are honest manifold models: properties such as the vanishing of
     q_I in low degree are theorems about manifolds, not about arbitrary
@@ -107,7 +103,7 @@ def random_product_of_projective_spaces(rng: random.Random, n: int,
         part = rng.randint(1, remaining)
         parts.append(part)
         remaining -= part
-    pool = [w for w in range(-weight_bound, weight_bound + 1) if w]
+    pool = [w for w in range(-9, 10) if w]
     fpd = None
     for part in parts:
         ws = rng.sample(pool, part)
@@ -117,19 +113,6 @@ def random_product_of_projective_spaces(rng: random.Random, n: int,
 
 
 # -- pointwise localization sums ----------------------------------------------------
-
-
-def action_type(fpd: FixedPointData, N: int) -> dict:
-    """Whether sum of weights mod N is the same at every fixed point."""
-    if N < 1:
-        raise ValueError("modulus must be positive")
-    residue = fpd.weight_sum(0) % N
-    for i in range(1, len(fpd)):
-        if fpd.weight_sum(i) % N != residue:
-            return {"balanced": False,
-                    "witnesses": [(fpd.labels[0], fpd.weight_sum(0)),
-                                  (fpd.labels[i], fpd.weight_sum(i))]}
-    return {"balanced": True, "type": residue}
 
 
 def chern_number(fpd: FixedPointData, lam: Sequence[int]) -> Fraction:
@@ -270,13 +253,11 @@ def build_relation(fpd: FixedPointData, N: int, k: int) -> Relation:
 
 @lru_cache(maxsize=None)
 def _packed_product(I: Partition, N: int, q_precision: int) -> PackedSeries:
-    """G_{I,N} on the packed kernel, for I sorted non-increasing.
+    """G_{I,N} on the packed kernel, for I nonempty and sorted non-increasing.
 
     Memoized on (I, N, precision), and built as G_{I without its last part}
     times G_{last part}, so partitions that share a prefix share its product.
     """
-    if not I:
-        return PackedSeries.one(N, q_precision)
     g = eisenstein_packed(I[-1], N, q_precision)
     return g if len(I) == 1 else _packed_product(I[:-1], N, q_precision) * g
 
@@ -289,8 +270,8 @@ def _relation_sum(terms, N: int, q_precision: int) -> TruncSeries:
 
 
 def eisenstein_product(I: Sequence[int], N: int, q_precision: int) -> TruncSeries:
-    """G_{I,N} = product of G_{i,N} over the parts of I, through
-    q^(q_precision-1)."""
+    """G_{I,N} = product of G_{i,N} over the parts of I, a nonempty
+    partition, through q^(q_precision-1)."""
     I = tuple(sorted(I, reverse=True))
     return _packed_product(I, N, q_precision).to_series()
 

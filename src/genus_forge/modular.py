@@ -189,12 +189,11 @@ def f_lambda_table(N: int, n: int,
                    q_precision: int) -> dict[tuple[int, ...], TruncSeries]:
     """f_lambda for partitions of n, with a_k = G_{k,N}: q-series over Q(zeta_N)."""
     # local import: eisenstein and qn requests never load symfunc
-    from .symfunc import GenusSpec, f_lambda_values
+    from .symfunc import f_lambda_values
 
     one = TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=q_precision)
-    spec = GenusSpec([one] + [eisenstein_qexp(k, N, q_precision)
-                              for k in range(1, n + 1)])
-    return f_lambda_values(spec, n)
+    return f_lambda_values([one] + [eisenstein_qexp(k, N, q_precision)
+                                    for k in range(1, n + 1)], n)
 
 
 # -- JSON shape shared with the command line ------------------------------------------

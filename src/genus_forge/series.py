@@ -111,10 +111,15 @@ class TruncSeries:
     # -- basic queries --------------------------------------------------------
 
     def coeff(self, key: int):
-        """Coefficient at exponent key (zero for absent trusted keys)."""
+        """Coefficient at exponent key, which must be below the cutoff.  An
+        absent key reads as c * 0 for a stored coefficient c, a zero of the
+        coefficients' own domain; only a series that stores nothing gives
+        Fraction(0)."""
         if key >= self.cutoff:
             raise ValueError(f"exponent {key} is beyond the trusted cutoff")
-        return self.coeffs.get(key, Fraction(0))
+        if key in self.coeffs:
+            return self.coeffs[key]
+        return next(iter(self.coeffs.values()), Fraction(0)) * 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -262,13 +267,6 @@ class PackedSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("PackedSeries is immutable")
-
-    @classmethod
-    def one(cls, level: int, precision: int) -> "PackedSeries":
-        entries = [0] * (precision * euler_phi(level))
-        if entries:
-            entries[0] = 1
-        return cls(level, precision, entries)
 
     def __bool__(self) -> bool:
         return any(self.entries)

@@ -230,62 +230,21 @@ def monomial_to_elementary(I: Partition, n: int) -> SparsePoly:
     return SparsePoly(tuple(f"e{i}" for i in range(1, n + 1)), terms)
 
 
-# -- genus specifications ------------------------------------------------------------
+# -- genera from the coefficients a_0..a_m of Q(x) ----------------------------------
 
 
-class GenusSpec:
-    """The coefficient list a_0..a_n of Q(x), over any exact domain."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Sequence) -> None:
-        coeffs = tuple(coefficients)
-        if not coeffs:
-            raise ValueError("a genus needs at least the constant coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GenusSpec is immutable")
-
-    @property
-    def order(self) -> int:
-        """Largest index with a stored coefficient."""
-        return len(self.coefficients) - 1
-
-    def one(self):
-        """Multiplicative identity of the coefficient domain."""
-        return self.coefficients[0] * 0 + 1
-
-    @classmethod
-    def symbolic(cls, n: int) -> "GenusSpec":
-        """Coefficients as indeterminates a_0..a_n."""
-        avars = tuple(f"a{k}" for k in range(n + 1))
-        return cls([SparsePoly.variable(v, avars) for v in avars])
-
-
-def _genus_spec_vars(spec: GenusSpec) -> tuple[str, ...]:
-    seen: list[str] = []
-    for c in spec.coefficients:
-        if isinstance(c, SparsePoly):
-            for v in c.vars:
-                if v not in seen:
-                    seen.append(v)
-    return tuple(seen)
-
-
-def f_lambda_values(spec: GenusSpec, n: int) -> dict[Partition, object]:
-    """f_lambda for all partitions lambda of n, at the spec's coefficients
-    (any exact domain): the sum over partitions I of n of
+def f_lambda_values(a: Sequence, n: int) -> dict[Partition, object]:
+    """f_lambda for all partitions lambda of n, at the coefficients a_0..a_m
+    of Q(x), m >= n, in any exact domain: the sum over partitions I of n of
 
         [e_lambda] m_I * a_0^(n - len(I)) * a_{I_1} * ... * a_{I_l},
 
     with [e_lambda] m_I read from `monomial_to_elementary(I, n)`.  Each
     product of a's extends its prefix's product, formed once, and is added
-    into every f_lambda it reaches; a lambda none reaches is the domain's zero.
+    into every f_lambda it reaches; a lambda none reaches is a_0 * 0.
     """
-    if spec.order < n:
-        raise ValueError(f"genus spec stops at a_{spec.order}, need a_{n}")
-    a = spec.coefficients
+    if len(a) <= n:
+        raise ValueError(f"genus series stops at a_{len(a) - 1}, need a_{n}")
     partitions = all_partitions(n)
     out: dict[Partition, object] = dict.fromkeys(partitions)
     products: dict[tuple[int, ...], object] = {}  # by factor sequence
@@ -299,17 +258,18 @@ def f_lambda_values(spec: GenusSpec, n: int) -> dict[Partition, object]:
             lam = tuple(j for j in range(n, 0, -1) for _ in range(e_exp[j - 1]))
             term = c * a_I
             out[lam] = term if out[lam] is None else out[lam] + term
-    zero = Fraction(0) * spec.one()
+    zero = a[0] * 0
     return {lam: zero if f is None else f for lam, f in out.items()}
 
 
 def f_lambda_symbolic(n: int) -> dict[Partition, SparsePoly]:
     """f_lambda for all partitions of n, as polynomials in a_0..a_n."""
-    return f_lambda_values(GenusSpec.symbolic(n), n)
+    avars = tuple(f"a{k}" for k in range(n + 1))
+    return f_lambda_values([SparsePoly.variable(v, avars) for v in avars], n)
 
 
-def genus_polynomials(spec: GenusSpec, n: int) -> list[SparsePoly]:
-    """Q_1..Q_n with the a_k evaluated at the spec's coefficients; Q_k applied
+def genus_polynomials(a: Sequence, n: int) -> list[SparsePoly]:
+    """Q_1..Q_n with the a_k evaluated at the coefficients a_0..a_m; Q_k applied
     to sigma_1..sigma_k reproduces the weight-k part of Q(x_1)...Q(x_n).
 
     Q_k = a_0^(n-k) * sum over partitions lambda of k of f_lambda * y^lambda,
@@ -318,26 +278,27 @@ def genus_polynomials(spec: GenusSpec, n: int) -> list[SparsePoly]:
     must be polynomial (Fraction or SparsePoly); for q-series coefficients
     use f_lambda_values/genus_value instead.
     """
-    if spec.order < n:
-        raise ValueError(f"genus spec stops at a_{spec.order}, need a_{n}")
-    extra = _genus_spec_vars(spec)
+    if len(a) <= n:
+        raise ValueError(f"genus series stops at a_{len(a) - 1}, need a_{n}")
+    extra = tuple(dict.fromkeys(v for c in a if isinstance(c, SparsePoly)
+                                for v in c.vars))
     allvars = extra + tuple(f"y{j}" for j in range(1, n + 1))
-    lifted = GenusSpec([c.with_vars(allvars) if isinstance(c, SparsePoly)
-                        else SparsePoly.constant(allvars, c)
-                        for c in spec.coefficients[: n + 1]])
+    lifted = [c.with_vars(allvars) if isinstance(c, SparsePoly)
+              else SparsePoly.constant(allvars, c) for c in a[: n + 1]]
     out = []
     for k in range(1, n + 1):
         qk = SparsePoly.zero(allvars)
         for lam, f in f_lambda_values(lifted, k).items():
             y_exp = (0,) * len(extra) + tuple(lam.count(j) for j in range(1, n + 1))
             qk = qk + f * SparsePoly.monomial(allvars, y_exp)
-        out.append(lifted.coefficients[0] ** (n - k) * qk)
+        out.append(lifted[0] ** (n - k) * qk)
     return out
 
 
-def genus_value(spec: GenusSpec, chern: Mapping[Partition, int], n: int):
-    """sum of f_lambda * C_lambda over partitions lambda of n."""
-    flam = f_lambda_values(spec, n)
+def genus_value(a: Sequence, chern: Mapping[Partition, int], n: int):
+    """sum of f_lambda * C_lambda over partitions lambda of n, at the
+    coefficients a_0..a_m."""
+    flam = f_lambda_values(a, n)
     total = None
     for lam, f in flam.items():
         if lam not in chern:
@@ -348,9 +309,9 @@ def genus_value(spec: GenusSpec, chern: Mapping[Partition, int], n: int):
     return total
 
 
-def chi_y_power_series(k_max: int) -> GenusSpec:
-    """The chi_y genus: Q(x) = x(1 + y e^{-x})/(1 - e^{-x}), so
-    a_k = sum_{m<=k} B_m/(m! (k-m)!) + y * B_k/k!."""
+def chi_y_power_series(k_max: int) -> list[SparsePoly]:
+    """a_0..a_{k_max} of the chi_y genus: Q(x) = x(1 + y e^{-x})/(1 - e^{-x}),
+    so a_k = sum_{m<=k} B_m/(m! (k-m)!) + y * B_k/k!."""
     from .series import bernoulli  # local import: series pulls in no symfunc
     from math import factorial
 
@@ -361,4 +322,4 @@ def chi_y_power_series(k_max: int) -> GenusSpec:
                     for m in range(k + 1))
         poly = {(0,): const, (1,): bernoulli(k) / factorial(k)}
         coeffs.append(SparsePoly(yvar, poly))
-    return GenusSpec(coeffs)
+    return coeffs

@@ -338,7 +338,7 @@ def test_coadjoint_partition_degree_cap(capsys):
     assert main(["coadjoint", "A", "2", "--partition", "3", "2"]) == 0
 
 
-def test_qseries_precision_cap(tmp_path, monkeypatch, capsys):
+def test_qseries_precision_cap(tmp_path, capsys):
     assert QSERIES_MAX_PREC == 60
     path = _write_cp2(tmp_path)
     over = str(QSERIES_MAX_PREC + 1)
@@ -346,13 +346,7 @@ def test_qseries_precision_cap(tmp_path, monkeypatch, capsys):
                  ["genus", path, "2"], ["relations", path, "3", "4", "4", "--verify"]):
         assert main(argv + ["--prec", over]) == 2
         assert "QSERIES_MAX_PREC" in capsys.readouterr().err
-    monkeypatch.setenv("GENUS_FORGE_PREC", over)
-    with pytest.raises(SystemExit) as exc:
-        main(["eisenstein", "3", "2"])
-    assert exc.value.code == 2
-    assert "QSERIES_MAX_PREC" in capsys.readouterr().err
-    monkeypatch.setenv("GENUS_FORGE_PREC", str(QSERIES_MAX_PREC))
-    assert main(["eisenstein", "3", "2"]) == 0
+    assert main(["eisenstein", "3", "2", "--prec", str(QSERIES_MAX_PREC)]) == 0
     assert "O(q^60)" in capsys.readouterr().out
 
 
@@ -634,14 +628,14 @@ def test_fuzzed_inputs_keep_the_exit_code_contract(data):
             assert "Traceback" not in err.getvalue()
 
 
-def test_env_precision_override(monkeypatch, capsys):
-    monkeypatch.setenv("GENUS_FORGE_PREC", "7")
-    assert main(["eisenstein", "3", "2"]) == 0
-    assert "O(q^7)" in capsys.readouterr().out
-    monkeypatch.setenv("GENUS_FORGE_PREC", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["eisenstein", "3", "2"])
-    assert exc.value.code == 2
+def test_precision_ignores_the_environment(monkeypatch, capsys):
+    # the default q-precision is a constant; no environment variable sets it
+    for value in ("abc", "61"):
+        monkeypatch.setenv("GENUS_FORGE_PREC", value)
+        assert main(["eisenstein", "3", "2"]) == 0
+        assert "O(q^15)" in capsys.readouterr().out
+        assert main(["coadjoint", "A", "2"]) == 0
+        capsys.readouterr()
 
 
 def test_selftest(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from genus_forge import localization
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
                                    orbit_fixed_points)
-from genus_forge.localization import (FixedPointData, Relation, action_type,
+from genus_forge.localization import (FixedPointData, Relation,
                                       build_relation, build_relations, chern_number,
                                       chi_y_from_counts, cpn_fixed_points,
                                       cpn_hilbert_closed_form, divides_chi_y,
@@ -65,23 +65,6 @@ def test_fixed_point_data_is_immutable():
     # the data still reads as it was checked
     assert fpd.points == ((1, 3), (-1, 2), (-2, -3))
     assert chern_number(fpd, (2,)) == 3
-
-
-def test_zero_sum_constraint_flag():
-    with pytest.raises(ValueError):
-        cpn_fixed_points(2, (1, 2), require_zero_sum=True)
-    fpd = cpn_fixed_points(2, (1, -1), require_zero_sum=False)
-    assert fpd.points[0] == (1, -1)
-
-
-def test_action_type_balanced_and_witnesses():
-    fpd = cpn_fixed_points(2, (1, 2))
-    report = action_type(fpd, 3)
-    assert report == {"balanced": True, "type": 0}
-    hand_made = FixedPointData(1, [(1,), (2,)], ["A", "B"])
-    report = action_type(hand_made, 2)
-    assert not report["balanced"]
-    assert len(report["witnesses"]) == 2
 
 
 def test_cp2_chern_numbers():

@@ -48,8 +48,18 @@ def test_conjugation_symmetry():
     for N in (3, 4, 5):
         for k in (1, 2, 3, 4):
             series = eisenstein_qexp(k, N, 8)
-            for c in series.coeffs.values():
+            for j in range(8):
+                c = series.coeff(j)
                 assert _conjugate(c) == c * ((-1) ** k)
+
+
+def test_absent_coefficients_are_zeros_of_the_field():
+    # G_{1,3} through q^7 stores nothing at q^2, q^5 and q^6
+    series = eisenstein_qexp(1, 3, 8)
+    for j in (2, 5, 6):
+        assert j not in series.coeffs
+        zero = series.coeff(j)
+        assert zero.level == 3 and zero == 0
 
 
 def test_weight_one_level_five_not_rational():

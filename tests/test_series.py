@@ -62,8 +62,9 @@ def test_inverse_roundtrip(coeffs):
 
 def test_coeff_defaults_and_cutoff_guard():
     s = q({0: Fraction(1), 3: Fraction(5)})
-    assert s.coeff(1) == 0
+    assert s.coeff(1) == 0 and isinstance(s.coeff(1), Fraction)
     assert s.coeff(3) == 5
+    assert TruncSeries.zero("q", 5).coeff(2) == Fraction(0)
     with pytest.raises(ValueError):
         s.coeff(8)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus_forge.sparsepoly import SparsePoly
-from genus_forge.symfunc import (GenusSpec, all_partitions, check_partition,
+from genus_forge.symfunc import (all_partitions, check_partition,
                                  chi_y_power_series, elementary_sym_poly,
                                  elementary_values, f_lambda_symbolic,
                                  f_lambda_values, genus_polynomials, genus_value,
@@ -145,20 +145,29 @@ def test_monomial_to_elementary_substitutes_back_exactly():
                 assert expr.evaluate(elem, one) == monomial_sym_poly(I, xs), (I, n)
 
 
+def _symbolic(n):
+    """a_0..a_n as the indeterminates a0..an."""
+    avars = tuple(f"a{k}" for k in range(n + 1))
+    return [SparsePoly.variable(v, avars) for v in avars]
+
+
 def test_genus_spec_basics():
-    spec = GenusSpec([Fraction(1), Fraction(0), Fraction(1, 12)])
-    assert spec.order == 2
-    assert spec.one() == 1
-    sym = GenusSpec.symbolic(3)
-    assert sym.coefficients[0] == SparsePoly.variable("a0", ("a0", "a1", "a2", "a3"))
-    assert sym.one() == 1  # SparsePoly one
+    # a genus is read from its coefficient list a_0..a_m, which must reach a_n
+    a = [Fraction(1), Fraction(0), Fraction(1, 12)]
+    for fn in (f_lambda_values, genus_polynomials):
+        fn(a, 2)
+        with pytest.raises(ValueError, match="stops at a_2, need a_3"):
+            fn(a, 3)
+    sym = _symbolic(3)
+    assert sym[0] == SparsePoly.variable("a0", ("a0", "a1", "a2", "a3"))
+    with pytest.raises(ValueError, match="stops at a_3, need a_4"):
+        f_lambda_values(sym, 4)
 
 
 def test_genus_polynomials_low_degrees():
     # universal: Q_1 = a0*y1, and the quadratic coefficients
-    spec = GenusSpec.symbolic(2)
-    f = f_lambda_values(spec, 2)
-    a = spec.coefficients
+    a = _symbolic(2)
+    f = f_lambda_values(a, 2)
     assert f[(1, 1)] == a[0] * a[2]
     assert f[(2,)] == a[1] * a[1] - a[0] * a[2] * 2
 
@@ -185,7 +194,7 @@ def test_f_lambda_values_expand_the_weight_n_part(data):
         product = times(product, [a[k] * xi ** k for k in range(n + 1)])
         elem = times(elem, [Fraction(1), xi])  # e_j(x) is the t^j coefficient
     total = Fraction(0)
-    for lam, f in f_lambda_values(GenusSpec(a), n).items():
+    for lam, f in f_lambda_values(a, n).items():
         e_lam = Fraction(1)
         for part in lam:
             e_lam *= elem[part]
@@ -196,10 +205,10 @@ def test_f_lambda_values_expand_the_weight_n_part(data):
 def test_genus_polynomials_todd_at_degree_three():
     # Todd: Q_1 = c1/2, Q_2 = (c1^2 + c2)/12, Q_3 = c1 c2/24; doubling every
     # a_k multiplies Q_1..Q_3 by 2^3, which takes the a_0^(n-k) factor
-    todd = GenusSpec([Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0)])
+    todd = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0)]
     assert [str(q) for q in genus_polynomials(todd, 3)] == [
         "1/2*y1", "1/12*y1^2 + 1/12*y2", "1/24*y1*y2"]
-    doubled = GenusSpec([Fraction(2), Fraction(1), Fraction(1, 6), Fraction(0)])
+    doubled = [Fraction(2), Fraction(1), Fraction(1, 6), Fraction(0)]
     assert [str(q) for q in genus_polynomials(doubled, 3)] == [
         "4*y1", "2/3*y1^2 + 2/3*y2", "1/3*y1*y2"]
 
@@ -207,33 +216,32 @@ def test_genus_polynomials_todd_at_degree_three():
 def test_f_lambda_symbolic_matches_values():
     n = 3
     table = f_lambda_symbolic(n)
-    spec = GenusSpec.symbolic(n)
-    values = f_lambda_values(spec, n)
+    a = _symbolic(n)
+    values = f_lambda_values(a, n)
     assert set(table) == set(values)
     # the symbolic table uses variables a0..an; evaluating them at the
-    # symbolic spec's own coefficients must reproduce values
+    # symbolic coefficients themselves must reproduce values
     for I, poly in table.items():
-        evaluated = poly.evaluate(list(spec.coefficients),
-                                  one=spec.coefficients[0] * 0 + 1)
+        evaluated = poly.evaluate(a, one=a[0] * 0 + 1)
         assert evaluated == values[I]
 
 
 def test_genus_value_and_missing_chern():
-    spec = chi_y_power_series(4)
+    a = chi_y_power_series(4)
     chern = {(1, 1): 9, (2,): 3}
-    chi = genus_value(spec, chern, 2)
+    chi = genus_value(a, chern, 2)
     y = SparsePoly.variable("y", ("y",))
     assert chi == y ** 2 - y + 1
     with pytest.raises(ValueError, match=r"\[1,1\]"):
-        genus_value(spec, {(2,): 3}, 2)
+        genus_value(a, {(2,): 3}, 2)
 
 
 def test_chi_y_euler_and_signature_specials():
     # chi_y of projective space: at y = -1 the Euler number n+1
-    spec = chi_y_power_series(6)
+    a = chi_y_power_series(6)
     # CP^3 chern numbers
     chern = {(1, 1, 1): 64, (2, 1): 24, (3,): 4}
-    chi = genus_value(spec, chern, 3)
+    chi = genus_value(a, chern, 3)
     assert chi.evaluate([Fraction(-1)]) == 4
     # CP^3: chi_y = -y^3 + y^2 - y + 1
     y = SparsePoly.variable("y", ("y",))
@@ -241,12 +249,16 @@ def test_chi_y_euler_and_signature_specials():
 
 
 def test_chi_y_degree_bound():
-    spec = chi_y_power_series(5)
-    for coeff in spec.coefficients:
+    for coeff in chi_y_power_series(5):
         assert coeff.degree() <= 1  # a_k is linear in y
 
 
 def test_genus_spec_immutable():
-    spec = GenusSpec.symbolic(2)
-    with pytest.raises(AttributeError):
-        spec.coefficients = ()
+    # the coefficient list is read, never changed, and a tuple works alike
+    a = _symbolic(2)
+    before = list(a)
+    f_lambda_values(a, 2)
+    genus_polynomials(a, 2)
+    genus_value(a, {(1, 1): 9, (2,): 3}, 2)
+    assert a == before
+    assert f_lambda_values(tuple(a), 2) == f_lambda_values(a, 2)
