@@ -4,9 +4,11 @@ Subcommands: eisenstein, qn, genus, chiy, relations, hilbert, coadjoint,
 polytope, selftest.  Exit codes are a stable contract: 0 success, 1 a
 verification failed (nonzero residual, route disagreement, failed
 self-test), 2 usage or validation error (argparse's own convention) or a
-stdout pipe closed by its reader.  Input files are checked as they are
-loaded: a value of the wrong JSON shape is rejected, never coerced, and
-fixed-point data must have q_I = 0 for |I| < n, as every manifold does.
+stdout pipe closed by its reader.  Input files, all read by `_read_json`,
+are checked as they are loaded: a path that cannot be read, a document
+nested too deeply to parse or a value of the wrong JSON shape exits 2 (a
+value is never coerced), and fixed-point data must have q_I = 0 for
+|I| < n, as every manifold does.
 
 The default q-precision is DEFAULT_PREC = 15; --prec sets another.
 Requests are capped by the *_MAX_* constants below: beyond a cap the
@@ -37,14 +39,23 @@ if TYPE_CHECKING:   # for the annotations only; each subcommand imports its own
 DEFAULT_PREC = 15             # q-precision when --prec is not given
 
 
+def _read_json(path: str):
+    """The JSON document in the file at `path`.  A document nested too deeply
+    for the parser is a ValueError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
 def _load_fixed_points(path: str) -> FixedPointData:
     """Fixed-point data from a JSON file, checked to be a manifold's; a
     dimension n above QSERIES_MAX_DIM is refused before that check."""
     from .fixedpoints import FixedPointData, relation_coefficients
     from .symfunc import partition_str, partitions_at_most
 
-    with open(path, "r", encoding="utf-8") as fh:
-        fpd = FixedPointData.from_json(json.load(fh))
+    fpd = FixedPointData.from_json(_read_json(path))
     if fpd.n > QSERIES_MAX_DIM:
         raise ValueError(f"dimension n = {fpd.n} exceeds the cap "
                          f"QSERIES_MAX_DIM = {QSERIES_MAX_DIM}")
@@ -331,8 +342,7 @@ def cmd_polytope(args) -> int:
     from .fixedpoints import json_int_list
     from .polytope import FHVectors, betti_pattern, combinatorial_index, h_divisibility
 
-    with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(args.input)
     if not isinstance(data, dict):
         raise ValueError(f"input JSON must be an object, got {json.dumps(data)}")
     lines, payload = [], {}
@@ -536,10 +546,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
-from .text import join_terms
+from .text import join_terms, power, term
 
 Scalar = Union[int, Fraction]
 
@@ -273,22 +273,16 @@ class CyclotomicNumber:
 
     # -- text form ----------------------------------------------------------
 
-    def __str__(self) -> str:
+    def paren_str(self) -> str:
+        """'(c0 + c1*z + ...)' in powers of z = zeta_N, without the field."""
         parts = []
         for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-                continue
-            z = "z" if i == 1 else f"z^{i}"
-            if c == 1:
-                parts.append(z)
-            elif c == -1:
-                parts.append("-" + z)
-            else:
-                parts.append(f"{c}*{z}")
-        return f"({join_terms(parts)}) @ Q(zeta_{self.level})"
+            if c:
+                parts.append(term(str(c), power("z", i)))
+        return f"({join_terms(parts)})"
+
+    def __str__(self) -> str:
+        return f"{self.paren_str()} @ Q(zeta_{self.level})"
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({self.level}, {[str(c) for c in self.coeffs]})"

@@ -52,7 +52,7 @@ from .series import PackedSeries, TruncSeries, exp_series
 from .sparsepoly import SparsePoly
 from .symfunc import (Partition, check_partition, elementary_values,
                       partition_sort_key, partition_str, partitions_at_most)
-from .text import join_terms
+from .text import join_terms, power, term
 
 
 def cpn_fixed_points(n: int, weights: Sequence[int]) -> FixedPointData:
@@ -195,16 +195,8 @@ class Relation:
                 continue
             factors = []
             for part in sorted(set(I)):
-                e = I.count(part)
-                g = f"G[{part},{self.N}]"
-                factors.append(g if e == 1 else f"{g}^{e}")
-            body = "*".join(factors)
-            if c == 1:
-                pieces.append(body)
-            elif c == -1:
-                pieces.append(f"-{body}")
-            else:
-                pieces.append(f"{c}*{body}")
+                factors.append(power(f"G[{part},{self.N}]", I.count(part)))
+            pieces.append(term(str(c), "*".join(factors)))
         return join_terms(pieces) + " = 0"
 
     def to_json(self) -> dict:

@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from .cyclotomic import CyclotomicNumber, _reduce, euler_phi
-from .text import join_terms
+from .text import join_terms, power, term
 
 _SCALARS = (int, Fraction)
 
@@ -222,18 +222,8 @@ class TruncSeries:
     def __str__(self) -> str:
         parts = []
         for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            text = _render_series_coeff(c)
-            if k == 0:
-                parts.append(text)
-                continue
-            mono = self.var if k == 1 else f"{self.var}^{k}"
-            if text == "1":
-                parts.append(mono)
-            elif text == "-1":
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{text}*{mono}")
+            parts.append(term(_render_series_coeff(self.coeffs[k]),
+                              power(self.var, k)))
         return f"{join_terms(parts)} + O({self.var}^{self.cutoff})"
 
     def __repr__(self) -> str:
@@ -423,8 +413,7 @@ def _render_series_coeff(c) -> str:
     if isinstance(c, CyclotomicNumber):
         if c.is_rational():
             return str(c.rational_value())
-        body = str(c)
-        return body[: body.rindex(") @")] + ")"
+        return c.paren_str()
     return str(c)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .text import join_terms
+from .text import join_terms, power, term
 
 _SCALARS = (int, Fraction)
 
@@ -246,21 +246,11 @@ class SparsePoly:
     def __str__(self) -> str:
         parts = []
         for exp in sorted(self.terms, key=_glex_key, reverse=True):
-            c = self.terms[exp]
             factors = []
             for v, e in zip(self.vars, exp):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
+                if e:
+                    factors.append(power(v, e))
+            parts.append(term(str(self.terms[exp]), "*".join(factors)))
         return join_terms(parts)
 
     def __repr__(self) -> str:

@@ -241,12 +241,13 @@ def f_lambda_values(a: Sequence, n: int) -> dict[Partition, object]:
 
     with [e_lambda] m_I read from `monomial_to_elementary(I, n)`.  Each
     product of a's extends its prefix's product, formed once, and is added
-    into every f_lambda it reaches; a lambda none reaches is a_0 * 0.
+    into every f_lambda it reaches.  Every lambda is reached, as the
+    m_I -> e_lambda table is unitriangular.
     """
     if len(a) <= n:
         raise ValueError(f"genus series stops at a_{len(a) - 1}, need a_{n}")
     partitions = all_partitions(n)
-    out: dict[Partition, object] = dict.fromkeys(partitions)
+    out: dict[Partition, object] = {}
     products: dict[tuple[int, ...], object] = {}  # by factor sequence
     for I in partitions:
         a_I, factors = None, (0,) * (n - len(I)) + I[::-1]
@@ -257,9 +258,8 @@ def f_lambda_values(a: Sequence, n: int) -> dict[Partition, object]:
         for e_exp, c in monomial_to_elementary(I, n).terms.items():
             lam = tuple(j for j in range(n, 0, -1) for _ in range(e_exp[j - 1]))
             term = c * a_I
-            out[lam] = term if out[lam] is None else out[lam] + term
-    zero = a[0] * 0
-    return {lam: zero if f is None else f for lam, f in out.items()}
+            out[lam] = out[lam] + term if lam in out else term
+    return {lam: out[lam] for lam in partitions}
 
 
 def f_lambda_symbolic(n: int) -> dict[Partition, SparsePoly]:

@@ -206,6 +206,23 @@ def test_missing_and_malformed_files(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [
+    ["genus", "{}", "2"], ["relations", "{}", "2", "1", "2", "--verify"],
+    ["chiy", "{}"], ["hilbert", "{}", "2"], ["polytope", "{}"]], ids=lambda c: c[0])
+def test_unreadable_input_paths_exit_2(command, tmp_path, capsys):
+    # a directory raised IsADirectoryError, and a document nested deeper
+    # than the parser's recursion limit a RecursionError: each a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for path in (tmp_path, deep):
+        assert main([arg.format(path) for arg in command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(path) in captured.err
+        assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("change, named", [
     ({"asserted_index": 0}, "asserted_index must be positive, got 0"),
     ({"asserted_index": -2}, "asserted_index must be positive, got -2"),
