@@ -247,13 +247,13 @@ def criterion_divided_difference(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 def criterion_general_relation(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """The general projective-space identity between products of
     Eisenstein series, for (n, N) in {(1,2),(2,3),(3,2),(3,4)} and
-    k = n..n+4, through q^15."""
+    k = n..n+4, through q^15: one `general_relation_cpn` call per (n, N),
+    so each S(z)^n is built once for its five k."""
     conventions = set()
     for n, N in ((1, 2), (2, 3), (3, 2), (3, 4)):
-        for k in range(n, n + 5):
-            report = general_relation_cpn(n, N, k, 15)
+        for report in general_relation_cpn(n, N, range(n, n + 5), 15):
             if not report["ok"]:
-                return False, f"(n,N,k)=({n},{N},{k}): {report}"
+                return False, f"(n,N,k)=({n},{N},{report['k']}): {report}"
             conventions.add(report["zero_index_convention"])
     return True, f"holds for all 20 (n, N, k) with convention {sorted(conventions)}"
 

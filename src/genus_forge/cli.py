@@ -344,7 +344,7 @@ def cmd_polytope(args) -> int:
 
     data = _read_json(args.input)
     if not isinstance(data, dict):
-        raise ValueError(f"input JSON must be an object, got {json.dumps(data)}")
+        raise ValueError("input JSON must be an object")
     lines, payload = [], {}
     code = 0
     k0 = args.k0
@@ -352,8 +352,7 @@ def cmd_polytope(args) -> int:
         edges = data["edges"]
         if not (isinstance(edges, list)
                 and all(isinstance(e, list) and len(e) == 2 for e in edges)):
-            raise ValueError('"edges" must be a list of [p, q] pairs, '
-                             f"got {json.dumps(edges)}")
+            raise ValueError('"edges" must be a list of [p, q] pairs')
         edges = [tuple(tuple(json_int_list(v, "edge endpoint")) for v in e)
                  for e in edges]
         index = combinatorial_index(edges)

@@ -411,8 +411,9 @@ def divides_chi_y(chi_y: SparsePoly, k0: int) -> dict:
     return {"divisible": True, "quotient": quotient}
 
 
-def general_relation_cpn(n: int, N: int, k: int, q_precision: int) -> dict:
-    """The closed-form projective-space relation, checked as q-series.
+def general_relation_cpn(n: int, N: int, ks: Sequence[int], q_precision: int) -> list[dict]:
+    """The closed-form projective-space relation, checked as q-series: one
+    report per k in ks, in the order of ks.
 
     LHS: (-1)^(n+k+1) * [z^k] S(z)^n with S(z) = sum_j G_{j,N} z^j.
     RHS: sum_{l=0}^{n-1} binom(k-l-1, n-l-1) G_{k-l,N} [z^l] S(z)^n.
@@ -420,30 +421,36 @@ def general_relation_cpn(n: int, N: int, k: int, q_precision: int) -> dict:
     The sum over j starts at 0 with the convention G_{0,N} = 1.  The
     convention is fixed: it is never chosen by which convention verifies,
     and the report names it.  S(z) is held as its list of q-series
-    coefficients G_0..G_k; n list convolutions of `TruncSeries`
-    products over Q(zeta_N) give the coefficients of z^0..z^k in S(z)^n,
-    each trusted through q^(q_precision-1).  On failure the report carries
-    both sides.
+    coefficients G_0..G_K, K = max(ks); n - 1 list convolutions of
+    `TruncSeries` products over Q(zeta_N), starting from S(z), give the
+    coefficients of z^0..z^K in S(z)^n, each trusted through
+    q^(q_precision-1).  They do not depend on k: one S(z)^n serves all of
+    ks.  On failure a report carries both sides.
     """
     if N < 2:
         raise ValueError("Eisenstein level must be at least 2")
     if (n + 1) % N:
         raise ValueError(f"N={N} does not divide n+1={n + 1}")
-    if k < n:
-        raise ValueError("relation degree k must be at least n")
-    zero = TruncSeries.zero("q", q_precision)
+    if not ks or min(ks) < n:
+        raise ValueError("relation degrees k must be given, each at least n")
+    top = max(ks)
     G = [TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=q_precision)]
-    G += [eisenstein_qexp(j, N, q_precision) for j in range(1, k + 1)]
-    power = [G[0]] + [zero] * k          # S(z)^0
-    for _ in range(n):
-        power = [sum((power[i] * G[j - i] for i in range(j + 1)), zero)
-                 for j in range(k + 1)]
-    lhs = power[k] * Fraction((-1) ** (n + k + 1))
-    rhs = zero
-    for ell in range(n):
-        rhs = rhs + G[k - ell] * power[ell] * comb(k - ell - 1, n - ell - 1)
-    report = {"n": n, "N": N, "k": k, "q_precision": q_precision,
-              "ok": lhs == rhs, "zero_index_convention": "G_0 = 1"}
-    if not report["ok"]:
-        report.update(lhs=str(lhs), rhs=str(rhs))
-    return report
+    G += [eisenstein_qexp(j, N, q_precision) for j in range(1, top + 1)]
+    # G_0 = 1 and [z^0] S(z)^r = 1, so a term with either factor of index 0
+    # takes no product: the terms i = 0 and i = j of [z^j] S(z)^(r+1) are
+    # power[j] + G[j], and the term l = 0 of the RHS is binom(k-1, n-1) G_k
+    power = G                            # S(z)^1
+    for _ in range(n - 1):
+        power = G[:1] + [sum((power[i] * G[j - i] for i in range(1, j)), power[j] + G[j])
+                         for j in range(1, top + 1)]
+    reports = []
+    for k in ks:
+        lhs = power[k] * Fraction((-1) ** (n + k + 1))
+        rhs = sum((G[k - ell] * power[ell] * comb(k - ell - 1, n - ell - 1)
+                   for ell in range(1, n)), G[k] * comb(k - 1, n - 1))
+        report = {"n": n, "N": N, "k": k, "q_precision": q_precision,
+                  "ok": lhs == rhs, "zero_index_convention": "G_0 = 1"}
+        if not report["ok"]:
+            report.update(lhs=str(lhs), rhs=str(rhs))
+        reports.append(report)
+    return reports

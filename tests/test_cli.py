@@ -553,6 +553,21 @@ def test_polytope_empty_input(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [list(range(200_000)),
+                                  {"edges": list(range(200_000))}],
+                         ids=["list", "edges"])
+def test_polytope_error_line_leaves_the_input_out(tmp_path, capsys, data):
+    # both lines used to print the whole value: 1.5 MB for these inputs
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    assert main(["polytope", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+    assert "Traceback" not in captured.err
+
+
 _WRONG_TYPE = st.sampled_from([None, 1.5, "1", True, [], {}])
 
 

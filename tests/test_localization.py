@@ -412,7 +412,7 @@ def test_divides_chi_y():
 
 
 def test_general_relation_report():
-    report = general_relation_cpn(2, 3, 4, 10)
+    [report] = general_relation_cpn(2, 3, [4], 10)
     assert report["ok"] and report["zero_index_convention"] == "G_0 = 1"
 
 
@@ -422,7 +422,7 @@ def test_general_relation_failure_keeps_the_convention(monkeypatch):
     real = localization.eisenstein_qexp
     monkeypatch.setattr(localization, "eisenstein_qexp",
                         lambda k, N, prec: real(k, N, prec) + (k == 1))
-    report = general_relation_cpn(2, 3, 4, 10)
+    [report] = general_relation_cpn(2, 3, [4], 10)
     assert not report["ok"] and report["zero_index_convention"] == "G_0 = 1"
     assert report["lhs"] == (
         "-1/240 + (-1 - 2*z)*q + (-3 - 6*z)*q^2 + (-10 - 18*z)*q^3"
@@ -434,10 +434,24 @@ def test_general_relation_failure_keeps_the_convention(monkeypatch):
         " + (50 + 100*z)*q^7 + (51 + 102*z)*q^8 + (53 + 162*z)*q^9 + O(q^10)")
 
 
+@pytest.mark.parametrize("n,N,ks", [(2, 3, []), (2, 3, [3, 1]), (2, 1, [2]),
+                                    (2, 2, [2])])
+def test_general_relation_refuses_before_building_a_series(monkeypatch, n, N, ks):
+    def no_series(*args):
+        raise AssertionError("series built before the arguments were checked")
+
+    monkeypatch.setattr(localization, "eisenstein_qexp", no_series)
+    monkeypatch.setattr(localization, "TruncSeries", no_series)
+    with pytest.raises(ValueError):
+        general_relation_cpn(n, N, ks, 10)
+
+
 @pytest.mark.parametrize("n,N", [(4, 5), (5, 2), (5, 3), (5, 6), (6, 7)])
 def test_general_relation_beyond_the_selftest_levels(n, N):
-    for k in range(n, n + 5):
-        assert general_relation_cpn(n, N, k, 15)["ok"], (n, N, k)
+    reports = general_relation_cpn(n, N, range(n, n + 5), 15)
+    assert [report["k"] for report in reports] == list(range(n, n + 5))
+    for report in reports:
+        assert report["ok"], (n, N, report["k"])
 
 
 def test_product_fixed_points():

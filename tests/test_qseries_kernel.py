@@ -8,20 +8,22 @@ compared at the kernel's precision (rebuilt with `cutoff=P`), because
 `TruncSeries.__mul__` trusts one more coefficient per zero leading term of
 a factor.  The fused field product of `TruncSeries.__mul__` is compared in
 turn with a per-coefficient double loop on `CyclotomicNumber` written out
-here.  Broken kernels must make the two genus routes disagree, and each
-route must run with the other route's kernel made to raise.
+here, and the CP^n relation check, which builds S(z)^n once for a whole
+range of k, with the per-k rebuild of S(z)^n from S(z)^0.  Broken kernels
+must make the two genus routes disagree, and each route must run with the
+other route's kernel made to raise.
 """
 
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus_forge import localization, series
-from genus_forge.acceptance import run_all
+from genus_forge.acceptance import criterion_general_relation, run_all
 from genus_forge.cli import main
 from genus_forge.cyclotomic import CyclotomicNumber, euler_phi
 from genus_forge.localization import (FixedPointData, Relation, build_relation,
@@ -386,8 +388,8 @@ def test_chern_route_takes_no_packed_product(monkeypatch):
 
     def chern_route():
         return ({N: genus_via_chern(fpd, N, 8) for N in (2, 5, 12)},
-                [general_relation_cpn(n, n + 1, k, 10)
-                 for n in (2, 3) for k in (n, n + 2)])
+                [report for n in (2, 3)
+                 for report in general_relation_cpn(n, n + 1, (n, n + 2), 10)])
 
     want = chern_route()
     assert all(report["ok"] for report in want[1])
@@ -405,3 +407,60 @@ def test_chern_route_takes_no_packed_product(monkeypatch):
     for cache in caches:
         cache.cache_clear()
     assert got == want
+
+
+def _general_relation_per_k(n, N, k, P):
+    """The CP^n relation report for one k, with S(z)^n rebuilt from S(z)^0
+    by n full list convolutions: the reference for `general_relation_cpn`."""
+    zero = TruncSeries.zero("q", P)
+    G = [TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=P)]
+    G += [localization.eisenstein_qexp(j, N, P) for j in range(1, k + 1)]
+    power = [G[0]] + [zero] * k
+    for _ in range(n):
+        power = [sum((power[i] * G[j - i] for i in range(j + 1)), zero)
+                 for j in range(k + 1)]
+    lhs = power[k] * Fraction((-1) ** (n + k + 1))
+    rhs = zero
+    for ell in range(n):
+        rhs = rhs + G[k - ell] * power[ell] * comb(k - ell - 1, n - ell - 1)
+    report = {"n": n, "N": N, "k": k, "q_precision": P,
+              "ok": lhs == rhs, "zero_index_convention": "G_0 = 1"}
+    if not report["ok"]:
+        report.update(lhs=str(lhs), rhs=str(rhs))
+    return report
+
+
+@pytest.mark.parametrize("P", [10, 15])
+@pytest.mark.parametrize("n,N", [(n, N) for n in range(1, 6)
+                                 for N in range(2, n + 2) if (n + 1) % N == 0])
+def test_general_relation_matches_the_per_k_rebuild(n, N, P):
+    # a contiguous range, a non-contiguous set, an unsorted one, a single k
+    reference = {k: _general_relation_per_k(n, N, k, P) for k in range(n, n + 6)}
+    for ks in (range(n, n + 5), (n, n + 2, n + 5), (n + 3, n, n + 1), (n + 1,)):
+        assert general_relation_cpn(n, N, ks, P) == [reference[k] for k in ks]
+    assert all(report["ok"] for report in reference.values())
+
+
+def test_general_relation_fails_like_the_per_k_rebuild(monkeypatch):
+    # the wrong G[1,3] of test_general_relation_failure_keeps_the_convention
+    real = localization.eisenstein_qexp
+    monkeypatch.setattr(localization, "eisenstein_qexp",
+                        lambda k, N, prec: real(k, N, prec) + (k == 1))
+    ks = (2, 5, 3, 4)
+    got = general_relation_cpn(2, 3, ks, 10)
+    assert got == [_general_relation_per_k(2, 3, k, 10) for k in ks]
+    assert not got[3]["ok"] and "lhs" in got[3] and "rhs" in got[3]
+
+
+def test_general_relation_criterion_builds_each_power_once(monkeypatch):
+    # one S(z)^n per (n, N) takes 80 fused products; rebuilding it for
+    # each k took 483
+    fused, calls = series._field_product, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return fused(*args)
+
+    monkeypatch.setattr(series, "_field_product", counted)
+    assert criterion_general_relation()[0]
+    assert 0 < len(calls) <= 120
