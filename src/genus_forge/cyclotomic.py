@@ -6,14 +6,16 @@ zeta^(phi(N)-1), with gcd(den, *nums) = 1, so zero is (0, ..., 0)/1.
 Equality is exact equality of (nums, den), so values coming from different
 computation routes can be compared directly.  There is one reduction rule:
 a power of zeta, a product or an inverse is written as a dense polynomial
-in zeta (exponents folded mod N) and reduced once, to its remainder modulo
-the N-th cyclotomic polynomial Phi_N.
+in zeta (exponents folded mod N) and reduced to its remainder modulo the
+N-th cyclotomic polynomial Phi_N.
 
 The arithmetic is on integers: a product is an integer convolution of the
 numerators, reduced mod Phi_N, over the product of the denominators, and
-every result is divided through by one gcd.  Fractions appear only at the
-edges: the `coeffs` view, the text form and the extended Euclid of
-`inverse`.
+every result is divided through by one gcd.  An inverse is the product of
+the other Galois conjugates zeta -> zeta^j, j prime to N, over the norm,
+which is an integer.  Phi_N itself is built by exact integer division of
+x^N - 1.  Fractions appear only at the edges: the `coeffs` view and the
+text form.
 
 All values are immutable; the module-level cache of cyclotomic polynomials
 is populated lazily and is safe for concurrent read-through use (entries are
@@ -32,12 +34,6 @@ from .text import join_terms, power, term
 Scalar = Union[int, Fraction]
 
 
-def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _poly_mul(a: list, b: list) -> list:
     """The product of two polynomials, with int or Fraction coefficients;
     trailing zeros are kept."""
@@ -52,40 +48,31 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _poly_trim(list(a))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        c = a[-1] * inv_lead
-        q[shift] = c
-        for i, y in enumerate(b):
-            a[shift + i] -= c * y
-        _poly_trim(a)
-    return _poly_trim(q), a
+def _divide_exact(a, b) -> list:
+    """The quotient a / b, for b monic with integer coefficients (ascending,
+    any trailing zeros of a allowed); ArithmeticError if b does not divide a."""
+    a, d = list(a), len(b) - 1
+    q = [0] * max(len(a) - d, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + d]
+        if c:
+            for j, p in enumerate(b, k):
+                if p:
+                    a[j] -= c * p
+    if any(a[:d]):
+        raise ArithmeticError("division left a remainder")
+    return q
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Ascending coefficients of Phi_n, by exact division of x^n - 1."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of Phi_n, by exact division of x^n - 1."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise AssertionError("cyclotomic division left a remainder")
+            num = _divide_exact(num, cyclotomic_polynomial(d))
     return tuple(num)
 
 
@@ -93,17 +80,11 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-@lru_cache(maxsize=None)
-def _integer_phi(n: int) -> tuple[int, ...]:
-    """Phi_n with int coefficients, which it has: it is monic over Z."""
-    return tuple(int(c) for c in cyclotomic_polynomial(n))
-
-
 def _reduce(level: int, poly: list) -> list:
     """The remainder of poly (ascending, any length) modulo the monic Phi_level,
     as phi(level) coefficients; poly is consumed.  Integer coefficients give
     integer remainders, which the packed q-series kernel relies on."""
-    phi_poly = _integer_phi(level)
+    phi_poly = cyclotomic_polynomial(level)
     phi = len(phi_poly) - 1
     for k in range(len(poly) - 1, level - 1, -1):  # fold first: x^level = 1 mod Phi_level
         poly[k - level] += poly.pop()
@@ -231,17 +212,21 @@ class CyclotomicNumber:
     def inverse(self) -> "CyclotomicNumber":
         if not self:
             raise ZeroDivisionError(f"division by zero in Q(zeta_{self.level})")
-        # extended euclid in Q[x]: s*a + t*Phi = g, g a nonzero constant
-        # since Phi is irreducible and a is nonzero of lower degree.
-        r0, r1 = list(cyclotomic_polynomial(self.level)), _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if len(r0) != 1:
-            raise AssertionError("cyclotomic polynomial was not coprime to the element")
-        return CyclotomicNumber(self.level, _reduce(self.level, [c / r0[0] for c in s0]))
+        # the norm: A times its conjugates sigma_j(A), j in (Z/N)^* other than
+        # 1, is a nonzero integer c, so 1/(A/den) = den * (the conjugates) / c
+        level, nums = self.level, self.nums
+        others = [1]
+        for j in range(2, level):
+            if gcd(j, level) == 1:
+                conjugate = [0] * level
+                for i, x in enumerate(nums):
+                    conjugate[i * j % level] = x
+                others = _reduce(level, _poly_mul(others, conjugate))
+        c, *rest = _reduce(level, _poly_mul(nums, others))
+        if not c or any(rest):
+            raise AssertionError("the norm of a nonzero element was not a nonzero integer")
+        scale = self.den if c > 0 else -self.den
+        return CyclotomicNumber._normalized(level, [x * scale for x in others], abs(c))
 
     # -- predicates and conversions ----------------------------------------
 

@@ -11,8 +11,9 @@ over the points, with one integer table of m_R per fixed point: the m_I
 kernel of the localization route alone, apart from the one of the
 divided-difference route in `coadjoint`.
 
-This module imports only `symfunc`, so a request on coadjoint orbits
-loads none of the q-series stack that `localization` builds on.
+This module loads nothing else from the package at import time, so its
+JSON checks, all a `polytope` request uses, come without `symfunc` or the
+q-series stack that `localization` builds on.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm, prod
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .symfunc import Partition, check_partition
+if TYPE_CHECKING:
+    from .symfunc import Partition
 
 
 class FixedPointData:
@@ -98,7 +100,7 @@ class FixedPointData:
             raise ValueError(f"asserted_index must be positive, got {index}")
         for i, label in enumerate(p.get("label", "") for p in points):
             if type(label) is not str:
-                raise ValueError(f"point {i} label must be a string, got {json.dumps(label)}")
+                raise ValueError(f"point {i} label must be a string, got {_shown(label)}")
         return cls(json_int(data.get("n"), "n"),
                    [json_int_list(p.get("weights"), f"point {i} weights")
                     for i, p in enumerate(points)],
@@ -108,14 +110,21 @@ class FixedPointData:
 def json_int(value, what: str) -> int:
     """value, if it is a JSON integer; true, 1.5 and "1" are not."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+        raise ValueError(f"{what} must be an integer, got {_shown(value)}")
     return value
 
 
 def json_int_list(value, what: str) -> list[int]:
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list of integers, got {json.dumps(value)}")
+        raise ValueError(f"{what} must be a list of integers, got {_shown(value)}")
     return [json_int(v, f"{what} entry") for v in value]
+
+
+def _shown(value) -> str:
+    """A JSON number, boolean or null as itself; a string, array or object
+    by its type alone, so that an error line stays short whatever it holds."""
+    name = {str: "a string", list: "an array", dict: "an object"}.get(type(value))
+    return name or json.dumps(value)
 
 
 def relation_coefficients(fpd: FixedPointData,
@@ -136,6 +145,8 @@ def relation_coefficients(fpd: FixedPointData,
     m_I with `symfunc.monomial_sym_eval`, so a fault in either shows as a
     crosscheck mismatch.
     """
+    from .symfunc import check_partition
+
     parts = [check_partition(I) if I else () for I in partitions]
     if any(len(I) > fpd.n for I in parts):
         raise ValueError("partition has more parts than there are weights")

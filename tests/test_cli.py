@@ -568,6 +568,31 @@ def test_polytope_error_line_leaves_the_input_out(tmp_path, capsys, data):
     assert "Traceback" not in captured.err
 
 
+def _with_first_point(**change):
+    data = cpn_fixed_points(1, (1,)).to_json()
+    data["points"][0].update(change)
+    return data
+
+
+@pytest.mark.parametrize("command, data", [
+    ("polytope", {"f": [list(range(200_000))]}),
+    ("genus", _with_first_point(weights=[list(range(200_000))])),
+    ("genus", _with_first_point(weights="1" * 200_000)),
+    ("genus", _with_first_point(label=list(range(100_000)))),
+], ids=["nested-f", "nested-weights", "string-weights", "list-label"])
+def test_json_error_line_names_the_type_of_a_long_value(tmp_path, capsys, command, data):
+    # each line used to print the whole value: 0.2 to 1.5 MB for these inputs
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + (["2"] if command == "genus" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+    assert "Traceback" not in captured.err
+
+
 _WRONG_TYPE = st.sampled_from([None, 1.5, "1", True, [], {}])
 
 
@@ -713,7 +738,7 @@ _IMPORTED = {
     "hilbert_q3": _LOCALIZATION,
     "coadjoint_a3": _ORBITS,             # --xi and --crosscheck
     "coadjoint_a3_q4211": _ORBITS,       # no --xi
-    "polytope_cube_k3": _CLI | _FIXED_POINTS | {"genus_forge.polytope"},
+    "polytope_cube_k3": _CLI | {"genus_forge.fixedpoints", "genus_forge.polytope"},
     "selftest": _LOCALIZATION | _ORBITS | {"genus_forge.acceptance",
                                            "genus_forge.polytope"},
 }
