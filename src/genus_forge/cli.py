@@ -52,7 +52,7 @@ def _read_json(path: str):
 def _load_fixed_points(path: str) -> FixedPointData:
     """Fixed-point data from a JSON file, checked to be a manifold's; a
     dimension n above QSERIES_MAX_DIM is refused before that check."""
-    from .fixedpoints import FixedPointData, relation_coefficients
+    from .fixedpoints import FixedPointData, brief, relation_coefficients
     from .symfunc import partition_str, partitions_at_most
 
     fpd = FixedPointData.from_json(_read_json(path))
@@ -63,7 +63,7 @@ def _load_fixed_points(path: str) -> FixedPointData:
     for I, value in zip(low, relation_coefficients(fpd, low)):
         if value:
             raise ValueError(f"not the fixed points of a manifold: "
-                             f"q_{partition_str(I)} = {value}, but q_I = 0 "
+                             f"q_{partition_str(I)} = {brief(value)}, but q_I = 0 "
                              f"for every |I| < n = {fpd.n}")
     return fpd
 

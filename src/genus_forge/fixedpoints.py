@@ -57,13 +57,13 @@ class FixedPointData:
                              "circle action has at least one")
         if len(self.labels) != len(self.points):
             raise ValueError("label list does not match the point list")
-        for label, weights in zip(self.labels, self.points):
+        for i, (label, weights) in enumerate(zip(self.labels, self.points)):
             if len(weights) != self.n:
-                raise ValueError(f"point {label}: expected {self.n} weights, "
-                                 f"got {len(weights)}")
+                raise ValueError(f"point {brief(label, str(i))}: expected "
+                                 f"{brief(self.n)} weights, got {len(weights)}")
             for slot, w in enumerate(weights, start=1):
                 if w == 0:
-                    raise ValueError(f"point {label}: zero weight in slot {slot} "
+                    raise ValueError(f"point {brief(label, str(i))}: zero weight in slot {slot} "
                                      "(fixed point would not be isolated)")
         return self
 
@@ -97,7 +97,7 @@ class FixedPointData:
                              "of objects")
         index = data.get("asserted_index")
         if index is not None and json_int(index, "asserted_index") < 1:
-            raise ValueError(f"asserted_index must be positive, got {index}")
+            raise ValueError(f"asserted_index must be positive, got {brief(index)}")
         for i, label in enumerate(p.get("label", "") for p in points):
             if type(label) is not str:
                 raise ValueError(f"point {i} label must be a string, got {_shown(label)}")
@@ -121,10 +121,34 @@ def json_int_list(value, what: str) -> list[int]:
 
 
 def _shown(value) -> str:
-    """A JSON number, boolean or null as itself; a string, array or object
-    by its type alone, so that an error line stays short whatever it holds."""
+    """A JSON number, boolean or null as itself (an integer through `brief`);
+    a string, array or object by its type alone, so that an error line stays
+    short whatever it holds."""
     name = {str: "a string", list: "an array", dict: "an object"}.get(type(value))
-    return name or json.dumps(value)
+    return name or (brief(value) if type(value) is int else json.dumps(value))
+
+
+def brief(value, instead: str = "a long value") -> str:
+    """value as text when it is short: at most 40 characters, or 40 digits
+    for an integer or fraction.  A longer number is given by its sign and
+    digit count, anything else by `instead`, so that an error line stays
+    short whatever the input holds."""
+    if not isinstance(value, (int, Fraction)):
+        return str(value) if len(str(value)) <= 40 else instead
+    num, den = map(_digit_count, value.as_integer_ratio())
+    if num + den <= 40:
+        return str(value)
+    size = (f"{num}-digit integer" if value.denominator == 1
+            else f"fraction of {num} over {den} digits")
+    return f"a {'negative' if value < 0 else 'positive'} {size}"
+
+
+def _digit_count(x: int) -> int:
+    """The decimal digits of |x|, without str(), which refuses past 4 300."""
+    count = abs(x).bit_length() * 30103 // 100000 + 1     # never too few
+    while count > 1 and 10 ** (count - 1) > abs(x):
+        count -= 1
+    return count
 
 
 def relation_coefficients(fpd: FixedPointData,

@@ -27,7 +27,8 @@ Equivariant indices are computed from the Atiyah-Segal fixed-point sum
 by an exact t -> 1 limit: substitute t = exp(s), multiply through by s^n
 to clear the order-n pole, and read off the s^n coefficient.  The factor
 s^n / prod_j (1 - t^-w_j) of a point is built once and kept per weight
-vector, as it does not depend on the numerator.  The Hilbert
+vector, as it does not depend on the numerator: it is a product of Todd
+factors s/(1 - e^(-w s)), read from the Bernoulli numbers.  The Hilbert
 polynomials H_m(x) come from the same sum in one pass, with the twist
 t^(-x W(P)/N) expanded in x, so each coefficient of x is read off directly.
 
@@ -38,7 +39,6 @@ reported as bad input data, never rounded away.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -46,9 +46,9 @@ from math import comb, factorial, gcd, lcm, prod
 from typing import Sequence
 
 from .cyclotomic import CyclotomicNumber
-from .fixedpoints import FixedPointData, relation_coefficients
+from .fixedpoints import FixedPointData, brief, relation_coefficients
 from .modular import eisenstein_packed, eisenstein_qexp, f_lambda_table
-from .series import PackedSeries, TruncSeries, exp_series
+from .series import PackedSeries, TruncSeries, todd_coefficient
 from .sparsepoly import SparsePoly
 from .symfunc import (Partition, check_partition, elementary_values,
                       partition_sort_key, partition_str, partitions_at_most)
@@ -226,7 +226,7 @@ def build_relations(fpd: FixedPointData, N: int, ks: Sequence[int]) -> list[Rela
             raise ValueError(f"below localization degree: k={k} < n={fpd.n}")
     if fpd.asserted_index is not None and fpd.asserted_index % N:
         raise ValueError(f"N={N} does not divide the asserted index "
-                         f"{fpd.asserted_index}")
+                         f"{brief(fpd.asserted_index)}")
     groups = [partitions_at_most(k, fpd.n) for k in ks]
     coefficients = iter(relation_coefficients(fpd, [I for group in groups for I in group]))
     if fpd.asserted_index is not None:
@@ -309,27 +309,21 @@ def genus_via_chern(fpd: FixedPointData, N: int, q_precision: int) -> TruncSerie
 
 def _localized_term(weights: tuple[int, ...], terms, order: int) -> TruncSeries:
     """s^n num(t) / prod_j (1 - t^-w_j) at t = exp(s), through s^(order-1),
-    for num(t) = sum c t^a over the (a, c) in terms, a rational."""
-    num = TruncSeries.zero("s", order)
-    for a, c in terms:
-        num = num + exp_series("s", a, order) * c
+    for num(t) = sum c t^a over the (a, c) in terms, a rational.  The s^j
+    coefficient of num(exp(s)) is the power sum sum c a^j / j!."""
+    num = TruncSeries("s", {j: Fraction(sum(c * a ** j for a, c in terms), factorial(j))
+                            for j in range(order)}, cutoff=order)
     return num * _unit_factor(weights, order)
 
 
 @lru_cache(maxsize=256)
 def _unit_factor(weights: tuple[int, ...], order: int) -> TruncSeries:
-    """s^n / prod_j (1 - exp(-w_j s)), through s^(order-1).
-
-    Each factor 1 - exp(-w s) is w s times the unit sum_m (-w s)^m / (m+1)!,
-    so s^n cancels and what is left is 1 / (unit(s) prod_j w_j).  It does not
-    depend on the numerator, so each point builds it once for all its terms.
-    """
-    unit = TruncSeries("s", {0: Fraction(1)}, cutoff=order)
-    for w in weights:
-        unit = unit * TruncSeries(
-            "s", {m: Fraction((-w) ** m, factorial(m + 1)) for m in range(order)},
-            cutoff=order)
-    return unit.inverse() * Fraction(1, prod(weights))
+    """s^n / prod_j (1 - exp(-w_j s)), through s^(order-1): the product of the
+    Todd series x/(1 - e^-x) at x = w_j s over w_j, which does not depend on
+    the numerator, so each point builds it once for all its terms."""
+    return prod(TruncSeries("s", {m: todd_coefficient(m) * Fraction(w) ** (m - 1)
+                                  for m in range(order)}, cutoff=order)
+                for w in weights)
 
 
 def equivariant_index_limit(fpd: FixedPointData, numerators) -> Fraction:
@@ -369,8 +363,8 @@ def hilbert_polynomial(fpd: FixedPointData, N: int, m: int) -> SparsePoly:
     n = fpd.n
     by_power = [TruncSeries.zero("s", n + 1)] * (n + 1)   # x^i: s^(i+j) at key j
     for weights in fpd.points:
-        e_m = Counter(-sum(subset) for subset in combinations(weights, m))
-        term = _localized_term(weights, e_m.items(), n + 1)
+        term = _localized_term(weights, [(-sum(subset), 1)
+                                         for subset in combinations(weights, m)], n + 1)
         rate = Fraction(-sum(weights), N)
         by_power = [total + term * (rate ** i / factorial(i))
                     for i, total in enumerate(by_power)]

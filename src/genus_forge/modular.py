@@ -158,6 +158,9 @@ def classical_x_series(N: int, x_order: int) -> TruncSeries:
         raise ValueError("the level-N genus needs N >= 2")
     zeta = CyclotomicNumber.zeta(N)
     one = CyclotomicNumber.from_rational(N, 1)
+    # x/(1 - e^{-x}) = 1/u is inverted, not read from `todd_coefficient`: the
+    # G_{k,N} constants come from `bernoulli`, and criterion 3 compares this
+    # route with theirs, so it must not share the Bernoulli numbers
     u = TruncSeries("x", {j: one * Fraction((-1) ** j, factorial(j + 1))
                           for j in range(x_order)}, cutoff=x_order)
     top = 1 - TruncSeries("x", {j: zeta * Fraction((-1) ** j, factorial(j))

@@ -10,7 +10,6 @@ k0 close to n+1 the whole vector is pinned down up to one parameter.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd
 from typing import Sequence
 
@@ -140,8 +139,8 @@ def h_divisibility(h: Sequence[int], k0: int) -> dict:
     coefficient vector or the remainder that obstructs it."""
     if k0 < 1:
         raise ValueError("k0 must be positive")
-    rem = [Fraction(v) for v in h]
-    quot = [Fraction(0)] * max(len(rem) - k0 + 1, 0)
+    rem = list(h)
+    quot = [0] * max(len(rem) - k0 + 1, 0)
     for top in range(len(rem) - 1, k0 - 2, -1):
         c = rem[top]
         if not c:
@@ -151,8 +150,8 @@ def h_divisibility(h: Sequence[int], k0: int) -> dict:
             rem[top - i] -= c
     rem = rem[:k0 - 1]
     if any(rem):
-        return {"divisible": False, "remainder": [int(v) for v in rem]}
-    return {"divisible": True, "quotient": [int(v) for v in quot]}
+        return {"divisible": False, "remainder": rem}
+    return {"divisible": True, "quotient": quot}
 
 
 def _pattern_for(case: int, n: int, m: int) -> list[int]:

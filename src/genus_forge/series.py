@@ -33,6 +33,10 @@ TruncSeries would trust.  It meets the rest of the program only through
 `to_series`.  The fused TruncSeries product shares no code with it, so
 the two genus routes, one on each, share no product.
 
+`todd_coefficient` reads the Todd series x/(1 - e^-x), which the index
+limit and the chi_y genus use, from the Bernoulli numbers; only the route
+that must not use them (`modular.classical_x_series`) inverts a series.
+
 All instances are immutable, and the Bernoulli cache below is append-only,
 so everything here is safe to share across threads.
 """
@@ -59,6 +63,11 @@ def bernoulli(k: int) -> Fraction:
         s = sum(comb(m + 1, j) * _bernoulli_cache[j] for j in range(m))
         _bernoulli_cache.append(Fraction(-s, m + 1))
     return _bernoulli_cache[k]
+
+
+def todd_coefficient(m: int) -> Fraction:
+    """The x^m coefficient (-1)^m B_m / m! of the Todd series x/(1 - e^-x)."""
+    return (-1) ** m * bernoulli(m) / factorial(m)
 
 
 def _invert_coeff(c):
@@ -415,11 +424,3 @@ def _render_series_coeff(c) -> str:
             return str(c.rational_value())
         return c.paren_str()
     return str(c)
-
-
-def exp_series(var: str, rate, cutoff: int) -> TruncSeries:
-    """exp(rate * x) as a truncated series in x with Fraction coefficients."""
-    rate = Fraction(rate)
-    return TruncSeries(var, {j: rate ** j / factorial(j) for j in range(cutoff)},
-                       cutoff=cutoff)
-

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import combinations, permutations
+from typing import Iterable, Mapping, Sequence
 
 from .sparsepoly import SparsePoly
 
@@ -77,28 +77,6 @@ def all_partitions(k: int) -> list[Partition]:
 
 def partition_str(parts: Sequence[int]) -> str:
     return "[" + ",".join(str(x) for x in parts) + "]"
-
-
-def _distinct_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Permutations of a multiset, each arrangement exactly once."""
-    counts: dict[int, int] = {}
-    for x in items:
-        counts[x] = counts.get(x, 0) + 1
-    keys = sorted(counts)
-    slot = [0] * len(items)
-
-    def rec(depth: int):
-        if depth == len(items):
-            yield tuple(slot)
-            return
-        for x in keys:
-            if counts[x]:
-                counts[x] -= 1
-                slot[depth] = x
-                yield from rec(depth + 1)
-                counts[x] += 1
-
-    yield from rec(0)
 
 
 def monomial_sym_eval(partitions: Sequence[Sequence[int]], values: Sequence) -> list:
@@ -162,8 +140,7 @@ def monomial_sym_poly(I: Sequence[int], variables: Sequence[str]) -> SparsePoly:
     if len(vs) < len(I):
         raise ValueError("not enough variables for the partition")
     padded = tuple(I) + (0,) * (len(vs) - len(I))
-    terms = {perm: Fraction(1) for perm in _distinct_permutations(padded)}
-    return SparsePoly(vs, terms)
+    return SparsePoly(vs, dict.fromkeys(set(permutations(padded)), Fraction(1)))
 
 
 def elementary_sym_poly(m: int, variables: Sequence[str]) -> SparsePoly:
@@ -310,16 +287,12 @@ def genus_value(a: Sequence, chern: Mapping[Partition, int], n: int):
 
 
 def chi_y_power_series(k_max: int) -> list[SparsePoly]:
-    """a_0..a_{k_max} of the chi_y genus: Q(x) = x(1 + y e^{-x})/(1 - e^{-x}),
-    so a_k = sum_{m<=k} B_m/(m! (k-m)!) + y * B_k/k!."""
-    from .series import bernoulli  # local import: series pulls in no symfunc
+    """a_0..a_{k_max} of the chi_y genus: Q(x) = x(1 + y e^{-x})/(1 - e^{-x})
+    is the Todd series x/(1 - e^{-x}) plus y x/(e^x - 1), so
+    a_k = (-1)^k B_k/k! + y * B_k/k!."""
+    from .series import bernoulli, todd_coefficient  # series pulls in no symfunc
     from math import factorial
 
-    yvar = ("y",)
-    coeffs = []
-    for k in range(k_max + 1):
-        const = sum(bernoulli(m) / (factorial(m) * factorial(k - m))
-                    for m in range(k + 1))
-        poly = {(0,): const, (1,): bernoulli(k) / factorial(k)}
-        coeffs.append(SparsePoly(yvar, poly))
-    return coeffs
+    return [SparsePoly(("y",), {(0,): todd_coefficient(k),
+                                (1,): bernoulli(k) / factorial(k)})
+            for k in range(k_max + 1)]

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DI
                              QSERIES_MAX_WEIGHT, main)
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
                                   orbit_fixed_points)
+from genus_forge.fixedpoints import brief
 from genus_forge.localization import build_relation, cpn_fixed_points, divides_chi_y
 from genus_forge.modular import eisenstein_qexp, series_to_json
 from genus_forge.sparsepoly import SparsePoly
@@ -591,6 +593,53 @@ def test_json_error_line_names_the_type_of_a_long_value(tmp_path, capsys, comman
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert len(captured.err.encode()) < 200
     assert "Traceback" not in captured.err
+
+
+def _cp1(**change):
+    return {**cpn_fixed_points(1, (1,)).to_json(), **change}
+
+
+@pytest.mark.parametrize("argv, data, shown", [
+    (["genus"], _with_first_point(label="x" * 200_000, weights=[0]),
+     "point 0: zero weight in slot 1"),
+    (["genus"], _with_first_point(label="x" * 200_000, weights=[1, 2]),
+     "point 0: expected 1 weights, got 2"),
+    (["genus"], _cp1(asserted_index=-10 ** 4000),
+     "got a negative 4001-digit integer"),
+    (["relations", "2", "1", "2"], _cp1(asserted_index=10 ** 4000 + 1),
+     "index a positive 4001-digit integer"),
+    (["genus"], _cp1(n=10 ** 4000), "expected a positive 4001-digit integer weights"),
+    (["genus"], {"n": 1, "points": [{"weights": [10 ** 4000]}]},
+     "q_[] = a positive fraction of 1 over 4001 digits"),
+], ids=["label-zero-weight", "label-weight-count", "negative-index",
+        "index-not-divisible", "huge-n", "huge-weight"])
+def test_error_line_gives_a_long_value_by_its_size(tmp_path, capsys, argv, data, shown):
+    # each line used to print the whole label or number: 4 to 200 kB
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    assert main([argv[0], str(path)] + (argv[1:] or ["2"])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+    assert "Traceback" not in captured.err
+    assert shown in captured.err
+
+
+@pytest.mark.parametrize("value, shown", [
+    (-(10 ** 38), "-1" + "0" * 38),
+    (10 ** 39, "a positive 40-digit integer"),
+    (10 ** 39 - 1, "9" * 39),
+    (-(10 ** 5000) + 1, "a negative 5000-digit integer"),
+    (Fraction(1, 10 ** 9000), "a positive fraction of 1 over 9001 digits"),
+    (Fraction(-3, 7), "-3/7"),
+    ("P" * 40, "P" * 40),
+    ("P" * 41, "a long value"),
+], ids=["39-digits", "40-digits", "39-nines", "5000-digits", "9001-digit-denominator",
+        "short-fraction", "40-characters", "41-characters"])
+def test_brief_counts_digits_past_the_str_limit(value, shown):
+    # str() refuses an int of more than 4 300 digits
+    assert brief(value) == shown
 
 
 _WRONG_TYPE = st.sampled_from([None, 1.5, "1", True, [], {}])

@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -382,7 +382,8 @@ def test_hilbert_polynomial_pole_detection(m):
 
 
 def test_hilbert_builds_each_unit_series_once(monkeypatch):
-    # the inverted unit of a point does not depend on m: one inverse per point
+    # the unit factor of a point does not depend on m: one build per point,
+    # each a product of Todd series with no series inverted
     localization._unit_factor.cache_clear()
     inverses = []
     inverse = TruncSeries.inverse
@@ -391,7 +392,45 @@ def test_hilbert_builds_each_unit_series_once(monkeypatch):
     fpd = cpn_fixed_points(4, (1, 3, -2, 7))
     for m in range(5):
         assert hilbert_polynomial(fpd, 5, m) == cpn_hilbert_closed_form(4, m)
-    assert len(inverses) == len(fpd.points)
+    assert localization._unit_factor.cache_info().misses == len(fpd.points)
+    assert inverses == []
+
+
+def _unit_factor_by_inverse(weights, order):
+    """s^n / prod_j (1 - e^(-w_j s)) as 1 / (prod_j w_j * unit), with
+    1 - e^(-w s) = w s * sum_m (-w s)^m / (m+1)!: the construction before
+    the Todd coefficients."""
+    unit = TruncSeries("s", {0: Fraction(1)}, cutoff=order)
+    for w in weights:
+        unit = unit * TruncSeries(
+            "s", {m: Fraction((-w) ** m, factorial(m + 1)) for m in range(order)},
+            cutoff=order)
+    return unit.inverse() * Fraction(1, prod(weights))
+
+
+def _localized_term_by_exp_sum(weights, terms, order):
+    """The numerator as a sum of series c * e^(a s), times the unit factor
+    above."""
+    num = TruncSeries.zero("s", order)
+    for a, c in terms:
+        num = num + TruncSeries("s", {j: Fraction(a) ** j / factorial(j)
+                                      for j in range(order)}, cutoff=order) * c
+    return num * _unit_factor_by_inverse(weights, order)
+
+
+_exponent = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+@given(st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=7),
+       st.integers(1, 9), st.lists(st.tuples(_exponent, _exponent), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_unit_factor_and_localized_term_match_the_inverse_construction(weights, order,
+                                                                       terms):
+    weights = tuple(weights)
+    assert localization._unit_factor(weights, order) == _unit_factor_by_inverse(
+        weights, order)
+    assert (localization._localized_term(weights, terms, order)
+            == _localized_term_by_exp_sum(weights, terms, order))
 
 
 def test_hilbert_closed_form_samples():

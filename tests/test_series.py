@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus_forge.series import TruncSeries, bernoulli, exp_series
+from genus_forge.series import TruncSeries, bernoulli, todd_coefficient
 
 
 def q(coeffs, cutoff=8):
@@ -23,12 +24,26 @@ def test_bernoulli_generating_function():
     # x/(e^x - 1) = sum B_k x^k / k!: (e^x - 1)/x is a unit; divide by x
     # by lowering every key, then invert it
     order = 12
-    e = exp_series("x", 1, order + 1)
+    e = TruncSeries("x", {k: Fraction(1, factorial(k)) for k in range(order + 1)},
+                    cutoff=order + 1)
     unit = TruncSeries("x", {k - 1: c for k, c in (e - 1).coeffs.items()}, cutoff=order)
     series = unit.inverse()
-    from math import factorial
     for k in range(order):
         assert series.coeff(k) == bernoulli(k) / factorial(k)
+
+
+_TODD = [Fraction(1), Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0,
+         Fraction(1, 30240), 0, Fraction(-1, 1209600), 0, Fraction(1, 47900160), 0,
+         Fraction(-691, 1307674368000)]
+
+
+def test_todd_coefficients_by_hand_and_by_series_inverse():
+    # x/(1 - e^-x) = 1/u with u = (1 - e^-x)/x = sum_m (-x)^m/(m+1)!, an
+    # inverse that does not use `bernoulli`
+    assert [todd_coefficient(m) for m in range(13)] == _TODD
+    u = TruncSeries("x", {m: Fraction((-1) ** m, factorial(m + 1)) for m in range(13)},
+                    cutoff=13)
+    assert [u.inverse().coeff(m) for m in range(13)] == _TODD
 
 
 _coeff = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -111,11 +126,7 @@ def test_different_variable_mismatch():
             op(b, a)
 
 
-def test_exp_and_geometric_series():
-    e = exp_series("x", 2, 6)
-    from math import factorial
-    for k in range(6):
-        assert e.coeff(k) == Fraction(2 ** k, factorial(k))
+def test_geometric_series():
     g = (1 - TruncSeries("q", {1: Fraction(1)}, cutoff=6)).inverse()
     assert g == q({k: Fraction(1) for k in range(6)}, cutoff=6)
     assert (g * (1 - TruncSeries("q", {1: Fraction(1)}, cutoff=6))).coeff(0) == 1

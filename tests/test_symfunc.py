@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genus_forge.series import bernoulli
 from genus_forge.sparsepoly import SparsePoly
 from genus_forge.symfunc import (all_partitions, check_partition,
                                  chi_y_power_series, elementary_sym_poly,
@@ -251,6 +253,17 @@ def test_chi_y_euler_and_signature_specials():
 def test_chi_y_degree_bound():
     for coeff in chi_y_power_series(5):
         assert coeff.degree() <= 1  # a_k is linear in y
+
+
+def test_chi_y_series_matches_the_bernoulli_convolution():
+    # x(1 + y e^-x)/(1 - e^-x) = (x/(e^x - 1)) e^x + y x/(e^x - 1), so the
+    # y^0 part of a_k is the convolution sum_{m<=k} B_m/(m! (k-m)!)
+    want = [SparsePoly(("y",), {
+                (0,): sum(bernoulli(m) / (factorial(m) * factorial(k - m))
+                          for m in range(k + 1)),
+                (1,): bernoulli(k) / factorial(k)})
+            for k in range(13)]
+    assert chi_y_power_series(12) == want
 
 
 def test_genus_spec_immutable():
