@@ -118,8 +118,8 @@ def cmd_genus(args) -> int:
     fpd = _load_fixed_points(args.fixed_points)
     via_loc = genus_qexp(fpd, args.level, args.prec)
     via_chern = genus_via_chern(fpd, args.level, args.prec)
-    first = next((k for k in range(args.prec)
-                  if via_loc.coeff(k) != via_chern.coeff(k)), None)
+    first = None if via_loc == via_chern else next(
+        (k for k in range(args.prec) if via_loc.coeff(k) != via_chern.coeff(k)), None)
     agree = first is None
     if not agree:
         print(f"routes differ first at q^{first}: localization "

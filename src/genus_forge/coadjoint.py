@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .fixedpoints import FixedPointData, relation_coefficients
@@ -384,14 +384,20 @@ def orbit_fixed_points(orbit: OrbitSpec, xi: Sequence[int]) -> FixedPointData:
 def crosscheck_qI(orbit: OrbitSpec, partitions: Sequence[Sequence[int]],
                   xi: Sequence[int]) -> list[dict]:
     """Both routes to q_I, for each I in partitions: divided differences vs
-    localization at xi, each route with one m_I table for the whole batch."""
+    localization at xi, each route with one m_I table for the whole batch.
+    Each q_I is evaluated at the integer point xi on integers, from one
+    table of powers per coordinate, over the lcm of its denominators."""
     parts = [check_partition(I) for I in partitions]
     algebraic = q_I_via_divided_diff(orbit, parts)
     localized = relation_coefficients(orbit_fixed_points(orbit, xi), parts)
-    point = [Fraction(x) for x in xi]
+    top = max((e for poly in algebraic for exp in poly.terms for e in exp), default=0)
+    powers = [[int(x) ** e for e in range(top + 1)] for x in xi]
     reports = []
     for I, poly, value in zip(parts, algebraic, localized):
-        at_xi = poly.evaluate(point)
+        den = lcm(*(c.denominator for c in poly.terms.values()))
+        at_xi = Fraction(sum(c.numerator * (den // c.denominator)
+                             * prod([row[e] for row, e in zip(powers, exp)])
+                             for exp, c in poly.terms.items()), den)
         reports.append({"orbit": repr(orbit), "partition": partition_str(I),
                         "xi": list(xi), "ok": at_xi == value,
                         "divided_difference": at_xi, "localization": value})

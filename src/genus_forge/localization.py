@@ -33,7 +33,9 @@ polynomials H_m(x) come from the same sum in one pass, with the twist
 t^(-x W(P)/N) expanded in x, so each coefficient of x is read off directly.
 
 Everything is exact; an unexpected non-integer or a surviving pole is
-reported as bad input data, never rounded away.
+reported as bad input data, never rounded away.  The q- and s-series
+modules are imported by the functions that run them, so a chi_y request
+loads none of them and a Hilbert request no `modular`.
 """
 
 from __future__ import annotations
@@ -43,16 +45,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .cyclotomic import CyclotomicNumber
 from .fixedpoints import FixedPointData, brief, relation_coefficients
-from .modular import eisenstein_packed, eisenstein_qexp, f_lambda_table
-from .series import PackedSeries, TruncSeries, todd_coefficient
 from .sparsepoly import SparsePoly
 from .symfunc import (Partition, check_partition, elementary_values,
                       partition_sort_key, partition_str, partitions_at_most)
 from .text import join_terms, power, term
+
+if TYPE_CHECKING:
+    from .series import PackedSeries, TruncSeries
 
 
 def cpn_fixed_points(n: int, weights: Sequence[int]) -> FixedPointData:
@@ -250,12 +252,16 @@ def _packed_product(I: Partition, N: int, q_precision: int) -> PackedSeries:
     Memoized on (I, N, precision), and built as G_{I without its last part}
     times G_{last part}, so partitions that share a prefix share its product.
     """
+    from .modular import eisenstein_packed
+
     g = eisenstein_packed(I[-1], N, q_precision)
     return g if len(I) == 1 else _packed_product(I[:-1], N, q_precision) * g
 
 
 def _relation_sum(terms, N: int, q_precision: int) -> TruncSeries:
     """sum c * G_{I,N} over (I, c) in terms, through q^(q_precision-1)."""
+    from .series import PackedSeries
+
     return PackedSeries.combination(
         [(c, _packed_product(I, N, q_precision)) for I, c in terms if c],
         N, q_precision).to_series()
@@ -278,9 +284,9 @@ def verify_relation(rel: Relation, q_precision: int) -> dict:
     report = {"n": rel.n, "k": rel.k, "N": rel.N, "q_precision": q_precision,
               "ok": not residual, "residual": str(residual)}
     if residual:
-        e = min(residual.coeffs)
+        e = residual.valuation()
         report["first_nonzero"] = {"exponent": e,
-                                   "coefficient": str(residual.coeffs[e])}
+                                   "coefficient": str(residual.coeff(e))}
     return report
 
 
@@ -297,6 +303,9 @@ def genus_qexp(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
 def genus_via_chern(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
     """Independent route to the same genus: sum of f_lambda * C_lambda, on
     TruncSeries arithmetic alone, so it shares no product with `genus_qexp`."""
+    from .modular import f_lambda_table
+    from .series import TruncSeries
+
     table = f_lambda_table(N, fpd.n, q_precision)
     total = TruncSeries("q", {}, cutoff=q_precision)
     for lam, series in table.items():
@@ -310,9 +319,20 @@ def genus_via_chern(fpd: FixedPointData, N: int, q_precision: int) -> TruncSerie
 def _localized_term(weights: tuple[int, ...], terms, order: int) -> TruncSeries:
     """s^n num(t) / prod_j (1 - t^-w_j) at t = exp(s), through s^(order-1),
     for num(t) = sum c t^a over the (a, c) in terms, a rational.  The s^j
-    coefficient of num(exp(s)) is the power sum sum c a^j / j!."""
-    num = TruncSeries("s", {j: Fraction(sum(c * a ** j for a, c in terms), factorial(j))
-                            for j in range(order)}, cutoff=order)
+    coefficient of num(exp(s)) is the power sum sum c a^j / j!, taken on
+    integers: with a = a'/A and c = c'/C over common denominators, it is
+    sum c' a'^j A^(order-1-j) (order-1)!/j! over C A^(order-1) (order-1)!."""
+    from .series import TruncSeries
+
+    a_den = lcm(*(a.denominator for a, _ in terms))
+    c_den = lcm(*(c.denominator for _, c in terms))
+    pairs = [(a.numerator * (a_den // a.denominator), c.numerator * (c_den // c.denominator))
+             for a, c in terms]
+    top = factorial(order - 1)
+    num = TruncSeries._normalized(
+        "s", 1, order, [sum(c * a ** j for a, c in pairs) * a_den ** (order - 1 - j)
+                        * (top // factorial(j)) for j in range(order)],
+        c_den * a_den ** (order - 1) * top)
     return num * _unit_factor(weights, order)
 
 
@@ -320,9 +340,16 @@ def _localized_term(weights: tuple[int, ...], terms, order: int) -> TruncSeries:
 def _unit_factor(weights: tuple[int, ...], order: int) -> TruncSeries:
     """s^n / prod_j (1 - exp(-w_j s)), through s^(order-1): the product of the
     Todd series x/(1 - e^-x) at x = w_j s over w_j, which does not depend on
-    the numerator, so each point builds it once for all its terms."""
-    return prod(TruncSeries("s", {m: todd_coefficient(m) * Fraction(w) ** (m - 1)
-                                  for m in range(order)}, cutoff=order)
+    the numerator, so each point builds it once for all its terms.  With the
+    Todd coefficients t_m = t'_m / T over one denominator, the factor of w
+    is the integer row t'_m w^m over T w."""
+    from .series import TruncSeries, todd_coefficient
+
+    todd = [todd_coefficient(m) for m in range(order)]
+    den = lcm(*(t.denominator for t in todd))
+    nums = [t.numerator * (den // t.denominator) for t in todd]
+    return prod(TruncSeries._normalized("s", 1, order,
+                                        [x * w ** m for m, x in enumerate(nums)], den * w)
                 for w in weights)
 
 
@@ -337,11 +364,12 @@ def equivariant_index_limit(fpd: FixedPointData, numerators) -> Fraction:
     """
     if len(numerators) != len(fpd.points):
         raise ValueError("need one numerator per fixed point")
+    from .series import TruncSeries
+
     n = fpd.n
-    total = TruncSeries.zero("s", n + 1)
-    for weights, terms in zip(fpd.points, numerators):
-        total = total + _localized_term(weights, terms, n + 1)
-    if any(k < n for k in total.coeffs):
+    total = TruncSeries.combination((1, _localized_term(weights, terms, n + 1))
+                                    for weights, terms in zip(fpd.points, numerators))
+    if total.valuation() < n:
         raise ArithmeticError("pole at t=1: not a global index")
     return total.coeff(n)
 
@@ -360,17 +388,20 @@ def hilbert_polynomial(fpd: FixedPointData, N: int, m: int) -> SparsePoly:
     """
     if not 0 <= m <= fpd.n:
         raise ValueError("exterior power degree out of range")
+    from .series import TruncSeries
+
     n = fpd.n
-    by_power = [TruncSeries.zero("s", n + 1)] * (n + 1)   # x^i: s^(i+j) at key j
+    terms = []   # (-W(P), P's localized e_m term)
     for weights in fpd.points:
-        term = _localized_term(weights, [(-sum(subset), 1)
-                                         for subset in combinations(weights, m)], n + 1)
-        rate = Fraction(-sum(weights), N)
-        by_power = [total + term * (rate ** i / factorial(i))
-                    for i, total in enumerate(by_power)]
-    if any(j < n - i for i, total in enumerate(by_power) for j in total.coeffs):
+        subsets = [(-sum(subset), 1) for subset in combinations(weights, m)]
+        terms.append((-sum(weights), _localized_term(weights, subsets, n + 1)))
+    # x^i: s^(i+j) at key j, times N^i i!
+    by_power = [TruncSeries.combination([(rate ** i, term) for rate, term in terms])
+                for i in range(n + 1)]
+    if any(total.valuation() < n - i for i, total in enumerate(by_power)):
         raise ArithmeticError("pole at t=1: not a global index")
-    return SparsePoly(("x",), {(i,): total.coeff(n - i) for i, total in enumerate(by_power)})
+    return SparsePoly(("x",), {(i,): total.coeff(n - i) / (N ** i * factorial(i))
+                               for i, total in enumerate(by_power)})
 
 
 def cpn_hilbert_closed_form(n: int, m: int) -> SparsePoly:
@@ -427,6 +458,10 @@ def general_relation_cpn(n: int, N: int, ks: Sequence[int], q_precision: int) ->
         raise ValueError(f"N={N} does not divide n+1={n + 1}")
     if not ks or min(ks) < n:
         raise ValueError("relation degrees k must be given, each at least n")
+    from .cyclotomic import CyclotomicNumber
+    from .modular import eisenstein_qexp
+    from .series import TruncSeries
+
     top = max(ks)
     G = [TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=q_precision)]
     G += [eisenstein_qexp(j, N, q_precision) for j in range(1, top + 1)]

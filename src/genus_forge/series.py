@@ -5,33 +5,33 @@ untrusted exponent, stored alongside the coefficients, and every operation
 propagates the weakest honest cutoff of its inputs.  Orders are never
 silently extended.
 
-Exponents are nonnegative integers, and the operands of +, - and * are
-series in the same variable, or a series and a scalar.  Coefficients are
-Fraction or int (the s-series of the index limit) or CyclotomicNumber (the
-q- and x-series over Q(zeta_N)).  A product trusts every key below
-min(cutoff_a + lowest key of b, cutoff_b + lowest key of a), so a factor
-with a zero constant term raises the cutoff of a product above the cutoffs
-of its factors.  Only a series with a nonzero constant term has an inverse.
+Every series lies in one field Q(zeta_L), its `level` L (L = 1 for Q), and
+is held as one dense integer matrix, cutoff rows of phi(L) entries (the
+power basis 1, zeta, ..., zeta^(phi(L)-1)), over one positive denominator,
+divided through by one gcd so that equal series have equal fields.  A
+series over Q meets one over Q(zeta_N) at level N; two other levels raise
+ValueError.  Sums, rational multiples, products, inverses and equality all
+work on the rows; a coefficient becomes a Fraction (L = 1) or a
+CyclotomicNumber only when it is read (`coeff`, `coeffs`, the text form).
 
-A product has two paths, with the same cutoff, the same dropped zeros and
-the same canonical coefficients.  When every coefficient of both factors
-lies in one Q(zeta_N), it is one fused multiply-accumulate on integers:
-each factor becomes rows of phi(N) numerators over one common
-denominator, each row one Python int (Kronecker substitution in zeta
-only), each pair of coefficients one integer multiply into the unreduced
-sum of its q-degree, and each output coefficient is reduced mod Phi_N and
-divided by a gcd once.  Factors of two levels raise ValueError.  Any other
-product, with a rational coefficient on either side, is the
-per-coefficient double loop on the coefficients' own arithmetic.
+Exponents are nonnegative integers, and the operands of +, - and * are
+series in the same variable, or a series and a scalar.  A product trusts
+every key below min(cutoff_a + valuation of b, cutoff_b + valuation of a),
+so a factor with a zero constant term raises the cutoff of a product above
+the cutoffs of its factors.  It is one multiply-accumulate on integers:
+each row is one Python int (Kronecker substitution in zeta only), each pair
+of nonzero rows one integer multiply into the unreduced sum of its degree,
+and each output row is reduced mod Phi_L once.  Only a series with a
+nonzero constant term has an inverse.
 
 PackedSeries is the kernel of the localization route, q-series over
-Q(zeta_N) at one precision: an integer matrix of shape precision x phi(N)
-over one common denominator, multiplied by Kronecker substitution in q
-and zeta into a single Python int (Harvey, arXiv:0712.4046).  Its cutoff
-is always its precision, and a product is truncated there, whatever
-TruncSeries would trust.  It meets the rest of the program only through
-`to_series`.  The fused TruncSeries product shares no code with it, so
-the two genus routes, one on each, share no product.
+Q(zeta_N) at one precision: the same integer matrix, multiplied by
+Kronecker substitution in q and zeta into a single Python int (Harvey,
+arXiv:0712.4046).  Its cutoff is always its precision, and a product is
+truncated there, whatever TruncSeries would trust.  It meets the rest of
+the program only through `to_series`, which rewraps its rows.  The
+TruncSeries product shares no code with it, so the two genus routes, one
+on each, share no product.
 
 `todd_coefficient` reads the Todd series x/(1 - e^-x), which the index
 limit and the chi_y genus use, from the Bernoulli numbers; only the route
@@ -70,43 +70,70 @@ def todd_coefficient(m: int) -> Fraction:
     return (-1) ** m * bernoulli(m) / factorial(m)
 
 
-def _invert_coeff(c):
-    if isinstance(c, Fraction):
-        return 1 / c
-    if isinstance(c, int):
-        return Fraction(1, c)
-    return c.inverse()
-
-
 class TruncSeries:
-    """A truncated power series sum_k c_k * var^k with 0 <= k < cutoff."""
+    """A truncated power series sum_k c_k * var^k with 0 <= k < cutoff, over
+    Q(zeta_level), with level 1 for Q.
 
-    __slots__ = ("var", "cutoff", "coeffs")
+    `entries` is the integer matrix (exponent x power of zeta) stored row by
+    row: cutoff rows of phi(level) entries, and c_k is
+    sum_j entries[k*phi + j] * zeta^j / denom.  The denominator is positive
+    and shares no factor with all the entries, so equal series have equal
+    fields.
+    """
+
+    __slots__ = ("var", "level", "cutoff", "entries", "denom")
 
     def __init__(self, var: str, coeffs, *, cutoff: int) -> None:
-        clean = {}
+        rows = {}   # key -> coefficient, a rational one as a CyclotomicNumber of level 1
         for k, c in dict(coeffs).items():
             if not isinstance(k, int):
                 raise TypeError("exponent keys must be integers")
             if k < 0:
                 raise ValueError("negative exponent in a power series")
-            if k >= cutoff or not c:
-                continue
-            clean[k] = c
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "coeffs", clean)
+            if k < cutoff:
+                if not isinstance(c, CyclotomicNumber):
+                    c = Fraction(c)
+                    c = CyclotomicNumber._normalized(1, (c.numerator,), c.denominator)
+                rows[k] = c
+        level = _common_level(*rows.values())
+        phi = euler_phi(level)
+        den = lcm(*(c.den for c in rows.values()))
+        entries = [0] * (cutoff * phi)
+        for k, c in rows.items():
+            entries[k * phi:k * phi + len(c.nums)] = [x * (den // c.den) for x in c.nums]
+        _init(self, var, level, cutoff, entries, den)
 
     @classmethod
-    def _raw(cls, var: str, coeffs: dict, cutoff: int) -> "TruncSeries":
-        """Trusted construction, with nothing checked or dropped: coeffs
-        must have int keys in [0, cutoff) and no zero coefficient, as this
-        class's own arithmetic builds them."""
+    def _normalized(cls, var: str, level: int, cutoff: int, entries,
+                    denom: int) -> "TruncSeries":
+        """sum_k sum_j entries[k*phi + j] zeta^j var^k / denom, from
+        cutoff * phi(level) ints and a nonzero int denom, divided through by
+        their gcd (negated for a negative denom)."""
         self = object.__new__(cls)
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "coeffs", coeffs)
+        _init(self, var, level, cutoff, entries, denom)
         return self
+
+    @classmethod
+    def combination(cls, terms) -> "TruncSeries":
+        """sum c * s over the (c, s) in terms, nonempty, c rational and every
+        s a series in one variable: one pass over the integer rows per term,
+        over one common denominator, and one gcd.  The cutoff is the least."""
+        terms = list(terms)
+        var = terms[0][1].var
+        if any(s.var != var for _, s in terms):
+            raise ValueError("series variable mismatch")
+        level = _common_level(*(s for _, s in terms))
+        size = min(s.cutoff for _, s in terms) * euler_phi(level)
+        den = lcm(*(c.denominator * s.denom for c, s in terms))
+        total = [0] * size
+        for c, s in terms:
+            scale = c.numerator * (den // (c.denominator * s.denom))
+            total = [t + scale * e for t, e in zip(total, s._at(level).entries)]
+        return cls._normalized(var, level, size // euler_phi(level), total, den)
+
+    @classmethod
+    def _constant(cls, var: str, value, cutoff: int) -> "TruncSeries":
+        return cls(var, {0: value}, cutoff=cutoff)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -120,27 +147,49 @@ class TruncSeries:
     # -- basic queries --------------------------------------------------------
 
     def coeff(self, key: int):
-        """Coefficient at exponent key, which must be below the cutoff.  An
-        absent key reads as c * 0 for a stored coefficient c, a zero of the
-        coefficients' own domain; only a series that stores nothing gives
-        Fraction(0)."""
+        """Coefficient at exponent key, which must be below the cutoff: a
+        Fraction at level 1, else a CyclotomicNumber of the series' level."""
         if key >= self.cutoff:
             raise ValueError(f"exponent {key} is beyond the trusted cutoff")
-        if key in self.coeffs:
-            return self.coeffs[key]
-        return next(iter(self.coeffs.values()), Fraction(0)) * 0
+        phi = euler_phi(self.level)
+        return self._read(self.entries[key * phi:(key + 1) * phi] if key >= 0 else (0,) * phi)
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients, {exponent: coefficient}, in key order."""
+        if not self:
+            return {}
+        phi = euler_phi(self.level)
+        rows = (self.entries[k * phi:(k + 1) * phi] for k in range(self.cutoff))
+        return {k: self._read(row) for k, row in enumerate(rows) if any(row)}
+
+    def _read(self, row):
+        if self.level == 1:
+            return Fraction(row[0], self.denom)
+        return CyclotomicNumber._normalized(self.level, row, self.denom)
+
+    def valuation(self) -> int:
+        """The lowest exponent with a nonzero coefficient; the cutoff for a
+        series that is zero through its cutoff."""
+        phi = euler_phi(self.level)
+        first = next((i for i, x in enumerate(self.entries) if x), None)
+        return self.cutoff if first is None else first // phi
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return any(self.entries)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncSeries):
-            return (self.var == other.var and self.cutoff == other.cutoff
-                    and self.coeffs == other.coeffs)
-        if isinstance(other, _SCALARS) or isinstance(other, CyclotomicNumber):
+            if self.level != other.level:
+                return (self.var, self.cutoff, self.coeffs) == \
+                    (other.var, other.cutoff, other.coeffs)
+            return (self.var, self.cutoff, self.entries, self.denom) == \
+                (other.var, other.cutoff, other.entries, other.denom)
+        if isinstance(other, (*_SCALARS, CyclotomicNumber)):
             if not other:
-                return not self.coeffs
-            return set(self.coeffs) == {0} and self.coeffs[0] == other
+                return not self
+            return self.cutoff > 0 and self == TruncSeries._constant(self.var, other,
+                                                                     self.cutoff)
         return NotImplemented
 
     def __hash__(self):
@@ -149,25 +198,16 @@ class TruncSeries:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other):
-        merged = dict(self.coeffs)
-        if isinstance(other, TruncSeries):
-            if other.var != self.var:
-                raise ValueError("series variable mismatch")
-            cut = min(self.cutoff, other.cutoff)
-            for k, c in other.coeffs.items():
-                s = merged.get(k)
-                merged[k] = c if s is None else s + c
-        else:
-            cut = self.cutoff
-            merged[0] = merged.get(0, Fraction(0)) + other
-        return TruncSeries._raw(self.var, {k: c for k, c in merged.items()
-                                           if k < cut and c}, cut)
+        if not isinstance(other, TruncSeries):
+            if not isinstance(other, (*_SCALARS, CyclotomicNumber)):
+                return NotImplemented
+            other = TruncSeries._constant(self.var, other, self.cutoff)
+        return TruncSeries.combination([(1, self), (1, other)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries._raw(self.var, {k: -c for k, c in self.coeffs.items()},
-                                self.cutoff)
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
@@ -176,67 +216,90 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, TruncSeries):
-            return self._scale(other)
-        if other.var != self.var:
+        if isinstance(other, _SCALARS):
+            return TruncSeries.combination([(other, self)])
+        if isinstance(other, CyclotomicNumber):
+            other = TruncSeries._constant(self.var, other, self.cutoff)
+        elif not isinstance(other, TruncSeries):
+            return NotImplemented
+        elif other.var != self.var:
             raise ValueError("series variable mismatch")
-        if not self.coeffs or not other.coeffs:
-            cut = min(self.cutoff, other.cutoff)
-            return TruncSeries._raw(self.var, {}, cut)
-        cut = min(self.cutoff + min(other.coeffs), other.cutoff + min(self.coeffs))
-        level = _field_level(self.coeffs, other.coeffs)
-        if level is not None:
-            return TruncSeries._raw(self.var, _field_product(level, self.coeffs,
-                                                             other.coeffs, cut), cut)
-        out = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                if k >= cut:
-                    continue
-                prod = a * b
-                s = out.get(k)
-                out[k] = prod if s is None else s + prod
-        return TruncSeries._raw(self.var, {k: c for k, c in out.items() if c}, cut)
+        level = _common_level(self, other)
+        a, b = self._at(level), other._at(level)
+        if not a or not b:
+            cut = min(a.cutoff, b.cutoff)
+            return TruncSeries._normalized(self.var, level, cut,
+                                           [0] * (cut * euler_phi(level)), 1)
+        cut = min(a.cutoff + b.valuation(), b.cutoff + a.valuation())
+        return TruncSeries._normalized(self.var, level, cut,
+                                       _row_product(level, a.entries, b.entries, cut),
+                                       a.denom * b.denom)
 
     __rmul__ = __mul__
 
-    def _scale(self, factor):
-        # exact coefficients have no zero divisors: only a zero factor gives zeros
-        out = {k: c * factor for k, c in self.coeffs.items()} if factor else {}
-        return TruncSeries._raw(self.var, out, self.cutoff)
-
     def inverse(self) -> "TruncSeries":
-        """1/self; the constant term must be nonzero."""
-        c0 = self.coeffs.get(0)
-        if c0 is None:
+        """1/self; the constant term must be nonzero.  Newton's iteration
+        g -> g (2 - self g) from the inverse of the constant term (by the
+        norm, `CyclotomicNumber.inverse`) doubles the number of correct
+        terms per step."""
+        if not self or self.valuation():
             raise ValueError("series with zero constant term is not invertible")
-        c0_inv = _invert_coeff(c0)
-        inv = {0: c0_inv}
-        for k in range(1, self.cutoff):
-            s = None
-            for j in range(1, k + 1):
-                cj = self.coeffs.get(j)
-                ij = inv.get(k - j)
-                if cj is None or ij is None:
-                    continue
-                t = cj * ij
-                s = t if s is None else s + t
-            if s is not None and s:
-                inv[k] = -(c0_inv * s)
-        return TruncSeries._raw(self.var, inv, self.cutoff)
+        phi = euler_phi(self.level)
+        head = CyclotomicNumber._normalized(self.level, self.entries[:phi],
+                                            self.denom).inverse()
+        inv = TruncSeries._normalized(self.var, self.level, self.cutoff,
+                                      head.nums + (0,) * ((self.cutoff - 1) * phi), head.den)
+        for _ in range(self.cutoff.bit_length()):
+            inv = inv * (2 - self * inv)
+        return inv
+
+    def _at(self, level: int) -> "TruncSeries":
+        """This series over Q(zeta_level); self.level must be 1 or level."""
+        if level == self.level:
+            return self
+        pad = [0] * (euler_phi(level) - 1)
+        return TruncSeries._normalized(self.var, level, self.cutoff,
+                                       [y for x in self.entries for y in (x, *pad)],
+                                       self.denom)
 
     # -- text form ---------------------------------------------------------------
 
     def __str__(self) -> str:
         parts = []
-        for k in sorted(self.coeffs):
-            parts.append(term(_render_series_coeff(self.coeffs[k]),
-                              power(self.var, k)))
+        for k, c in self.coeffs.items():
+            if isinstance(c, CyclotomicNumber):
+                text = str(c.rational_value()) if c.is_rational() else c.paren_str()
+            else:
+                text = str(c)
+            parts.append(term(text, power(self.var, k)))
         return f"{join_terms(parts)} + O({self.var}^{self.cutoff})"
 
     def __repr__(self) -> str:
         return f"<TruncSeries {self}>"
+
+
+def _init(series: TruncSeries, var: str, level: int, cutoff: int, entries,
+          denom: int) -> None:
+    """Set the fields of a new series, entries and denom divided through by
+    their gcd, with its sign taken from denom."""
+    g = gcd(denom, *entries)
+    if denom < 0:
+        g = -g
+    object.__setattr__(series, "var", var)
+    object.__setattr__(series, "level", level)
+    object.__setattr__(series, "cutoff", cutoff)
+    object.__setattr__(series, "entries",
+                       tuple(entries) if g == 1 else tuple([x // g for x in entries]))
+    object.__setattr__(series, "denom", denom // g)
+
+
+def _common_level(*values) -> int:
+    """The level that all the series or field elements lie in: Q lies in
+    every Q(zeta_N)."""
+    levels = {v.level for v in values} - {1}
+    if len(levels) > 1:
+        raise ValueError("incompatible cyclotomic levels")
+    return levels.pop() if levels else 1
 
 
 class PackedSeries:
@@ -318,13 +381,8 @@ class PackedSeries:
         return cls(level, precision, total, denom)
 
     def to_series(self) -> TruncSeries:
-        phi = euler_phi(self.level)
-        coeffs = {}
-        for n in range(self.precision):
-            row = self.entries[n * phi:(n + 1) * phi]
-            if any(row):
-                coeffs[n] = CyclotomicNumber._normalized(self.level, row, self.denom)
-        return TruncSeries("q", coeffs, cutoff=self.precision)
+        return TruncSeries._normalized("q", self.level, self.precision, self.entries,
+                                       self.denom)
 
 
 def _pack(entries, phi: int, span: int, width: int) -> int:
@@ -347,66 +405,51 @@ def _pack(entries, phi: int, span: int, width: int) -> int:
             - int.from_bytes(borrow, "little"))
 
 
-def _field_level(a: dict, b: dict):
-    """N when every coefficient of a and b is a CyclotomicNumber of level N,
-    None when some coefficient is rational."""
-    coeffs = [*a.values(), *b.values()]
-    if any(type(c) is not CyclotomicNumber for c in coeffs):
-        return None
-    levels = {c.level for c in coeffs}
-    if len(levels) > 1:
-        raise ValueError("incompatible cyclotomic levels")
-    return levels.pop()
+def _row_product(level: int, a, b, cut: int) -> list:
+    """The first `cut` rows of the product of two row matrices over
+    Q(zeta_level), as in TruncSeries.entries, over the product of their
+    denominators.
 
-
-def _field_rows(coeffs: dict):
-    """The coefficients as (key, phi integer numerators) in key order, over
-    their least common denominator, and that denominator."""
-    den = lcm(*(c.den for c in coeffs.values()))
-    return ([(k, [x * (den // c.den) for x in c.nums]) for k, c in sorted(coeffs.items())],
-            den)
-
-
-def _field_product(level: int, a: dict, b: dict, cut: int) -> dict:
-    """The coefficients below `cut` of the product of two series over
-    Q(zeta_level), given as {key: CyclotomicNumber}.
-
-    Every q^k coefficient is summed over its pairs (i, j), i + j = k, on
-    integers, then reduced once mod Phi_level and divided through by one gcd.
-    Each numerator row is packed into one int, entry e at bit `width` * e
-    (Kronecker substitution in zeta only), so the product of two packed rows
-    holds their 2*phi - 1 convolution entries and a pair costs one integer
-    multiply.  An entry of a q^k sum is at most phi * max|a| * max|b| per
-    pair, over at most min(len(a), len(b)) pairs; `width` is one bit more
-    than that bound needs, for the sign, so no entry spills into the next.
+    Every row k is summed over its pairs (i, j), i + j = k, on integers,
+    then reduced once mod Phi_level.  Each row is packed into one int, entry
+    e at bit `width` * e (Kronecker substitution in zeta only), so the
+    product of two packed rows holds their 2*phi - 1 convolution entries and
+    a pair costs one integer multiply.  An entry of a row sum is at most
+    phi * max|a| * max|b| per pair, over at most as many pairs as the
+    sparser factor has nonzero rows; `width` is one bit more than that
+    bound needs, for the sign, so no entry spills into the next.  At
+    phi = 1 a packed row is its one entry.
     """
     phi = euler_phi(level)
-    rows_a, den_a = _field_rows(a)
-    rows_b, den_b = _field_rows(b)
-    bound = (max(abs(x) for _, row in rows_a for x in row)
-             * max(abs(x) for _, row in rows_b for x in row)
-             * phi * min(len(rows_a), len(rows_b)))
+    rows_a = [(i, a[i * phi:(i + 1) * phi]) for i in range(len(a) // phi)
+              if any(a[i * phi:(i + 1) * phi])]
+    rows_b = [(j, b[j * phi:(j + 1) * phi]) for j in range(len(b) // phi)
+              if any(b[j * phi:(j + 1) * phi])]
+    bound = max(map(abs, a)) * max(map(abs, b)) * phi * min(len(rows_a), len(rows_b))
     width = bound.bit_length() + 1
     packed_b = [(j, _pack_row(row, width)) for j, row in rows_b]
-    sums: dict[int, int] = {}
+    sums = [0] * cut
     for i, row in rows_a:
         x = _pack_row(row, width)
         for j, y in packed_b:
             k = i + j
             if k >= cut:
                 break
-            sums[k] = sums.get(k, 0) + x * y
+            sums[k] += x * y
+    if phi == 1:
+        return sums
     # add half of each entry's range so that every entry reads nonnegative,
     # with no borrow between entries
     half, mask = 1 << (width - 1), (1 << width) - 1
     span = range(0, (2 * phi - 1) * width, width)
     bias = sum(half << shift for shift in span)
-    den, out = den_a * den_b, {}
-    for k, v in sums.items():
-        v += bias
-        nums = _reduce(level, [((v >> shift) & mask) - half for shift in span])
-        if any(nums):
-            out[k] = CyclotomicNumber._normalized(level, nums, den)
+    out, zeros = [], [0] * phi
+    for v in sums:
+        if v:
+            v += bias
+            out += _reduce(level, [((v >> shift) & mask) - half for shift in span])
+        else:
+            out += zeros
     return out
 
 
@@ -416,11 +459,3 @@ def _pack_row(row: list, width: int) -> int:
     for e in reversed(row):
         x = (x << width) + e
     return x
-
-
-def _render_series_coeff(c) -> str:
-    if isinstance(c, CyclotomicNumber):
-        if c.is_rational():
-            return str(c.rational_value())
-        return c.paren_str()
-    return str(c)

@@ -219,12 +219,15 @@ def f_lambda_values(a: Sequence, n: int) -> dict[Partition, object]:
     with [e_lambda] m_I read from `monomial_to_elementary(I, n)`.  Each
     product of a's extends its prefix's product, formed once, and is added
     into every f_lambda it reaches.  Every lambda is reached, as the
-    m_I -> e_lambda table is unitriangular.
+    m_I -> e_lambda table is unitriangular.  Each f_lambda is summed as
+    one linear combination: by the domain's own `combination` where it has
+    one (TruncSeries, on integer rows over one denominator), else term by
+    term.
     """
     if len(a) <= n:
         raise ValueError(f"genus series stops at a_{len(a) - 1}, need a_{n}")
     partitions = all_partitions(n)
-    out: dict[Partition, object] = {}
+    terms: dict[Partition, list] = {}
     products: dict[tuple[int, ...], object] = {}  # by factor sequence
     for I in partitions:
         a_I, factors = None, (0,) * (n - len(I)) + I[::-1]
@@ -234,9 +237,15 @@ def f_lambda_values(a: Sequence, n: int) -> dict[Partition, object]:
             a_I = products[factors[:m]]
         for e_exp, c in monomial_to_elementary(I, n).terms.items():
             lam = tuple(j for j in range(n, 0, -1) for _ in range(e_exp[j - 1]))
-            term = c * a_I
-            out[lam] = out[lam] + term if lam in out else term
-    return {lam: out[lam] for lam in partitions}
+            terms.setdefault(lam, []).append((c, a_I))
+    combine = getattr(type(a[0]), "combination", _sum_of_multiples)
+    return {lam: combine(terms[lam]) for lam in partitions}
+
+
+def _sum_of_multiples(terms):
+    """sum c * x over the (c, x) in terms, nonempty, term by term."""
+    (c0, x0), rest = terms[0], terms[1:]
+    return sum((c * x for c, x in rest), c0 * x0)
 
 
 def f_lambda_symbolic(n: int) -> dict[Partition, SparsePoly]:

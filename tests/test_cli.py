@@ -451,9 +451,11 @@ _GOLDEN = {
     "eisenstein_3_5": (0, ["eisenstein", "3", "5", "--prec", "4"]),
     "qn_5": (0, ["qn", "5", "--x-order", "3", "--prec", "3"]),
     "qn_12": (0, ["qn", "12", "--x-order", "5", "--prec", "12"]),
+    "qn_6": (0, ["qn", "6", "--x-order", "10", "--prec", "60"]),
     "genus_cp2_4": (0, ["genus", "{cp2}", "4", "--prec", "4"]),
     "genus_cp3_5": (0, ["genus", "{cp3}", "5", "--prec", "3"]),
     "genus_gr24_12": (0, ["genus", "{gr24}", "12", "--prec", "20"]),
+    "genus_cp7_11": (0, ["genus", "{cp7}", "11", "--prec", "60"]),
     "chiy_cp3_k4": (0, ["chiy", "{cp3}", "--k0", "4"]),
     "chiy_cp3_k3": (1, ["chiy", "{cp3}", "--k0", "3"]),
     "relations_cp2": (0, ["relations", "{cp2}", "3", "4", "7", "--verify",
@@ -463,6 +465,7 @@ _GOLDEN = {
     "hilbert_cp1": (0, ["hilbert", "{cp1}", "2"]),
     "hilbert_cp2": (0, ["hilbert", "{cp2}", "3"]),
     "hilbert_q3": (0, ["hilbert", "{q3}", "3"]),
+    "hilbert_cp7": (0, ["hilbert", "{cp7}", "2"]),
     "polytope_simplex": (0, ["polytope", "{simplex}"]),
     "polytope_cube_k3": (1, ["polytope", "{cube}", "--k0", "3"]),
 }
@@ -473,6 +476,7 @@ def _golden_inputs(tmp_path) -> dict:
     data = {"cp1": cpn_fixed_points(1, (1,)).to_json(),
             "cp2": cpn_fixed_points(2, (1, 3)).to_json(),
             "cp3": cpn_fixed_points(3, (1, 2, 5)).to_json(),
+            "cp7": cpn_fixed_points(7, (1, 2, 3, 4, 5, 6, 7)).to_json(),
             "q3": orbit_fixed_points(grassmannian_orbit(2), (5, 2)).to_json(),
             "gr24": orbit_fixed_points(OrbitSpec(RootSystem("A", 3), (1, 3)),
                                        (4, -2, 1, 7)).to_json(),
@@ -776,6 +780,8 @@ _CLI = {"genus_forge", "genus_forge.cli"}
 _QSERIES = _CLI | {f"genus_forge.{m}" for m in ("cyclotomic", "modular", "series", "text")}
 _FIXED_POINTS = {f"genus_forge.{m}" for m in ("fixedpoints", "symfunc", "sparsepoly", "text")}
 _LOCALIZATION = _QSERIES | _FIXED_POINTS | {"genus_forge.localization"}
+_CHIY = _CLI | _FIXED_POINTS | {"genus_forge.localization"}
+_HILBERT = _CHIY | {f"genus_forge.{m}" for m in ("cyclotomic", "series")}
 _ORBITS = _CLI | _FIXED_POINTS | {"genus_forge.coadjoint"}
 _IMPORTED = {
     None: _CLI,
@@ -783,8 +789,8 @@ _IMPORTED = {
     "qn_5": _QSERIES,
     "genus_cp2_4": _LOCALIZATION,
     "relations_cp2": _LOCALIZATION,
-    "chiy_cp3_k3": _LOCALIZATION,
-    "hilbert_q3": _LOCALIZATION,
+    "chiy_cp3_k3": _CHIY,                # no q-series module
+    "hilbert_q3": _HILBERT,              # s-series, no modular
     "coadjoint_a3": _ORBITS,             # --xi and --crosscheck
     "coadjoint_a3_q4211": _ORBITS,       # no --xi
     "polytope_cube_k3": _CLI | {"genus_forge.fixedpoints", "genus_forge.polytope"},

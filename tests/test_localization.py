@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus_forge import localization
+from genus_forge import localization, modular, series
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
                                    orbit_fixed_points)
 from genus_forge.localization import (FixedPointData, Relation,
@@ -458,8 +458,8 @@ def test_general_relation_report():
 def test_general_relation_failure_keeps_the_convention(monkeypatch):
     # a wrong G[1,3] breaks the identity; the report says so, with both
     # sides, and names no convention but G_0 = 1
-    real = localization.eisenstein_qexp
-    monkeypatch.setattr(localization, "eisenstein_qexp",
+    real = modular.eisenstein_qexp
+    monkeypatch.setattr(modular, "eisenstein_qexp",
                         lambda k, N, prec: real(k, N, prec) + (k == 1))
     [report] = general_relation_cpn(2, 3, [4], 10)
     assert not report["ok"] and report["zero_index_convention"] == "G_0 = 1"
@@ -479,8 +479,8 @@ def test_general_relation_refuses_before_building_a_series(monkeypatch, n, N, ks
     def no_series(*args):
         raise AssertionError("series built before the arguments were checked")
 
-    monkeypatch.setattr(localization, "eisenstein_qexp", no_series)
-    monkeypatch.setattr(localization, "TruncSeries", no_series)
+    monkeypatch.setattr(modular, "eisenstein_qexp", no_series)
+    monkeypatch.setattr(series, "TruncSeries", no_series)
     with pytest.raises(ValueError):
         general_relation_cpn(n, N, ks, 10)
 

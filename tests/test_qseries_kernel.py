@@ -6,12 +6,12 @@ the packed kernel's product, G_{k,N} from its sieve, the memoized products
 G_I, and the residual string of a relation that fails.  Products are
 compared at the kernel's precision (rebuilt with `cutoff=P`), because
 `TruncSeries.__mul__` trusts one more coefficient per zero leading term of
-a factor.  The fused field product of `TruncSeries.__mul__` is compared in
-turn with a per-coefficient double loop on `CyclotomicNumber` written out
-here, and the CP^n relation check, which builds S(z)^n once for a whole
-range of k, with the per-k rebuild of S(z)^n from S(z)^0.  Broken kernels
-must make the two genus routes disagree, and each route must run with the
-other route's kernel made to raise.
+a factor.  The row product of `TruncSeries.__mul__` is compared in turn
+with a per-coefficient double loop on `CyclotomicNumber` written out here,
+and the CP^n relation check, which builds S(z)^n once for a whole range of
+k, with the per-k rebuild of S(z)^n from S(z)^0.  Broken kernels must make
+the two genus routes disagree, and each route must run with the other
+route's kernel made to raise.
 """
 
 import json
@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus_forge import localization, series
-from genus_forge.acceptance import criterion_general_relation, run_all
+from genus_forge import localization, modular, series
+from genus_forge.acceptance import (criterion_general_relation,
+                                    criterion_lemma_eisenstein, run_all)
 from genus_forge.cli import main
 from genus_forge.cyclotomic import CyclotomicNumber, euler_phi
 from genus_forge.localization import (FixedPointData, Relation, build_relation,
@@ -225,10 +226,10 @@ def test_fused_field_product_refuses_mismatched_levels():
         a * b
     with pytest.raises(ValueError, match="incompatible cyclotomic levels"):
         b * a
-    mixed = TruncSeries("q", {0: CyclotomicNumber.zeta(5), 1: CyclotomicNumber.zeta(7)},
-                        cutoff=4)
+    # a series holds one level, so a mixed one is refused when it is built
     with pytest.raises(ValueError, match="incompatible cyclotomic levels"):
-        mixed * mixed
+        TruncSeries("q", {0: CyclotomicNumber.zeta(5), 1: CyclotomicNumber.zeta(7)},
+                    cutoff=4)
 
 
 @given(st.data(), st.sampled_from((2, 3, 5, 12)), st.integers(1, 8))
@@ -246,20 +247,23 @@ def test_series_mixing_rationals_and_field_elements_match_the_loop(data, N, cuto
 
 
 @pytest.fixture
-def broken_fused_product(monkeypatch):
-    """A fused field product that adds 1 to the lowest coefficient of each
-    product of two series that both hold an irrational coefficient."""
-    fused = series._field_product
+def broken_row_product(monkeypatch):
+    """A TruncSeries row product with one entry off by one: the first entry
+    of each product, which adds 1/(product of the denominators) to its
+    constant term.  The memoized unit series of the index limit are built
+    by such products, so they are dropped before and after."""
+    product = series._row_product
 
-    def plus_one(level, a, b, cut):
-        out = fused(level, a, b, cut)
-        if out and not all(c.is_rational() for c in a.values()) \
-                and not all(c.is_rational() for c in b.values()):
-            k = min(out)
-            out[k] = out[k] + 1
+    def off_by_one(level, a, b, cut):
+        out = product(level, a, b, cut)
+        out[0] += 1
         return out
 
-    monkeypatch.setattr(series, "_field_product", plus_one)
+    localization._unit_factor.cache_clear()
+    monkeypatch.setattr(series, "_row_product", off_by_one)
+    yield
+    monkeypatch.undo()
+    localization._unit_factor.cache_clear()
 
 
 @pytest.fixture
@@ -290,33 +294,11 @@ def test_broken_kernel_makes_the_genus_routes_disagree(broken_kernel, tmp_path,
     assert captured.err.startswith("routes differ first at q^0: localization ")
 
 
-@pytest.fixture
-def broken_field(monkeypatch):
-    """A field product that adds 1 to the product of two irrational elements."""
-    mul = CyclotomicNumber.__mul__
-
-    def plus_one(a, b):
-        c = mul(a, b)
-        if (isinstance(b, CyclotomicNumber)
-                and not a.is_rational() and not b.is_rational()):
-            return c + 1
-        return c
-
-    caches = (eisenstein_packed, eisenstein_qexp, localization._packed_product)
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(CyclotomicNumber, "__mul__", plus_one)
-    yield
-    monkeypatch.undo()
-    for cache in caches:
-        cache.cache_clear()
-
-
-def test_broken_field_makes_the_genus_routes_disagree(broken_fused_product, tmp_path,
+def test_broken_field_makes_the_genus_routes_disagree(broken_row_product, tmp_path,
                                                      capsys):
     # the localization route builds G_{k,N} and the G_I from integer rows
-    # and never calls the fused field product of TruncSeries.__mul__, so
-    # only the Chern route follows it
+    # and never calls the row product of TruncSeries.__mul__, so only the
+    # Chern route follows it
     path = tmp_path / "cp2.json"
     path.write_text(json.dumps(cpn_fixed_points(2, (1, 3)).to_json()))
     assert main(["genus", str(path), "3", "--prec", "5"]) == 1
@@ -325,13 +307,23 @@ def test_broken_field_makes_the_genus_routes_disagree(broken_fused_product, tmp_
     assert captured.err.startswith("routes differ first at q^0: localization ")
 
 
-def test_broken_field_fails_the_lemma_criterion(broken_field):
+def test_broken_field_fails_the_lemma_criterion(broken_row_product):
     # the product route of criterion 3 loses a_0 = 1 and raises; run_all
     # counts the crash as a failure
     lines = []
     assert not run_all(out=lines.append)
     assert lines[2].startswith("FAIL   3. product expansion vs Eisenstein")
     assert "a_0 != 1" in lines[2]
+
+
+@pytest.mark.parametrize("N", [3, 5, 12])
+def test_broken_row_product_splits_the_routes_and_the_lemma(broken_row_product, N):
+    # one wrong entry of the TruncSeries row product reaches the Chern route
+    # and the product route of the lemma, never the packed route
+    fpd = cpn_fixed_points(3, (1, 2, 5))
+    assert genus_qexp(fpd, N, 8) != genus_via_chern(fpd, N, 8)
+    with pytest.raises(ArithmeticError, match="a_0 != 1"):
+        criterion_lemma_eisenstein()
 
 
 def _relations(fpd, N):
@@ -368,7 +360,7 @@ def test_localization_route_takes_no_field_arithmetic(monkeypatch):
     caches = (eisenstein_packed, eisenstein_qexp, localization._packed_product)
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(series, "_field_product", no_field_arithmetic)
+    monkeypatch.setattr(series, "_row_product", no_field_arithmetic)
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                  "__rmul__", "__neg__", "inverse"):
         monkeypatch.setattr(CyclotomicNumber, name, no_field_arithmetic)
@@ -381,7 +373,7 @@ def test_localization_route_takes_no_field_arithmetic(monkeypatch):
 
 def test_chern_route_takes_no_packed_product(monkeypatch):
     # genus_via_chern and general_relation_cpn multiply on TruncSeries (the
-    # fused field product), so a packed product that raises leaves them as
+    # row product), so a packed product that raises leaves them as
     # they were; G_{k,N} itself comes from the packed sieve, which neither
     # multiplies nor packs
     fpd = cpn_fixed_points(3, (1, 2, 5))
@@ -414,7 +406,7 @@ def _general_relation_per_k(n, N, k, P):
     by n full list convolutions: the reference for `general_relation_cpn`."""
     zero = TruncSeries.zero("q", P)
     G = [TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=P)]
-    G += [localization.eisenstein_qexp(j, N, P) for j in range(1, k + 1)]
+    G += [modular.eisenstein_qexp(j, N, P) for j in range(1, k + 1)]
     power = [G[0]] + [zero] * k
     for _ in range(n):
         power = [sum((power[i] * G[j - i] for i in range(j + 1)), zero)
@@ -443,8 +435,8 @@ def test_general_relation_matches_the_per_k_rebuild(n, N, P):
 
 def test_general_relation_fails_like_the_per_k_rebuild(monkeypatch):
     # the wrong G[1,3] of test_general_relation_failure_keeps_the_convention
-    real = localization.eisenstein_qexp
-    monkeypatch.setattr(localization, "eisenstein_qexp",
+    real = modular.eisenstein_qexp
+    monkeypatch.setattr(modular, "eisenstein_qexp",
                         lambda k, N, prec: real(k, N, prec) + (k == 1))
     ks = (2, 5, 3, 4)
     got = general_relation_cpn(2, 3, ks, 10)
@@ -453,14 +445,14 @@ def test_general_relation_fails_like_the_per_k_rebuild(monkeypatch):
 
 
 def test_general_relation_criterion_builds_each_power_once(monkeypatch):
-    # one S(z)^n per (n, N) takes 80 fused products; rebuilding it for
+    # one S(z)^n per (n, N) takes 80 row products; rebuilding it for
     # each k took 483
-    fused, calls = series._field_product, []
+    product, calls = series._row_product, []
 
     def counted(*args):
         calls.append(args[0])
-        return fused(*args)
+        return product(*args)
 
-    monkeypatch.setattr(series, "_field_product", counted)
+    monkeypatch.setattr(series, "_row_product", counted)
     assert criterion_general_relation()[0]
     assert 0 < len(calls) <= 120

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genus_forge.cyclotomic import CyclotomicNumber, euler_phi
 from genus_forge.series import TruncSeries, bernoulli, todd_coefficient
+from genus_forge.text import join_terms, power, term
 
 
 def q(coeffs, cutoff=8):
@@ -157,3 +159,159 @@ def test_arithmetic_results_are_canonical(a_list, b_list, cut_a, cut_b, scalar):
         assert all(0 <= k < r.cutoff and c for k, c in r.coeffs.items())
     assert not b - b and not a + (-a)
     assert (a + b).cutoff == min(cut_a, cut_b)
+
+
+# -- the row representation against the per-coefficient algorithm --------------
+#
+# _Reference is the dict-of-coefficients TruncSeries that the integer rows
+# replaced, kept as a plain reference: every coefficient is a Fraction or a
+# CyclotomicNumber, and every operation loops over them with the field's
+# own arithmetic.
+
+
+def _reference_render(c) -> str:
+    if isinstance(c, CyclotomicNumber):
+        return str(c.rational_value()) if c.is_rational() else c.paren_str()
+    return str(c)
+
+
+class _Reference:
+    def __init__(self, var, coeffs, cutoff):
+        self.var, self.cutoff = var, cutoff
+        self.coeffs = {k: c for k, c in coeffs.items() if k < cutoff and c}
+
+    def coeff(self, key):
+        if key in self.coeffs:
+            return self.coeffs[key]
+        return next(iter(self.coeffs.values()), Fraction(0)) * 0
+
+    def __eq__(self, other):
+        if isinstance(other, _Reference):
+            return (self.var, self.cutoff, self.coeffs) == \
+                (other.var, other.cutoff, other.coeffs)
+        if not other:
+            return not self.coeffs
+        return set(self.coeffs) == {0} and self.coeffs[0] == other
+
+    def __add__(self, other):
+        merged = dict(self.coeffs)
+        if isinstance(other, _Reference):
+            cut = min(self.cutoff, other.cutoff)
+            for k, c in other.coeffs.items():
+                merged[k] = merged[k] + c if k in merged else c
+        else:
+            cut = self.cutoff
+            merged[0] = merged.get(0, Fraction(0)) + other
+        return _Reference(self.var, merged, cut)
+
+    def __neg__(self):
+        return _Reference(self.var, {k: -c for k, c in self.coeffs.items()}, self.cutoff)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Reference):
+            return _Reference(self.var, {k: c * other for k, c in self.coeffs.items()},
+                              self.cutoff)
+        if not self.coeffs or not other.coeffs:
+            return _Reference(self.var, {}, min(self.cutoff, other.cutoff))
+        cut = min(self.cutoff + min(other.coeffs), other.cutoff + min(self.coeffs))
+        out = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                if i + j < cut:
+                    out[i + j] = out[i + j] + a * b if i + j in out else a * b
+        return _Reference(self.var, out, cut)
+
+    def inverse(self):
+        c0 = self.coeffs[0]
+        c0_inv = c0.inverse() if isinstance(c0, CyclotomicNumber) else 1 / c0
+        inv = {0: c0_inv}
+        for k in range(1, self.cutoff):
+            s = None
+            for j in range(1, k + 1):
+                if j in self.coeffs and k - j in inv:
+                    t = self.coeffs[j] * inv[k - j]
+                    s = t if s is None else s + t
+            if s is not None and s:
+                inv[k] = -(c0_inv * s)
+        return _Reference(self.var, inv, self.cutoff)
+
+    def __str__(self):
+        parts = [term(_reference_render(self.coeffs[k]), power(self.var, k))
+                 for k in sorted(self.coeffs)]
+        return f"{join_terms(parts)} + O({self.var}^{self.cutoff})"
+
+
+def _same(got, want):
+    """got (TruncSeries) and want (_Reference) hold the same series, read
+    back coefficient by coefficient and as text."""
+    assert got.cutoff == want.cutoff
+    assert str(got) == str(want)
+    assert sorted(got.coeffs) == sorted(want.coeffs)
+    for k in range(got.cutoff):
+        a, b = got.coeff(k), want.coeff(k)
+        assert a == b
+        if got.level == 1:
+            assert type(a) is Fraction
+        else:
+            assert (a.level, a.nums, a.den) == (b.level, b.nums, b.den) \
+                if isinstance(b, CyclotomicNumber) else a == b
+
+
+_big = st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
+_dens = st.one_of(st.integers(1, 12), st.integers(1, 2 ** 40))
+
+
+@st.composite
+def _coefficients(draw, level, cutoff):
+    """{key: coefficient} at a level: Fractions at level 1; at level N
+    elements of Q(zeta_N), some of them rational Fractions; zero values,
+    keys at and beyond the cutoff, leading zero rows and the empty dict."""
+    start = draw(st.sampled_from((0, 0, 1, 3)))
+    keys = draw(st.lists(st.integers(start, cutoff + 4), max_size=6, unique=True))
+    out = {}
+    for k in keys:
+        if level == 1 or draw(st.integers(0, 3)) == 0:
+            out[k] = Fraction(draw(_big), draw(_dens))
+        else:
+            den = draw(_dens)
+            out[k] = CyclotomicNumber(level, [Fraction(draw(_big), den)
+                                              for _ in range(euler_phi(level))])
+    return out
+
+
+@given(st.data(), st.sampled_from((1, *range(2, 13))), st.integers(0, 9),
+       st.integers(0, 9), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_rows_match_the_per_coefficient_algorithm(data, N, cut_a, cut_b, lift_a, lift_b):
+    level_a, level_b = (1 if lift_a else N), (1 if lift_b else N)
+    da = data.draw(_coefficients(level_a, cut_a))
+    db = data.draw(_coefficients(level_b, cut_b))
+    a, ra = TruncSeries("q", da, cutoff=cut_a), _Reference("q", da, cut_a)
+    b, rb = TruncSeries("q", db, cutoff=cut_b), _Reference("q", db, cut_b)
+    r = Fraction(data.draw(_big), data.draw(_dens)) * data.draw(st.sampled_from((0, 1, 1)))
+    _same(a, ra)
+    _same(a + b, ra + rb)
+    _same(a - b, ra - rb)
+    _same(-a, -ra)
+    _same(a * b, ra * rb)
+    _same(b * a, rb * ra)
+    _same(a * r, ra * r)
+    _same(r * a, ra * r)
+    _same(a + r, ra + r)
+    _same(TruncSeries.combination([(r, a), (3, b), (Fraction(-1, 2), a)]),
+          ra * r + rb * 3 + ra * Fraction(-1, 2))
+    if N > 1:
+        z = CyclotomicNumber.zeta(N, data.draw(st.integers(0, N - 1)))
+        _same(a * z, ra * z)
+        _same(a + z, ra + z)
+    assert (a == b) == (ra == rb)
+    assert (a == a + 0) and (a == r) == (ra == r)
+    assert (a == TruncSeries("q", ra.coeffs, cutoff=cut_a))
+    if ra.coeffs.get(0):
+        _same(a.inverse(), ra.inverse())
+    else:
+        with pytest.raises(ValueError):
+            a.inverse()
