@@ -68,9 +68,13 @@ def _load_fixed_points(path: str) -> FixedPointData:
     return fpd
 
 
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _emit(payload: dict, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         for line in lines:
             print(line)
@@ -85,8 +89,10 @@ def cmd_eisenstein(args) -> int:
     _check_qseries_caps(args)
     _check_weight("weight", args.weight)
     series = eisenstein_qexp(args.weight, args.level, args.prec)
-    _emit({"series": series_to_json(series, args.level)}, args.json,
-          [f"G[{args.weight},{args.level}] = {series}"])
+    if args.json:
+        _print_json({"series": series_to_json(series, args.level)})
+    else:
+        print(f"G[{args.weight},{args.level}] = {series}")
     return 0
 
 
@@ -102,11 +108,13 @@ def cmd_qn(args) -> int:
         raise ValueError(f"phi(N) * --prec = {euler_phi(args.level) * args.prec} "
                          f"exceeds the cap QN_MAX_PHI_PREC = {QN_MAX_PHI_PREC}")
     qn = qn_expansion_via_product(args.level, args.x_order, args.prec)
-    lines = [f"a_{k} = {qn[k]}" for k in range(args.x_order)]
-    payload = {"level": args.level,
-               "coeffs": [[k, series_to_json(qn[k], args.level)]
-                          for k in range(args.x_order)]}
-    _emit(payload, args.json, lines)
+    if args.json:
+        _print_json({"level": args.level,
+                     "coeffs": [[k, series_to_json(a, args.level)]
+                                for k, a in enumerate(qn)]})
+    else:
+        for k, a in enumerate(qn):
+            print(f"a_{k} = {a}")
     return 0
 
 
@@ -125,12 +133,13 @@ def cmd_genus(args) -> int:
         print(f"routes differ first at q^{first}: localization "
               f"{via_loc.coeff(first)}, Chern numbers {via_chern.coeff(first)}",
               file=sys.stderr)
-    payload = {"level": args.level, "agree": agree,
-               "series": series_to_json(via_loc, args.level)}
-    _emit(payload, args.json,
-          [f"genus (localization)  = {via_loc}",
-           f"genus (Chern numbers) = {via_chern}",
-           f"routes agree: {'yes' if agree else 'NO'}"])
+    if args.json:
+        _print_json({"level": args.level, "agree": agree,
+                     "series": series_to_json(via_loc, args.level)})
+    else:
+        print(f"genus (localization)  = {via_loc}")
+        print(f"genus (Chern numbers) = {via_chern}")
+        print(f"routes agree: {'yes' if agree else 'NO'}")
     return 0 if agree else 1
 
 
@@ -215,9 +224,10 @@ def cmd_hilbert(args) -> int:
 # x86-64 VM (median of 3 runs), with the level at 11
 # (phi = 10, the widest field below the level cap):
 # - eisenstein at precision 60 takes 0.13 s for weight 20;
-# - relations --verify at precision 60 takes 0.9 s for CP^4, k = 4..12, and
-#   7 s for CP^7, k = 7..20 (13 s for the A4 orbit with J = {1, 2}, n = 7
-#   with 20 fixed points), growing with k and n: k = 7..24 takes 26 s;
+# - relations --verify at precision 60 takes 0.6 s for CP^4, k = 4..12, and
+#   5-9 s for CP^7, k = 7..20 (10-14 s for the A4 orbit with J = {1, 2},
+#   n = 7 with 20 fixed points; ranges over 8 runs, as the VM's speed
+#   swings), growing with k and n: k = 7..24 takes 24 s in-process;
 # - genus at precision 60 takes 0.2 s for CP^3, 0.2 s for CP^4 and 0.6 s
 #   for CP^7 (0.5 s for that A4 orbit); the Chern-number route, which grows
 #   fast with the dimension n of the data, is 0.2 s of it on CP^7;

@@ -83,7 +83,7 @@ def euler_phi(n: int) -> int:
 def _reduce(level: int, poly: list) -> list:
     """The remainder of poly (ascending, any length) modulo the monic Phi_level,
     as phi(level) coefficients; poly is consumed.  Integer coefficients give
-    integer remainders, which the packed q-series kernel relies on."""
+    integer remainders, which the integer-row q-series products rely on."""
     phi_poly = cyclotomic_polynomial(level)
     phi = len(phi_poly) - 1
     for k in range(len(poly) - 1, level - 1, -1):  # fold first: x^level = 1 mod Phi_level

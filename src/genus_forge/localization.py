@@ -16,12 +16,12 @@ this route alone, apart from the one of the divided-difference route in
 For k > n the numbers q_I over partitions I of k assemble into relations
 sum_I q_I * G_{I,N} = 0 among products of Eisenstein series whenever N
 divides the index of the manifold.  For k = n the same sum is the level-N
-elliptic genus, and N | index alone does not make it vanish.  Those sums
-run on the packed kernel (`PackedSeries`), with each product G_I memoized
-per (I, N, precision) and truncated at that precision; the result becomes
-a `TruncSeries` whose cutoff is the precision.  The second genus route,
-`genus_via_chern`, stays on `TruncSeries` and off the memo, so a kernel
-fault shows as disagreement.
+elliptic genus, and N | index alone does not make it vanish.  In those
+sums each product G_I is taken by `series.kronecker_product`, memoized per
+(I, N, precision) and truncated at that precision, and the sum is one
+`TruncSeries.combination`.  The second genus route, `genus_via_chern`,
+multiplies with `TruncSeries.__mul__` and stays off the memo, so a fault
+in either product shows as disagreement.
 
 Equivariant indices are computed from the Atiyah-Segal fixed-point sum
 by an exact t -> 1 limit: substitute t = exp(s), multiply through by s^n
@@ -54,7 +54,7 @@ from .symfunc import (Partition, check_partition, elementary_values,
 from .text import join_terms, power, term
 
 if TYPE_CHECKING:
-    from .series import PackedSeries, TruncSeries
+    from .series import TruncSeries
 
 
 def cpn_fixed_points(n: int, weights: Sequence[int]) -> FixedPointData:
@@ -246,32 +246,39 @@ def build_relation(fpd: FixedPointData, N: int, k: int) -> Relation:
 
 
 @lru_cache(maxsize=None)
-def _packed_product(I: Partition, N: int, q_precision: int) -> PackedSeries:
-    """G_{I,N} on the packed kernel, for I nonempty and sorted non-increasing.
+def _packed_product(I: Partition, N: int, q_precision: int) -> TruncSeries:
+    """G_{I,N} by `series.kronecker_product`, for I nonempty and sorted
+    non-increasing, through q^(q_precision-1).
 
     Memoized on (I, N, precision), and built as G_{I without its last part}
     times G_{last part}, so partitions that share a prefix share its product.
     """
-    from .modular import eisenstein_packed
+    from .modular import eisenstein_qexp
+    from .series import kronecker_product
 
-    g = eisenstein_packed(I[-1], N, q_precision)
-    return g if len(I) == 1 else _packed_product(I[:-1], N, q_precision) * g
+    g = eisenstein_qexp(I[-1], N, q_precision)
+    if len(I) == 1:
+        return g
+    return kronecker_product(_packed_product(I[:-1], N, q_precision), g)
 
 
 def _relation_sum(terms, N: int, q_precision: int) -> TruncSeries:
-    """sum c * G_{I,N} over (I, c) in terms, through q^(q_precision-1)."""
-    from .series import PackedSeries
+    """sum c * G_{I,N} over (I, c) in terms, through q^(q_precision-1): the
+    level-N zero series when every c is 0."""
+    from .cyclotomic import euler_phi
+    from .series import TruncSeries
 
-    return PackedSeries.combination(
-        [(c, _packed_product(I, N, q_precision)) for I, c in terms if c],
-        N, q_precision).to_series()
+    terms = [(c, _packed_product(I, N, q_precision)) for I, c in terms if c]
+    if not terms:
+        return TruncSeries._normalized("q", N, q_precision,
+                                       [0] * (q_precision * euler_phi(N)), 1)
+    return TruncSeries.combination(terms)
 
 
 def eisenstein_product(I: Sequence[int], N: int, q_precision: int) -> TruncSeries:
     """G_{I,N} = product of G_{i,N} over the parts of I, a nonempty
     partition, through q^(q_precision-1)."""
-    I = tuple(sorted(I, reverse=True))
-    return _packed_product(I, N, q_precision).to_series()
+    return _packed_product(tuple(sorted(I, reverse=True)), N, q_precision)
 
 
 def verify_relation(rel: Relation, q_precision: int) -> dict:
@@ -292,7 +299,7 @@ def verify_relation(rel: Relation, q_precision: int) -> dict:
 
 def genus_qexp(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
     """The level-N elliptic genus as a q-series: sum_{|I| = n} q_I G_{I,N},
-    with the products G_I on the packed kernel."""
+    with the products G_I by `series.kronecker_product`."""
     if N < 2:
         raise ValueError("the level-N genus needs N >= 2")
     partitions = partitions_at_most(fpd.n, fpd.n)

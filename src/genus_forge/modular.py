@@ -2,8 +2,9 @@
 
 Two independent computations live here.  G_{k,N} comes straight from its
 Fourier expansion: a divisor sum over Q(zeta_N), sieved into the integer
-rows of a `PackedSeries`, which `eisenstein_qexp` converts to a
-`TruncSeries`.  The coefficients a_k(q) of the normalized power series
+rows of a `TruncSeries` under one `lru_cache`, which every route that
+reads G_{k,N} shares.  The coefficients a_k(q) of the normalized power
+series
 
     Q_N(x) = x * (1 - e^{-x} z) / ((1 - e^{-x})(1 - z))
              * prod_{r>=1} (1 - e^{-x} z q^r)(1 - e^x z^{-1} q^r)(1 - q^r)^2
@@ -26,12 +27,12 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .cyclotomic import CyclotomicNumber, _reduce, euler_phi
-from .series import PackedSeries, TruncSeries, bernoulli
+from .series import TruncSeries, bernoulli
 
 
 @lru_cache(maxsize=None)
-def eisenstein_packed(k: int, N: int, precision: int) -> PackedSeries:
-    """G_{k,N} on the packed kernel, trusted through q^(precision-1).
+def eisenstein_qexp(k: int, N: int, precision: int) -> TruncSeries:
+    """G_{k,N} as a q-series over Q(zeta_N), trusted through q^(precision-1).
 
     Constant term (1+z)/(2(1-z)) for k = 1 and B_k/k! for k > 1; for n >= 1
     the q^n coefficient is -sum_{d|n} (n/d)^(k-1) (z^-d + (-1)^k z^d)/(k-1)!.
@@ -67,14 +68,7 @@ def eisenstein_packed(k: int, N: int, precision: int) -> PackedSeries:
     unit = -(denom // scale)
     for row in rows[1:]:
         entries += [unit * e for e in _reduce(N, row)]
-    return PackedSeries(N, precision, entries, denom)
-
-
-@lru_cache(maxsize=None)
-def eisenstein_qexp(k: int, N: int, precision: int) -> TruncSeries:
-    """G_{k,N} as a q-series over Q(zeta_N), trusted through q^(precision-1),
-    read from the same integer rows as `eisenstein_packed`."""
-    return eisenstein_packed(k, N, precision).to_series()
+    return TruncSeries._normalized("q", N, precision, entries, denom)
 
 
 def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> list[TruncSeries]:
@@ -83,14 +77,15 @@ def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> list[Tru
 
     Column j holds j! times the x^j coefficient, each q^n of it as N ints
     in Z[z]/(z^N - 1): e^{+-x} has the integer coefficients (+-1)^j, a
-    product of x-series is a binomial convolution and z^{+-1} rotates the N
-    slots.  As z z^{-1} = 1 and e^{-x} e^x = 1, the factors of each
-    r < q_precision pair into quadratics 1 - m q^r + q^{2r}, applied in
-    place: multiplied in for m = z e^{-x} + z^{-1} e^x and m = 2, divided
-    out for m = e^x + e^{-x} and m = z + z^{-1}.  Each entry is then reduced
-    mod Phi_N once and divided by j!; each q^n becomes an x-series, on
-    integer rows, multiplied by `classical_x_series`, and the rows of those
-    products are transposed into the q-series a_j.
+    product of x-series is a binomial convolution, read from one table of
+    C(j, i) per call, and z^{+-1} rotates the N slots.  As z z^{-1} = 1 and
+    e^{-x} e^x = 1, the factors of each r < q_precision pair into
+    quadratics 1 - m q^r + q^{2r}, applied in place: multiplied in for
+    m = z e^{-x} + z^{-1} e^x and m = 2, divided out for m = e^x + e^{-x}
+    and m = z + z^{-1}.  Each entry is then reduced mod Phi_N once and
+    divided by j!; each q^n becomes an x-series, on integer rows,
+    multiplied by `classical_x_series`, and the rows of those products are
+    transposed into the q-series a_j.
     """
     if N < 2:
         raise ValueError("the level-N genus needs N >= 2")
@@ -101,14 +96,16 @@ def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> list[Tru
     table[0][0] = 1
     rotations = [(k - k % N + (k - 1) % N, k - k % N + (k + 1) % N) for k in range(P * N)]
 
+    binomials = [[comb(j, i) for i in range(j + 1)] for j in range(K)]
+
     def exp_parts(vs, parity):
         """Per j, the sum of C(j, i) vs[i] over i <= j with j - i = parity
         mod 2: e^{+-x} vs is exp_parts(vs, 0) +- exp_parts(vs, 1)."""
         out = []
-        for j in range(K):
+        for j, row in enumerate(binomials):
             acc = [0] * len(vs[0])
             for i in range(j - parity, -1, -2):
-                c = comb(j, i)
+                c = row[i]
                 acc = [a + c * b for a, b in zip(acc, vs[i])]
             out.append(acc)
         return out

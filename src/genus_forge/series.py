@@ -24,14 +24,11 @@ of nonzero rows one integer multiply into the unreduced sum of its degree,
 and each output row is reduced mod Phi_L once.  Only a series with a
 nonzero constant term has an inverse.
 
-PackedSeries is the kernel of the localization route, q-series over
-Q(zeta_N) at one precision: the same integer matrix, multiplied by
+`kronecker_product` is the kernel of the localization route: the product
+of two series of one level N and one cutoff P, truncated at P, by
 Kronecker substitution in q and zeta into a single Python int (Harvey,
-arXiv:0712.4046).  Its cutoff is always its precision, and a product is
-truncated there, whatever TruncSeries would trust.  It meets the rest of
-the program only through `to_series`, which rewraps its rows.  The
-TruncSeries product shares no code with it, so the two genus routes, one
-on each, share no product.
+arXiv:0712.4046).  It shares no code with the product of `__mul__`, so
+the two genus routes, one on each, share no product.
 
 `todd_coefficient` reads the Todd series x/(1 - e^-x), which the index
 limit and the chi_y genus use, from the Bernoulli numbers; only the route
@@ -302,87 +299,42 @@ def _common_level(*values) -> int:
     return levels.pop() if levels else 1
 
 
-class PackedSeries:
-    """A q-series over Q(zeta_N) trusted through q^(precision-1), packed.
+def kronecker_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a * b through q^(P-1), for two series of one level N and one cutoff
+    P, by one integer multiply: Kronecker substitution in q and zeta
+    (Harvey, arXiv:0712.4046).  The cutoff stays P, whatever `__mul__`
+    would trust.
 
-    `entries` is the integer matrix (q-degree x power of zeta) stored row by
-    row: precision rows of phi(N) entries, and the q^n coefficient is
-    sum_j entries[n*phi + j] * zeta^j / denom.  The denominator is positive
-    and shares no factor with all the entries, so equal series have equal
-    fields.  The cutoff is always `precision`.
+    Slot (n, j) of a packed operand holds the q^n zeta^j entry, with
+    2*phi - 1 slots per q-degree, so the zeta-degrees of a product row
+    never spill into the next row.  A slot is wide enough for any product
+    entry, a sum of at most P*phi products of entries, plus a sign bit.
+    Each product row is reduced once mod Phi_N.
     """
-
-    __slots__ = ("level", "precision", "entries", "denom")
-
-    def __init__(self, level: int, precision: int, entries, denom: int = 1) -> None:
-        entries = tuple(entries)
-        if len(entries) != precision * euler_phi(level):
-            raise ValueError("entry count does not match precision x phi(N)")
-        g = gcd(denom, *entries)
-        if denom < 0:
-            g = -g
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "entries",
-                           entries if g == 1 else tuple(e // g for e in entries))
-        object.__setattr__(self, "denom", denom // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PackedSeries is immutable")
-
-    def __bool__(self) -> bool:
-        return any(self.entries)
-
-    def __mul__(self, other: "PackedSeries") -> "PackedSeries":
-        """The product through q^(precision-1), by one integer multiply.
-
-        Slot (n, j) of a packed operand holds the q^n zeta^j entry, with
-        2*phi - 1 slots per q-degree, so the zeta-degrees of a product row
-        never spill into the next row.  A slot is wide enough for any
-        product entry, a sum of at most precision*phi products of entries,
-        plus a sign bit.  Each product row is reduced once mod Phi_N.
-        """
-        N, P = self.level, self.precision
-        if (other.level, other.precision) != (N, P):
-            raise ValueError("packed series of different level or precision")
-        if not self or not other:
-            return PackedSeries(N, P, [0] * len(self.entries))
-        phi = euler_phi(N)
-        span = 2 * phi - 1
-        bound = (max(map(abs, self.entries)) * max(map(abs, other.entries))
-                 * P * phi)
-        width = (bound.bit_length() + 8) // 8          # bytes, sign bit included
-        slots = P * span
-        digits = (_pack(self.entries, phi, span, width)
-                  * _pack(other.entries, phi, span, width))
-        # add half of each slot's range so that every slot reads nonnegative,
-        # with no borrow between slots; slots from q^P up are cut off
-        half = 1 << (8 * width - 1)
-        bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-        low = (digits + bias) & ((1 << (8 * width * slots)) - 1)
-        data = low.to_bytes(width * slots, "little")
-        entries = []
-        for n in range(P):
-            base = n * span * width
-            row = [int.from_bytes(data[i:i + width], "little") - half
-                   for i in range(base, base + span * width, width)]
-            entries += _reduce(N, row)
-        return PackedSeries(N, P, entries, self.denom * other.denom)
-
-    @classmethod
-    def combination(cls, terms, level: int, precision: int) -> "PackedSeries":
-        """sum c * g over (c, g) in terms, c rational, over one denominator."""
-        terms = [(Fraction(c), g) for c, g in terms]
-        denom = lcm(*(c.denominator * g.denom for c, g in terms))
-        total = [0] * (precision * euler_phi(level))
-        for c, g in terms:
-            scale = c.numerator * (denom // (c.denominator * g.denom))
-            total = [t + scale * e for t, e in zip(total, g.entries)]
-        return cls(level, precision, total, denom)
-
-    def to_series(self) -> TruncSeries:
-        return TruncSeries._normalized("q", self.level, self.precision, self.entries,
-                                       self.denom)
+    N, P = a.level, a.cutoff
+    if (b.var, b.level, b.cutoff) != (a.var, N, P):
+        raise ValueError("series of different variable, level or cutoff")
+    if not a or not b:
+        return TruncSeries._normalized(a.var, N, P, [0] * len(a.entries), 1)
+    phi = euler_phi(N)
+    span = 2 * phi - 1
+    bound = max(map(abs, a.entries)) * max(map(abs, b.entries)) * P * phi
+    width = (bound.bit_length() + 8) // 8          # bytes, sign bit included
+    slots = P * span
+    digits = _pack(a.entries, phi, span, width) * _pack(b.entries, phi, span, width)
+    # add half of each slot's range so that every slot reads nonnegative,
+    # with no borrow between slots; slots from q^P up are cut off
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    low = (digits + bias) & ((1 << (8 * width * slots)) - 1)
+    data = low.to_bytes(width * slots, "little")
+    entries = []
+    for n in range(P):
+        base = n * span * width
+        row = [int.from_bytes(data[i:i + width], "little") - half
+               for i in range(base, base + span * width, width)]
+        entries += _reduce(N, row)
+    return TruncSeries._normalized(a.var, N, P, entries, a.denom * b.denom)
 
 
 def _pack(entries, phi: int, span: int, width: int) -> int:

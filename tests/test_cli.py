@@ -14,15 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genus_forge
+from genus_forge import modular
 from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DIM,
                              COADJOINT_MAX_RANK, QN_MAX_PHI_PREC, QN_MAX_X_ORDER,
                              QSERIES_MAX_DIM, QSERIES_MAX_LEVEL, QSERIES_MAX_PREC,
                              QSERIES_MAX_WEIGHT, main)
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
                                   orbit_fixed_points)
-from genus_forge.fixedpoints import brief
+from genus_forge.fixedpoints import FixedPointData, brief
 from genus_forge.localization import build_relation, cpn_fixed_points, divides_chi_y
 from genus_forge.modular import eisenstein_qexp, series_to_json
+from genus_forge.series import TruncSeries
 from genus_forge.sparsepoly import SparsePoly
 
 
@@ -73,6 +75,35 @@ def test_genus_routes_agree(tmp_path, capsys):
     assert main(["genus", path, "2", "--prec", "8"]) == 0
     out = capsys.readouterr().out
     assert "routes agree: yes" in out
+
+
+def _refuse(*args):
+    raise AssertionError("the output form that was not asked for was built")
+
+
+_ONE_FORM = [["eisenstein", "1", "12", "--prec", "24"],
+             ["qn", "3", "--x-order", "4", "--prec", "6"],
+             ["genus", "{cp2}", "3", "--prec", "6"]]
+
+
+@pytest.mark.parametrize("argv", _ONE_FORM, ids=lambda argv: argv[0])
+def test_text_output_builds_no_json(argv, tmp_path, monkeypatch, capsys):
+    argv = [arg.format(cp2=_write_cp2(tmp_path)) for arg in argv]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(modular, "series_to_json", _refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("argv", _ONE_FORM, ids=lambda argv: argv[0])
+def test_json_output_builds_no_text(argv, tmp_path, monkeypatch, capsys):
+    argv = [arg.format(cp2=_write_cp2(tmp_path)) for arg in argv] + ["--json"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(TruncSeries, "__str__", _refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_chiy_divisibility_exit_codes(tmp_path, capsys):
@@ -435,7 +466,9 @@ _DATA = Path(__file__).parent / "data"
 # drift; the two --partition files print a q_I polynomial of degree 2.  The
 # others pin every subcommand's text and JSON form, among them negative
 # leading coefficients and non-rational Q(zeta_N) coefficients, so the
-# rendering of signs is pinned too.  "{cp2}" and the like name the
+# rendering of signs is pinned too.  relations_cp4_3 pins the k = n genus
+# line, relations whose q_I are all zero ("0 = 0") and failed residuals
+# over Q(zeta_3), on CP^4 with no asserted index.  "{cp2}" and the like name the
 # input files written by _golden_inputs.
 _GOLDEN = {
     "coadjoint_cpn4": (0, ["coadjoint", "--cpn", "4", "--xi", "5", "1", "-2",
@@ -462,6 +495,8 @@ _GOLDEN = {
                           "--prec", "8"]),
     "relations_cp2_raw": (0, ["relations", "{cp2}", "3", "4", "5", "--verify",
                               "--raw", "--prec", "6"]),
+    "relations_cp4_3": (1, ["relations", "{cp4}", "3", "4", "10", "--verify",
+                            "--prec", "30"]),
     "hilbert_cp1": (0, ["hilbert", "{cp1}", "2"]),
     "hilbert_cp2": (0, ["hilbert", "{cp2}", "3"]),
     "hilbert_q3": (0, ["hilbert", "{q3}", "3"]),
@@ -476,6 +511,7 @@ def _golden_inputs(tmp_path) -> dict:
     data = {"cp1": cpn_fixed_points(1, (1,)).to_json(),
             "cp2": cpn_fixed_points(2, (1, 3)).to_json(),
             "cp3": cpn_fixed_points(3, (1, 2, 5)).to_json(),
+            "cp4": FixedPointData(4, cpn_fixed_points(4, (1, 2, 3, 4)).points).to_json(),
             "cp7": cpn_fixed_points(7, (1, 2, 3, 4, 5, 6, 7)).to_json(),
             "q3": orbit_fixed_points(grassmannian_orbit(2), (5, 2)).to_json(),
             "gr24": orbit_fixed_points(OrbitSpec(RootSystem("A", 3), (1, 3)),

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from genus_forge import modular
 from genus_forge.cyclotomic import CyclotomicNumber
 from genus_forge.modular import (classical_x_series, eisenstein_qexp,
                                  f_lambda_table, qn_expansion_via_product,
@@ -155,3 +156,18 @@ def test_eisenstein_cache_returns_equal_objects():
 
     c = eisenstein_qexp(3, 3, 5)
     assert c is not a
+
+
+def test_product_expansion_builds_its_binomials_once(monkeypatch):
+    # the qn_6 golden's request: x-order K = 10 needs the K(K+1)/2 binomials
+    # C(j, i), i <= j < K, once per call, not once per chunk of each quadratic
+    real, calls = modular.comb, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    want = qn_expansion_via_product(6, 10, 60)
+    monkeypatch.setattr(modular, "comb", counted)
+    assert qn_expansion_via_product(6, 10, 60) == want
+    assert 0 < len(calls) <= 55

@@ -2,9 +2,10 @@
 
 Each fast path of the localization route is compared here with
 `TruncSeries` arithmetic, or with a divisor sum written out in this file:
-the packed kernel's product, G_{k,N} from its sieve, the memoized products
-G_I, and the residual string of a relation that fails.  Products are
-compared at the kernel's precision (rebuilt with `cutoff=P`), because
+the Kronecker product (`series.kronecker_product`), G_{k,N} from its sieve,
+the memoized products G_I, and the residual string of a relation that
+fails.  Products are compared at the kernel's cutoff (rebuilt with
+`cutoff=P`), because
 `TruncSeries.__mul__` trusts one more coefficient per zero leading term of
 a factor.  The row product of `TruncSeries.__mul__` is compared in turn
 with a per-coefficient double loop on `CyclotomicNumber` written out here,
@@ -31,8 +32,8 @@ from genus_forge.localization import (FixedPointData, Relation, build_relation,
                                       cpn_fixed_points, eisenstein_product,
                                       general_relation_cpn, genus_qexp,
                                       genus_via_chern, verify_relation)
-from genus_forge.modular import eisenstein_packed, eisenstein_qexp
-from genus_forge.series import PackedSeries, TruncSeries, bernoulli
+from genus_forge.modular import eisenstein_qexp
+from genus_forge.series import TruncSeries, bernoulli, kronecker_product
 
 _LEVELS = (2, 3, 4, 5, 7, 9, 12)
 
@@ -55,9 +56,9 @@ def _divisor_sum(k, N, P):
 
 
 @st.composite
-def _packed(draw, N, P):
-    """A sparse packed series: rational entries of any sign and size, and
-    sometimes a zero constant term or the zero series."""
+def _kernel_operand(draw, N, P):
+    """A sparse series over Q(zeta_N) at cutoff P: rational entries of any
+    sign and size, and sometimes a zero constant term or the zero series."""
     entries = [0] * (P * euler_phi(N))
     start = draw(st.sampled_from((0, 0, 1, 2)))
     size = st.one_of(st.integers(-9, 9), st.integers(-2 ** 90, 2 ** 90))
@@ -65,16 +66,16 @@ def _packed(draw, N, P):
         slot = draw(st.integers(0, len(entries) - 1))
         if slot >= start * euler_phi(N):
             entries[slot] = draw(size)
-    return PackedSeries(N, P, entries, draw(st.integers(1, 40)))
+    return TruncSeries._normalized("q", N, P, entries, draw(st.integers(1, 40)))
 
 
 @given(st.data(), st.sampled_from(_LEVELS), st.integers(1, 60))
 @settings(max_examples=80, deadline=None)
 def test_kernel_product_matches_truncseries(data, N, P):
-    a, b = data.draw(_packed(N, P)), data.draw(_packed(N, P))
-    fold = a.to_series() * b.to_series()
+    a, b = data.draw(_kernel_operand(N, P)), data.draw(_kernel_operand(N, P))
+    fold = a * b
     want = TruncSeries(fold.var, fold.coeffs, cutoff=P)
-    assert (a * b).to_series() == want
+    assert kronecker_product(a, b) == want
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(_LEVELS),
@@ -83,13 +84,13 @@ def test_kernel_product_matches_truncseries(data, N, P):
 def test_kernel_product_of_eisenstein_series(j, k, N, P):
     fold = eisenstein_qexp(j, N, P) * eisenstein_qexp(k, N, P)
     want = TruncSeries(fold.var, fold.coeffs, cutoff=P)
-    assert (eisenstein_packed(j, N, P) * eisenstein_packed(k, N, P)).to_series() == want
+    assert kronecker_product(eisenstein_qexp(j, N, P), eisenstein_qexp(k, N, P)) == want
 
 
 def test_kernel_product_dense_corner():
     # the largest qseries benchmark cell: level 7 at precision 60
-    a, b = eisenstein_packed(2, 7, 60), eisenstein_packed(3, 7, 60)
-    assert (a * b).to_series() == eisenstein_qexp(2, 7, 60) * eisenstein_qexp(3, 7, 60)
+    a, b = eisenstein_qexp(2, 7, 60), eisenstein_qexp(3, 7, 60)
+    assert kronecker_product(a, b) == a * b
 
 
 def test_kernel_truncates_at_its_precision():
@@ -99,13 +100,22 @@ def test_kernel_truncates_at_its_precision():
     assert eisenstein_product((5, 3), 3, 50) == TruncSeries(fold.var, fold.coeffs, cutoff=50)
 
 
-def test_packed_series_is_canonical():
-    a = PackedSeries(3, 2, [2, 4, 0, -6], 8)
+def test_kronecker_product_takes_canonical_series_of_one_level_and_cutoff():
+    a = TruncSeries._normalized("q", 3, 2, [2, 4, 0, -6], 8)
     assert (a.entries, a.denom) == ((1, 2, 0, -3), 4)
-    assert PackedSeries(3, 2, [2, 0, 0, 0], -4).entries == (-1, 0, 0, 0)
-    assert not PackedSeries(3, 2, [0] * 4, 7) and PackedSeries(3, 2, [0] * 4, 7).denom == 1
-    with pytest.raises(ValueError):
-        PackedSeries(3, 2, [1, 2, 3])
+    assert TruncSeries._normalized("q", 3, 2, [2, 0, 0, 0], -4).entries == (-1, 0, 0, 0)
+    zero = TruncSeries._normalized("q", 3, 2, [0] * 4, 7)
+    assert not zero and zero.denom == 1
+    product = kronecker_product(a, zero)
+    assert (product.level, product.cutoff, product.entries, product.denom) == \
+        (3, 2, (0,) * 4, 1)
+    for other in (TruncSeries._normalized("q", 3, 3, [1] * 6, 1),
+                  TruncSeries._normalized("q", 4, 2, [1] * 4, 1),
+                  TruncSeries._normalized("x", 3, 2, [1] * 4, 1)):
+        with pytest.raises(ValueError):
+            kronecker_product(a, other)
+        with pytest.raises(ValueError):
+            kronecker_product(other, a)
     with pytest.raises(AttributeError):
         a.denom = 1
 
@@ -268,17 +278,18 @@ def broken_row_product(monkeypatch):
 
 @pytest.fixture
 def broken_kernel(monkeypatch):
-    """A kernel product that is off by one in its first entry."""
-    mul = PackedSeries.__mul__
+    """A Kronecker product that is off by one in its first entry."""
+    product = series.kronecker_product
 
     def off_by_one(a, b):
-        c = mul(a, b)
-        return PackedSeries(c.level, c.precision,
-                            (c.entries[0] + c.denom,) + c.entries[1:], c.denom)
+        c = product(a, b)
+        return TruncSeries._normalized(c.var, c.level, c.cutoff,
+                                       (c.entries[0] + c.denom,) + c.entries[1:], c.denom)
 
     localization._packed_product.cache_clear()
-    monkeypatch.setattr(PackedSeries, "__mul__", off_by_one)
+    monkeypatch.setattr(series, "kronecker_product", off_by_one)
     yield
+    monkeypatch.undo()
     localization._packed_product.cache_clear()
 
 
@@ -319,7 +330,7 @@ def test_broken_field_fails_the_lemma_criterion(broken_row_product):
 @pytest.mark.parametrize("N", [3, 5, 12])
 def test_broken_row_product_splits_the_routes_and_the_lemma(broken_row_product, N):
     # one wrong entry of the TruncSeries row product reaches the Chern route
-    # and the product route of the lemma, never the packed route
+    # and the product route of the lemma, never the Kronecker product
     fpd = cpn_fixed_points(3, (1, 2, 5))
     assert genus_qexp(fpd, N, 8) != genus_via_chern(fpd, N, 8)
     with pytest.raises(ArithmeticError, match="a_0 != 1"):
@@ -355,9 +366,9 @@ def test_localization_route_takes_no_field_arithmetic(monkeypatch):
     assert [report["ok"] for report in want[1]] == [True, False, True, False]
 
     def no_field_arithmetic(*args):
-        raise AssertionError("field arithmetic on the packed kernel")
+        raise AssertionError("field arithmetic on the localization route")
 
-    caches = (eisenstein_packed, eisenstein_qexp, localization._packed_product)
+    caches = (eisenstein_qexp, localization._packed_product)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(series, "_row_product", no_field_arithmetic)
@@ -373,8 +384,8 @@ def test_localization_route_takes_no_field_arithmetic(monkeypatch):
 
 def test_chern_route_takes_no_packed_product(monkeypatch):
     # genus_via_chern and general_relation_cpn multiply on TruncSeries (the
-    # row product), so a packed product that raises leaves them as
-    # they were; G_{k,N} itself comes from the packed sieve, which neither
+    # row product), so a Kronecker product that raises leaves them as
+    # they were; G_{k,N} itself comes from the sieve, which neither
     # multiplies nor packs
     fpd = cpn_fixed_points(3, (1, 2, 5))
 
@@ -386,14 +397,14 @@ def test_chern_route_takes_no_packed_product(monkeypatch):
     want = chern_route()
     assert all(report["ok"] for report in want[1])
 
-    def no_packed_product(*args):
-        raise AssertionError("packed product on the Chern route")
+    def no_kronecker_product(*args):
+        raise AssertionError("Kronecker product on the Chern route")
 
-    caches = (eisenstein_packed, eisenstein_qexp, localization._packed_product)
+    caches = (eisenstein_qexp, localization._packed_product)
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(PackedSeries, "__mul__", no_packed_product)
-    monkeypatch.setattr(series, "_pack", no_packed_product)
+    monkeypatch.setattr(series, "kronecker_product", no_kronecker_product)
+    monkeypatch.setattr(series, "_pack", no_kronecker_product)
     got = chern_route()
     monkeypatch.undo()
     for cache in caches:
@@ -456,3 +467,12 @@ def test_general_relation_criterion_builds_each_power_once(monkeypatch):
     monkeypatch.setattr(series, "_row_product", counted)
     assert criterion_general_relation()[0]
     assert 0 < len(calls) <= 120
+
+
+def test_relation_with_every_q_I_zero_sums_to_the_level_N_zero_series():
+    # CP^4 at level 3 without an asserted index: every q_I of k = 5 is 0
+    rel = build_relation(FixedPointData(4, cpn_fixed_points(4, (1, 2, 3, 4)).points), 3, 5)
+    assert not any(c for _, c in rel.terms)
+    total = localization._relation_sum(rel.terms, 3, 30)
+    assert (total.level, total.cutoff, total.entries, total.denom) == (3, 30, (0,) * 60, 1)
+    assert verify_relation(rel, 30)["residual"] == "0 + O(q^30)"
