@@ -85,10 +85,16 @@ def criterion_cp2_relations(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
             return False, f"k={k}: got {rel.render()!r}, want {display!r}"
         if rel.terms != raw_other.primitive().terms:
             return False, f"k={k}: primitive form depends on the weights"
-        report = verify_relation(rel, 20)
-        if not report["ok"]:
-            return False, f"k={k}: nonzero residual {report['residual']}"
+        residual = verify_relation(rel, 20)
+        if residual:
+            return False, f"k={k}: {_first_nonzero(residual, 'residual')}"
     return True, "k=4..7 rendered exactly and verified to 0 through q^20"
+
+
+def _first_nonzero(series, name: str) -> str:
+    """A series that should vanish, its first nonzero coefficient first."""
+    e = series.valuation()
+    return f"nonzero {name}, first at q^{e}: {series.coeff(e)}; {name} {series}"
 
 
 # 3 ------------------------------------------------------------------------------------
@@ -176,12 +182,13 @@ def criterion_toric_vanishing(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
                 fpd = cpn_fixed_points(n, weights)
                 series = genus_qexp(fpd, N, 15)
                 if series:
-                    return False, f"n={n}, N={N}, weights={weights}: genus != 0"
+                    return False, (f"n={n}, N={N}, weights={weights}: "
+                                   f"{_first_nonzero(series, 'genus')}")
                 for rel in build_relations(fpd, N, range(n + 1, n + 5)):
-                    report = verify_relation(rel, 15)
-                    if not report["ok"]:
+                    residual = verify_relation(rel, 15)
+                    if residual:
                         return False, (f"n={n}, N={N}, weights={weights}, k={rel.k}: "
-                                       f"residual {report['residual']}")
+                                       f"{_first_nonzero(residual, 'residual')}")
                 checked += 1
     return True, (f"{checked} (n, N, weights) runs: zero q-expansion and "
                   "verified relations for k = n+1..n+4")

@@ -90,7 +90,7 @@ def cmd_eisenstein(args) -> int:
     _check_weight("weight", args.weight)
     series = eisenstein_qexp(args.weight, args.level, args.prec)
     if args.json:
-        _print_json({"series": series_to_json(series, args.level)})
+        _print_json({"series": series_to_json(series)})
     else:
         print(f"G[{args.weight},{args.level}] = {series}")
     return 0
@@ -110,7 +110,7 @@ def cmd_qn(args) -> int:
     qn = qn_expansion_via_product(args.level, args.x_order, args.prec)
     if args.json:
         _print_json({"level": args.level,
-                     "coeffs": [[k, series_to_json(a, args.level)]
+                     "coeffs": [[k, series_to_json(a)]
                                 for k, a in enumerate(qn)]})
     else:
         for k, a in enumerate(qn):
@@ -126,21 +126,20 @@ def cmd_genus(args) -> int:
     fpd = _load_fixed_points(args.fixed_points)
     via_loc = genus_qexp(fpd, args.level, args.prec)
     via_chern = genus_via_chern(fpd, args.level, args.prec)
-    first = None if via_loc == via_chern else next(
-        (k for k in range(args.prec) if via_loc.coeff(k) != via_chern.coeff(k)), None)
-    agree = first is None
-    if not agree:
+    difference = via_loc - via_chern
+    if difference:
+        first = difference.valuation()
         print(f"routes differ first at q^{first}: localization "
               f"{via_loc.coeff(first)}, Chern numbers {via_chern.coeff(first)}",
               file=sys.stderr)
     if args.json:
-        _print_json({"level": args.level, "agree": agree,
-                     "series": series_to_json(via_loc, args.level)})
+        _print_json({"level": args.level, "agree": not difference,
+                     "series": series_to_json(via_loc)})
     else:
         print(f"genus (localization)  = {via_loc}")
         print(f"genus (Chern numbers) = {via_chern}")
-        print(f"routes agree: {'yes' if agree else 'NO'}")
-    return 0 if agree else 1
+        print(f"routes agree: {'NO' if difference else 'yes'}")
+    return 1 if difference else 0
 
 
 def cmd_chiy(args) -> int:
@@ -180,26 +179,30 @@ def cmd_relations(args) -> int:
         k = rel.k
         if not args.raw:
             rel = rel.primitive()
-        entry = {"k": k, "relation": rel.to_json(), "display": rel.render()}
-        line = f"k={k}: {rel.render()}"
-        if args.verify:
-            report = verify_relation(rel, args.prec)
-            entry["verified"] = report["ok"]
-            first = report.get("first_nonzero")
-            if report["ok"]:
-                line += f"   [verified to q^{args.prec}]"
-            elif k == fpd.n:
-                # the sum over |I| = n is the level-N genus, not a relation
+        residual = verify_relation(rel, args.prec) if args.verify else None
+        genus = k == fpd.n   # the sum over |I| = n is the level-N genus, not a relation
+        code |= bool(residual) and not genus
+        if args.json:
+            entry = {"k": k, "relation": rel.to_json(), "display": rel.render()}
+            if residual is not None:
+                entry["verified"] = not residual
+            if residual and genus:
                 entry["nonzero_genus"] = True
+            items.append(entry)
+            continue
+        line = f"k={k}: {rel.render()}"
+        if residual:
+            e = residual.valuation()
+            if genus:
                 line += (f"   [k = n: the level-N genus (up to scale), nonzero at "
-                         f"q^{first['exponent']}: {first['coefficient']}; N | index "
+                         f"q^{e}: {residual.coeff(e)}; N | index "
                          "does not imply that it vanishes]")
             else:
-                line += (f"   [FAILED: q^{first['exponent']} coefficient "
-                         f"{first['coefficient']}; residual {report['residual']}]")
-                code = 1
+                line += (f"   [FAILED: q^{e} coefficient "
+                         f"{residual.coeff(e)}; residual {residual}]")
+        elif residual is not None:
+            line += f"   [verified to q^{args.prec}]"
         lines.append(line)
-        items.append(entry)
     _emit({"relations": items}, args.json, lines)
     return code
 

@@ -171,9 +171,6 @@ class CyclotomicNumber:
         if o is None:
             return NotImplemented
         da, db = self.den, o.den
-        if da == db:
-            return CyclotomicNumber._normalized(
-                self.level, [a + b for a, b in zip(self.nums, o.nums)], da)
         return CyclotomicNumber._normalized(
             self.level, [a * db + b * da for a, b in zip(self.nums, o.nums)], da * db)
 

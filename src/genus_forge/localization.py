@@ -49,8 +49,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .fixedpoints import FixedPointData, brief, relation_coefficients
 from .sparsepoly import SparsePoly
-from .symfunc import (Partition, check_partition, elementary_values,
-                      partition_sort_key, partition_str, partitions_at_most)
+from .symfunc import (Partition, all_partitions, check_partition, elementary_values,
+                      genus_value, partition_sort_key, partition_str, partitions_at_most)
 from .text import join_terms, power, term
 
 if TYPE_CHECKING:
@@ -281,20 +281,11 @@ def eisenstein_product(I: Sequence[int], N: int, q_precision: int) -> TruncSerie
     return _packed_product(tuple(sorted(I, reverse=True)), N, q_precision)
 
 
-def verify_relation(rel: Relation, q_precision: int) -> dict:
-    """Sum the q-expansion of the relation; pass iff identically zero.
-
-    A failing report also names the first nonzero coefficient of the
-    residual, as {"exponent": e, "coefficient": its value in Q(zeta_N)}.
-    """
-    residual = _relation_sum(rel.terms, rel.N, q_precision)
-    report = {"n": rel.n, "k": rel.k, "N": rel.N, "q_precision": q_precision,
-              "ok": not residual, "residual": str(residual)}
-    if residual:
-        e = residual.valuation()
-        report["first_nonzero"] = {"exponent": e,
-                                   "coefficient": str(residual.coeff(e))}
-    return report
+def verify_relation(rel: Relation, q_precision: int) -> TruncSeries:
+    """The residual sum_I q_I G_{I,N} of the relation through
+    q^(q_precision-1), zero iff the relation holds to that order; a failed
+    check reads its first nonzero coefficient at residual.valuation()."""
+    return _relation_sum(rel.terms, rel.N, q_precision)
 
 
 def genus_qexp(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
@@ -308,16 +299,12 @@ def genus_qexp(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
 
 
 def genus_via_chern(fpd: FixedPointData, N: int, q_precision: int) -> TruncSeries:
-    """Independent route to the same genus: sum of f_lambda * C_lambda, on
-    TruncSeries arithmetic alone, so it shares no product with `genus_qexp`."""
-    from .modular import f_lambda_table
-    from .series import TruncSeries
+    """Independent route to the same genus: sum of f_lambda * C_lambda by
+    `symfunc.genus_value`, so it shares no product with `genus_qexp`."""
+    from .modular import genus_coefficients
 
-    table = f_lambda_table(N, fpd.n, q_precision)
-    total = TruncSeries("q", {}, cutoff=q_precision)
-    for lam, series in table.items():
-        total = total + series * chern_number(fpd, lam)
-    return total
+    chern = {lam: chern_number(fpd, lam) for lam in all_partitions(fpd.n)}
+    return genus_value(genus_coefficients(N, fpd.n, q_precision), chern, fpd.n)
 
 
 # -- equivariant indices and the t -> 1 limit ------------------------------------------
@@ -457,7 +444,9 @@ def general_relation_cpn(n: int, N: int, ks: Sequence[int], q_precision: int) ->
     `TruncSeries` products over Q(zeta_N), starting from S(z), give the
     coefficients of z^0..z^K in S(z)^n, each trusted through
     q^(q_precision-1).  They do not depend on k: one S(z)^n serves all of
-    ks.  On failure a report carries both sides.
+    ks.  Each [z^j] of S(z)^(r+1) and each right-hand side is one
+    `TruncSeries.combination`.  A failed report names the first exponent
+    where the sides differ, with both coefficients, then both sides.
     """
     if N < 2:
         raise ValueError("Eisenstein level must be at least 2")
@@ -477,16 +466,21 @@ def general_relation_cpn(n: int, N: int, ks: Sequence[int], q_precision: int) ->
     # power[j] + G[j], and the term l = 0 of the RHS is binom(k-1, n-1) G_k
     power = G                            # S(z)^1
     for _ in range(n - 1):
-        power = G[:1] + [sum((power[i] * G[j - i] for i in range(1, j)), power[j] + G[j])
+        power = G[:1] + [TruncSeries.combination([(1, power[j]), (1, G[j])] + [
+                             (1, power[i] * G[j - i]) for i in range(1, j)])
                          for j in range(1, top + 1)]
     reports = []
     for k in ks:
         lhs = power[k] * Fraction((-1) ** (n + k + 1))
-        rhs = sum((G[k - ell] * power[ell] * comb(k - ell - 1, n - ell - 1)
-                   for ell in range(1, n)), G[k] * comb(k - 1, n - 1))
+        rhs = TruncSeries.combination([(comb(k - 1, n - 1), G[k])] + [
+            (comb(k - ell - 1, n - ell - 1), G[k - ell] * power[ell]) for ell in range(1, n)])
+        difference = lhs - rhs
         report = {"n": n, "N": N, "k": k, "q_precision": q_precision,
-                  "ok": lhs == rhs, "zero_index_convention": "G_0 = 1"}
-        if not report["ok"]:
-            report.update(lhs=str(lhs), rhs=str(rhs))
+                  "ok": not difference, "zero_index_convention": "G_0 = 1"}
+        if difference:
+            e = difference.valuation()
+            report.update(first_mismatch={"exponent": e, "lhs": str(lhs.coeff(e)),
+                                          "rhs": str(rhs.coeff(e))},
+                          lhs=str(lhs), rhs=str(rhs))
         reports.append(report)
     return reports

@@ -13,7 +13,8 @@ series
 (z = zeta_N) come from expanding that product on a table of integers, as
 a plain list of q-series a_0, a_1, ....  The identity a_k = G_{k,N} is
 checked, never assumed: `verify_lemma_eisenstein` compares the two routes
-series by series, and walks the coefficients of a pair that differs.
+series by series, and reads the first mismatch of a pair that differs
+off the valuation of their difference.
 
 Precision T for a q-series always means: coefficients of q^0 .. q^{T-1}
 are trusted.  The simple zero of (1 - e^{-x}) at x = 0 is cancelled
@@ -157,19 +158,19 @@ def qn_expansion_via_product(N: int, x_order: int, q_precision: int) -> list[Tru
 
 def classical_x_series(N: int, x_order: int) -> TruncSeries:
     """x(1 - e^{-x} z)/((1 - e^{-x})(1 - z)): the q -> 0 limit of Q_N(x),
-    an x-series with plain cyclotomic coefficients."""
+    an x-series with plain cyclotomic coefficients.  As
+    (1 - e^{-x} z)/(1 - z) = 1 + z(1 - e^{-x})/(1 - z), it is
+    x/(1 - e^{-x}) + x z/(1 - z), with no product of x-series."""
     if N < 2:
         raise ValueError("the level-N genus needs N >= 2")
     zeta = CyclotomicNumber.zeta(N)
-    one = CyclotomicNumber.from_rational(N, 1)
     # x/(1 - e^{-x}) = 1/u is inverted, not read from `todd_coefficient`: the
     # G_{k,N} constants come from `bernoulli`, and criterion 3 compares this
     # route with theirs, so it must not share the Bernoulli numbers
-    u = TruncSeries("x", {j: one * Fraction((-1) ** j, factorial(j + 1))
+    u = TruncSeries("x", {j: Fraction((-1) ** j, factorial(j + 1))
                           for j in range(x_order)}, cutoff=x_order)
-    top = 1 - TruncSeries("x", {j: zeta * Fraction((-1) ** j, factorial(j))
-                                for j in range(x_order)}, cutoff=x_order)
-    return top * u.inverse() * (1 - zeta).inverse()
+    return u.inverse() + TruncSeries("x", {1: zeta * (1 - zeta).inverse()},
+                                     cutoff=x_order)
 
 
 def verify_lemma_eisenstein(N: int, k_max: int, q_precision: int) -> dict:
@@ -183,37 +184,35 @@ def verify_lemma_eisenstein(N: int, k_max: int, q_precision: int) -> dict:
     for k in range(1, k_max + 1):
         lhs = qn[k]
         rhs = eisenstein_qexp(k, N, q_precision)
-        if lhs == rhs:
-            continue
-        for n in range(q_precision):
-            a, b = lhs.coeff(n), rhs.coeff(n)
-            if a != b:
-                report.update(ok=False, weight=k, exponent=n,
-                              product=str(a), fourier=str(b))
-                return report
+        difference = lhs - rhs
+        if difference:
+            n = difference.valuation()
+            report.update(ok=False, weight=k, exponent=n,
+                          product=str(lhs.coeff(n)), fourier=str(rhs.coeff(n)))
+            return report
     return report
+
+
+def genus_coefficients(N: int, n: int, q_precision: int) -> list[TruncSeries]:
+    """a_0 = 1 and a_k = G_{k,N}, k <= n, of the level-N genus, over Q(zeta_N)."""
+    one = TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=q_precision)
+    return [one] + [eisenstein_qexp(k, N, q_precision) for k in range(1, n + 1)]
 
 
 def f_lambda_table(N: int, n: int,
                    q_precision: int) -> dict[tuple[int, ...], TruncSeries]:
-    """f_lambda for partitions of n, with a_k = G_{k,N}: q-series over Q(zeta_N)."""
+    """f_lambda for partitions of n at the level-N genus coefficients."""
     # local import: eisenstein and qn requests never load symfunc
     from .symfunc import f_lambda_values
 
-    one = TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=q_precision)
-    return f_lambda_values([one] + [eisenstein_qexp(k, N, q_precision)
-                                    for k in range(1, n + 1)], n)
+    return f_lambda_values(genus_coefficients(N, n, q_precision), n)
 
 
 # -- JSON shape shared with the command line ------------------------------------------
 
 
-def series_to_json(series: TruncSeries, level: int) -> dict:
-    coeffs = []
-    for k, c in series.coeffs.items():
-        if not isinstance(c, CyclotomicNumber):
-            c = CyclotomicNumber.from_rational(level, c)
-        coeffs.append([k, str(c)])
-    return {"variable": series.var, "level": level,
-            "precision": series.cutoff, "coeffs": coeffs}
+def series_to_json(series: TruncSeries) -> dict:
+    """The series with its level, cutoff and each nonzero coefficient's text."""
+    return {"variable": series.var, "level": series.level, "precision": series.cutoff,
+            "coeffs": [[k, str(c)] for k, c in series.coeffs.items()]}
 

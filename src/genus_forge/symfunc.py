@@ -220,9 +220,7 @@ def f_lambda_values(a: Sequence, n: int) -> dict[Partition, object]:
     product of a's extends its prefix's product, formed once, and is added
     into every f_lambda it reaches.  Every lambda is reached, as the
     m_I -> e_lambda table is unitriangular.  Each f_lambda is summed as
-    one linear combination: by the domain's own `combination` where it has
-    one (TruncSeries, on integer rows over one denominator), else term by
-    term.
+    one linear combination, by `_combine`.
     """
     if len(a) <= n:
         raise ValueError(f"genus series stops at a_{len(a) - 1}, need a_{n}")
@@ -238,12 +236,16 @@ def f_lambda_values(a: Sequence, n: int) -> dict[Partition, object]:
         for e_exp, c in monomial_to_elementary(I, n).terms.items():
             lam = tuple(j for j in range(n, 0, -1) for _ in range(e_exp[j - 1]))
             terms.setdefault(lam, []).append((c, a_I))
-    combine = getattr(type(a[0]), "combination", _sum_of_multiples)
-    return {lam: combine(terms[lam]) for lam in partitions}
+    return {lam: _combine(terms[lam]) for lam in partitions}
 
 
-def _sum_of_multiples(terms):
-    """sum c * x over the (c, x) in terms, nonempty, term by term."""
+def _combine(terms):
+    """sum c * x over the (c, x) in terms, nonempty: by the domain's own
+    `combination` where it has one (TruncSeries, on integer rows over one
+    denominator), else term by term."""
+    combination = getattr(type(terms[0][1]), "combination", None)
+    if combination is not None:
+        return combination(terms)
     (c0, x0), rest = terms[0], terms[1:]
     return sum((c * x for c, x in rest), c0 * x0)
 
@@ -283,16 +285,12 @@ def genus_polynomials(a: Sequence, n: int) -> list[SparsePoly]:
 
 def genus_value(a: Sequence, chern: Mapping[Partition, int], n: int):
     """sum of f_lambda * C_lambda over partitions lambda of n, at the
-    coefficients a_0..a_m."""
+    coefficients a_0..a_m, as one linear combination, by `_combine`."""
     flam = f_lambda_values(a, n)
-    total = None
-    for lam, f in flam.items():
+    for lam in flam:
         if lam not in chern:
             raise ValueError(f"missing Chern number for partition {partition_str(lam)}")
-        term = f * chern[lam]
-        total = term if total is None else total + term
-    assert total is not None
-    return total
+    return _combine([(chern[lam], f) for lam, f in flam.items()])
 
 
 def chi_y_power_series(k_max: int) -> list[SparsePoly]:

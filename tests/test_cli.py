@@ -22,7 +22,8 @@ from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DI
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
                                   orbit_fixed_points)
 from genus_forge.fixedpoints import FixedPointData, brief
-from genus_forge.localization import build_relation, cpn_fixed_points, divides_chi_y
+from genus_forge.localization import (Relation, build_relation, cpn_fixed_points,
+                                      divides_chi_y)
 from genus_forge.modular import eisenstein_qexp, series_to_json
 from genus_forge.series import TruncSeries
 from genus_forge.sparsepoly import SparsePoly
@@ -43,7 +44,7 @@ def test_eisenstein_text(capsys):
 def test_eisenstein_json_roundtrip(capsys):
     assert main(["eisenstein", "4", "3", "--prec", "8", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload == {"series": series_to_json(eisenstein_qexp(4, 3, 8), 3)}
+    assert payload == {"series": series_to_json(eisenstein_qexp(4, 3, 8))}
 
 
 def test_usage_errors_exit_2():
@@ -81,29 +82,58 @@ def _refuse(*args):
     raise AssertionError("the output form that was not asked for was built")
 
 
-_ONE_FORM = [["eisenstein", "1", "12", "--prec", "24"],
-             ["qn", "3", "--x-order", "4", "--prec", "6"],
-             ["genus", "{cp2}", "3", "--prec", "6"]]
+def _counted(monkeypatch, cls, name):
+    """Wrap cls.name so that each call is recorded; the list of calls."""
+    calls, real = [], getattr(cls, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
 
 
-@pytest.mark.parametrize("argv", _ONE_FORM, ids=lambda argv: argv[0])
-def test_text_output_builds_no_json(argv, tmp_path, monkeypatch, capsys):
-    argv = [arg.format(cp2=_write_cp2(tmp_path)) for arg in argv]
-    assert main(argv) == 0
+# each request with its exit code; the relations request is CP^4 with no
+# asserted index at level 3: a k = n genus line and three FAILED lines, each
+# printing its residual
+_ONE_FORM = [(0, ["eisenstein", "1", "12", "--prec", "24"]),
+             (0, ["qn", "3", "--x-order", "4", "--prec", "6"]),
+             (0, ["genus", "{cp2}", "3", "--prec", "6"]),
+             (1, ["relations", "{cp4}", "3", "4", "10", "--verify", "--prec", "30"])]
+
+
+@pytest.mark.parametrize("code,argv", _ONE_FORM,
+                         ids=[argv[0] for _, argv in _ONE_FORM])
+def test_text_output_builds_no_json(code, argv, tmp_path, monkeypatch, capsys):
+    # no JSON form is built, each relation is rendered once, and each
+    # series once, where it is printed
+    argv = [arg.format(**_golden_inputs(tmp_path)) for arg in argv]
+    assert main(argv) == code
     want = capsys.readouterr().out
     monkeypatch.setattr(modular, "series_to_json", _refuse)
-    assert main(argv) == 0
+    monkeypatch.setattr(Relation, "to_json", _refuse)
+    renders = _counted(monkeypatch, Relation, "render")
+    texts = _counted(monkeypatch, TruncSeries, "__str__")
+    assert main(argv) == code
     assert capsys.readouterr().out == want
+    assert len(renders) == sum(line.startswith("k=") for line in want.splitlines())
+    assert len(texts) == want.count(" + O(")
 
 
-@pytest.mark.parametrize("argv", _ONE_FORM, ids=lambda argv: argv[0])
-def test_json_output_builds_no_text(argv, tmp_path, monkeypatch, capsys):
-    argv = [arg.format(cp2=_write_cp2(tmp_path)) for arg in argv] + ["--json"]
-    assert main(argv) == 0
+@pytest.mark.parametrize("code,argv", _ONE_FORM,
+                         ids=[argv[0] for _, argv in _ONE_FORM])
+def test_json_output_builds_no_text(code, argv, tmp_path, monkeypatch, capsys):
+    # no series text is built, and each relation is rendered once, for
+    # its "display"
+    argv = [arg.format(**_golden_inputs(tmp_path)) for arg in argv] + ["--json"]
+    assert main(argv) == code
     want = capsys.readouterr().out
     monkeypatch.setattr(TruncSeries, "__str__", _refuse)
-    assert main(argv) == 0
+    renders = _counted(monkeypatch, Relation, "render")
+    assert main(argv) == code
     assert capsys.readouterr().out == want
+    assert len(renders) == want.count('"display": ')
 
 
 def test_chiy_divisibility_exit_codes(tmp_path, capsys):

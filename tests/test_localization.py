@@ -186,14 +186,14 @@ def test_cp2_relation_displays_and_verification():
     for k, display in displays.items():
         rel = build_relation(fpd, 3, k).primitive()
         assert rel.render() == display
-        assert verify_relation(rel, 12)["ok"]
+        assert not verify_relation(rel, 12)
 
 
 def test_cp1_relation():
     fpd = cpn_fixed_points(1, (5,))
     rel = build_relation(fpd, 2, 3).primitive()
     assert rel.render() == "G[3,2] = 0"
-    assert verify_relation(rel, 12)["ok"]
+    assert not verify_relation(rel, 12)
 
 
 def test_primitive_normalization():
@@ -209,21 +209,21 @@ def test_perturbed_relation_fails_verification():
     broken = Relation(rel.n, rel.k, rel.N,
                       [(I, c + (1 if I == (4,) else 0)) for I, c in rel.terms],
                       provenance=rel.provenance)
-    report = verify_relation(broken, 8)
-    assert not report["ok"]
-    assert report["residual"] != 0
+    residual = verify_relation(broken, 8)
+    assert residual
+    assert residual != 0
     # G[4,3] has constant term B_4/4! = -1/720, the first nonzero coefficient
-    assert report["first_nonzero"] == {"exponent": 0,
-                                       "coefficient": "(-1/720) @ Q(zeta_3)"}
-    assert report["residual"].startswith("-1/720 + ")
+    assert residual.valuation() == 0
+    assert str(residual.coeff(0)) == "(-1/720) @ Q(zeta_3)"
+    assert str(residual).startswith("-1/720 + ")
     # G[3,3] has no constant term, so G[1,3]*G[3,3] first shows at q^1
     broken = Relation(rel.n, rel.k, rel.N,
                       [(I, c + (1 if I == (3, 1) else 0)) for I, c in rel.terms],
                       provenance=rel.provenance)
-    report = verify_relation(broken, 8)
-    assert report["first_nonzero"] == {"exponent": 1,
-                                       "coefficient": "(-1/4) @ Q(zeta_3)"}
-    assert report["residual"].startswith("-1/4*q - 9/4*q^2")
+    residual = verify_relation(broken, 8)
+    assert residual.valuation() == 1
+    assert str(residual.coeff(1)) == "(-1/4) @ Q(zeta_3)"
+    assert str(residual).startswith("-1/4*q - 9/4*q^2")
 
 
 def test_eisenstein_product_degree():
@@ -456,13 +456,17 @@ def test_general_relation_report():
 
 
 def test_general_relation_failure_keeps_the_convention(monkeypatch):
-    # a wrong G[1,3] breaks the identity; the report says so, with both
-    # sides, and names no convention but G_0 = 1
+    # a wrong G[1,3] breaks the identity; the report says so, with the
+    # first exponent where the sides differ and both whole sides, and names
+    # no convention but G_0 = 1
     real = modular.eisenstein_qexp
     monkeypatch.setattr(modular, "eisenstein_qexp",
                         lambda k, N, prec: real(k, N, prec) + (k == 1))
     [report] = general_relation_cpn(2, 3, [4], 10)
     assert not report["ok"] and report["zero_index_convention"] == "G_0 = 1"
+    assert report["first_mismatch"] == {"exponent": 1, "lhs": "(-1 - 2*z) @ Q(zeta_3)",
+                                        "rhs": "(1 + 2*z) @ Q(zeta_3)"}
+    assert list(report).index("first_mismatch") < list(report).index("lhs")
     assert report["lhs"] == (
         "-1/240 + (-1 - 2*z)*q + (-3 - 6*z)*q^2 + (-10 - 18*z)*q^3"
         " + (-13 - 26*z)*q^4 + (-24 - 48*z)*q^5 + (-36 - 54*z)*q^6"

@@ -7,7 +7,7 @@ from genus_forge.cyclotomic import CyclotomicNumber
 from genus_forge.modular import (classical_x_series, eisenstein_qexp,
                                  f_lambda_table, qn_expansion_via_product,
                                  series_to_json, verify_lemma_eisenstein)
-from genus_forge.series import TruncSeries, bernoulli
+from genus_forge.series import bernoulli
 
 
 def test_constant_terms():
@@ -136,17 +136,13 @@ def test_f_lambda_level_two_linear_dependence():
 
 def test_series_json_roundtrip():
     series = eisenstein_qexp(2, 4, 7)
-    payload = series_to_json(series, 4)
+    payload = series_to_json(series)
     assert payload["variable"] == "q" and payload["precision"] == 7
     assert payload["level"] == 4
     # B_2/2! = 1/12, then -sum_{d|n} (n/d)(i^-d + i^d): zero for odd n
     assert payload["coeffs"] == [[0, "(1/12) @ Q(zeta_4)"], [2, "(2) @ Q(zeta_4)"],
                                  [4, "(2) @ Q(zeta_4)"], [6, "(8) @ Q(zeta_4)"]]
     assert payload["coeffs"] == [[k, str(c)] for k, c in sorted(series.coeffs.items())]
-    # rational coefficients are written in the field of the given level
-    rational = TruncSeries("q", {0: Fraction(1, 2), 3: -2}, cutoff=5)
-    assert series_to_json(rational, 3)["coeffs"] == [
-        [0, "(1/2) @ Q(zeta_3)"], [3, "(-2) @ Q(zeta_3)"]]
 
 
 def test_eisenstein_cache_returns_equal_objects():
