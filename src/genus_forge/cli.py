@@ -72,14 +72,6 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _emit(payload: dict, as_json: bool, lines) -> None:
-    if as_json:
-        _print_json(payload)
-    else:
-        for line in lines:
-            print(line)
-
-
 # -- subcommands -----------------------------------------------------------------------
 
 
@@ -148,21 +140,19 @@ def cmd_chiy(args) -> int:
     fpd = _load_fixed_points(args.fixed_points)
     chi = chi_y_from_counts(fpd)
     euler = chi.evaluate([Fraction(-1)])
-    lines = [f"chi_y = {chi}", f"chi_(-1) = {euler} ({len(fpd.points)} fixed points)"]
-    payload = {"chi_y": str(chi), "euler": str(euler),
-               "fixed_points": len(fpd.points)}
-    code = 0
-    if args.k0 is not None:
-        report = divides_chi_y(chi, args.k0)
-        if report["divisible"]:
-            lines.append(f"divisible by 1 - y + ... + (-y)^{args.k0 - 1}: "
-                         f"quotient {report['quotient']}")
-        else:
-            lines.append(f"NOT divisible: remainder {report['remainder']}")
-            code = 1
-        payload["divisibility"] = {k: str(v) for k, v in report.items()}
-    _emit(payload, args.json, lines)
-    return code
+    report = {} if args.k0 is None else divides_chi_y(chi, args.k0)
+    if args.json:
+        payload = {"chi_y": str(chi), "euler": str(euler), "fixed_points": len(fpd.points)}
+        if report:
+            payload["divisibility"] = {k: str(v) for k, v in report.items()}
+        _print_json(payload)
+    else:
+        print(f"chi_y = {chi}\nchi_(-1) = {euler} ({len(fpd.points)} fixed points)")
+        if report:
+            print(f"divisible by 1 - y + ... + (-y)^{args.k0 - 1}: quotient "
+                  f"{report['quotient']}" if report["divisible"]
+                  else f"NOT divisible: remainder {report['remainder']}")
+    return 1 if report and not report["divisible"] else 0
 
 
 def cmd_relations(args) -> int:
@@ -174,7 +164,7 @@ def cmd_relations(args) -> int:
     if args.k_max < args.k_min:
         raise ValueError("k-max must be >= k-min")
     code = 0
-    lines, items = [], []
+    out = []   # one JSON entry or one text line per relation
     for rel in build_relations(fpd, args.level, range(args.k_min, args.k_max + 1)):
         k = rel.k
         if not args.raw:
@@ -188,7 +178,7 @@ def cmd_relations(args) -> int:
                 entry["verified"] = not residual
             if residual and genus:
                 entry["nonzero_genus"] = True
-            items.append(entry)
+            out.append(entry)
             continue
         line = f"k={k}: {rel.render()}"
         if residual:
@@ -202,8 +192,11 @@ def cmd_relations(args) -> int:
                          f"{residual.coeff(e)}; residual {residual}]")
         elif residual is not None:
             line += f"   [verified to q^{args.prec}]"
-        lines.append(line)
-    _emit({"relations": items}, args.json, lines)
+        out.append(line)
+    if args.json:
+        _print_json({"relations": out})
+    else:
+        print("\n".join(out))
     return code
 
 
@@ -212,13 +205,13 @@ def cmd_hilbert(args) -> int:
 
     fpd = _load_fixed_points(args.fixed_points)
     ms = [args.m] if args.m is not None else list(range(fpd.n + 1))
-    lines, items = [], []
-    for m in ms:
-        h = hilbert_polynomial(fpd, args.level, m)
-        at_zero = h.evaluate([Fraction(0)])
-        lines.append(f"H_{m}(x) = {h}   (H_{m}(0) = {at_zero})")
-        items.append({"m": m, "polynomial": str(h), "at_zero": str(at_zero)})
-    _emit({"hilbert": items}, args.json, lines)
+    hs = [(m, hilbert_polynomial(fpd, args.level, m)) for m in ms]
+    if args.json:
+        _print_json({"hilbert": [{"m": m, "polynomial": str(h),
+                                  "at_zero": str(h.evaluate([Fraction(0)]))} for m, h in hs]})
+    else:
+        for m, h in hs:
+            print(f"H_{m}(x) = {h}   (H_{m}(0) = {h.evaluate([Fraction(0)])})")
     return 0
 
 
@@ -316,39 +309,39 @@ def cmd_coadjoint(args) -> int:
         raise ValueError(f"partition of {sum(args.partition)} exceeds n + "
                          f"COADJOINT_MAX_EXTRA_DEGREES = "
                          f"{orbit.n + COADJOINT_MAX_EXTRA_DEGREES}")
-    lines = [f"orbit: {orbit!r}", f"roots outside <J>: {orbit.complement_roots}"]
-    lines.append("cosets: " + ", ".join(w.label() for w in orbit.cosets))
-    payload = {"orbit": orbit.to_json(), "n": orbit.n,
-               "longest_word": list(orbit.longest_rep.word)}
-    code = 0
-    if args.xi:
-        fpd = orbit_fixed_points(orbit, args.xi)
-        payload["fixed_points"] = fpd.to_json()
-        lines += [f"fixed points at xi={tuple(args.xi)}:"] + [
-            f"  {label}: {point}" for label, point in zip(fpd.labels, fpd.points)]
-    if args.partition is not None:
-        [poly] = q_I_via_divided_diff(orbit, [args.partition])
-        lines.append(f"q_{partition_str(args.partition)} = {poly}")
-        payload["q_I"] = str(poly)
-    if args.crosscheck:
-        if not args.xi:
-            raise ValueError("--crosscheck needs --xi")
-        checks = crosscheck_qI(
-            orbit, [I for k in range(orbit.n, orbit.n + 1 + args.extra_degrees)
-                    for I in partitions_at_most(k, orbit.n)], args.xi)
-        for report in checks:
-            mark = "ok" if report["ok"] else "MISMATCH"
-            lines.append(f"  {report['partition']}: divided-difference "
-                         f"{report['divided_difference']} vs localization "
-                         f"{report['localization']} [{mark}]")
-            if not report["ok"]:
-                code = 1
-        payload["crosschecks"] = [
-            {"partition": r["partition"], "ok": r["ok"],
-             "divided_difference": str(r["divided_difference"]),
-             "localization": str(r["localization"])} for r in checks]
-    _emit(payload, args.json, lines)
-    return code
+    fpd = orbit_fixed_points(orbit, args.xi) if args.xi else None
+    poly = None if args.partition is None else q_I_via_divided_diff(orbit, [args.partition])[0]
+    if args.crosscheck and not args.xi:
+        raise ValueError("--crosscheck needs --xi")
+    degrees = range(orbit.n, orbit.n + 1 + args.extra_degrees)
+    checks = (crosscheck_qI(orbit, [I for k in degrees for I in partitions_at_most(k, orbit.n)],
+                            args.xi) if args.crosscheck else [])
+    if args.json:
+        payload = {"orbit": orbit.to_json(), "n": orbit.n,
+                   "longest_word": list(orbit.longest_rep.word)}
+        if fpd is not None:
+            payload["fixed_points"] = fpd.to_json()
+        if poly is not None:
+            payload["q_I"] = str(poly)
+        if args.crosscheck:
+            payload["crosschecks"] = [
+                {"partition": r["partition"], "ok": r["ok"],
+                 "divided_difference": str(r["divided_difference"]),
+                 "localization": str(r["localization"])} for r in checks]
+        _print_json(payload)
+    else:
+        print(f"orbit: {orbit!r}\nroots outside <J>: {orbit.complement_roots}")
+        print("cosets: " + ", ".join(w.label() for w in orbit.cosets))
+        if fpd is not None:
+            print(f"fixed points at xi={tuple(args.xi)}:")
+            for label, point in zip(fpd.labels, fpd.points):
+                print(f"  {label}: {point}")
+        if poly is not None:
+            print(f"q_{partition_str(args.partition)} = {poly}")
+        for r in checks:
+            print(f"  {r['partition']}: divided-difference {r['divided_difference']} vs "
+                  f"localization {r['localization']} [{'ok' if r['ok'] else 'MISMATCH'}]")
+    return 0 if all(r["ok"] for r in checks) else 1
 
 
 def cmd_polytope(args) -> int:
@@ -358,47 +351,42 @@ def cmd_polytope(args) -> int:
     data = _read_json(args.input)
     if not isinstance(data, dict):
         raise ValueError("input JSON must be an object")
-    lines, payload = [], {}
-    code = 0
-    k0 = args.k0
+    if "edges" not in data and "f" not in data:
+        raise ValueError('input JSON needs an "f" or "edges" entry')
+    k0, index, fh_vectors, report, pattern = args.k0, None, None, None, None
     if "edges" in data:
         edges = data["edges"]
         if not (isinstance(edges, list)
                 and all(isinstance(e, list) and len(e) == 2 for e in edges)):
             raise ValueError('"edges" must be a list of [p, q] pairs')
-        edges = [tuple(tuple(json_int_list(v, "edge endpoint")) for v in e)
-                 for e in edges]
-        index = combinatorial_index(edges)
-        payload["index"] = index
-        lines.append(f"combinatorial index = {index}")
-        if k0 is None:
-            k0 = index
+        index = combinatorial_index([tuple(tuple(json_int_list(v, "edge endpoint"))
+                                           for v in e) for e in edges])
+        k0 = index if k0 is None else k0
     if "f" in data:
         f = json_int_list(data["f"], '"f"')
         fh_vectors = FHVectors(len(f) - 1, f)
-        payload.update(fh_vectors.describe())
-        lines.append(f"f = {fh_vectors.f}")
-        lines.append(f"h = {fh_vectors.h} (palindromic: "
-                     f"{'yes' if fh_vectors.palindromic() else 'NO'})")
         if k0 is not None:
             report = h_divisibility(fh_vectors.h, k0)
-            payload["divisibility"] = report
-            if report["divisible"]:
-                lines.append(f"1 + y + ... + y^{k0 - 1} divides: "
-                             f"quotient {report['quotient']}")
-            else:
-                lines.append(f"NOT divisible by 1 + ... + y^{k0 - 1}: "
-                             f"remainder {report['remainder']}")
-                code = 1
             pattern = betti_pattern(fh_vectors.n, k0, fh_vectors.h)
-            payload["pattern"] = pattern
-            lines.append(f"pattern: {pattern}")
-            if pattern["ok"] is False:
-                code = 1
-    if not payload:
-        raise ValueError('input JSON needs an "f" or "edges" entry')
-    _emit(payload, args.json, lines)
-    return code
+    if args.json:
+        payload = {} if index is None else {"index": index}
+        if fh_vectors is not None:
+            payload.update(fh_vectors.describe())
+        if report is not None:
+            payload.update(divisibility=report, pattern=pattern)
+        _print_json(payload)
+    else:
+        if index is not None:
+            print(f"combinatorial index = {index}")
+        if fh_vectors is not None:
+            print(f"f = {fh_vectors.f}\nh = {fh_vectors.h} (palindromic: "
+                  f"{'yes' if fh_vectors.palindromic() else 'NO'})")
+        if report is not None:
+            print(f"1 + y + ... + y^{k0 - 1} divides: quotient {report['quotient']}"
+                  if report["divisible"] else
+                  f"NOT divisible by 1 + ... + y^{k0 - 1}: remainder {report['remainder']}")
+            print(f"pattern: {pattern}")
+    return 1 if report and (not report["divisible"] or pattern["ok"] is False) else 0
 
 
 def cmd_selftest(args) -> int:

@@ -316,10 +316,13 @@ def divided_difference(rs: RootSystem, j: int, poly: SparsePoly) -> SparsePoly:
     for exp, c in poly.terms.items():
         if not short:
             a, b = exp[i], exp[i + 1]
+            if a == b:
+                continue
             if a < b:
                 a, b, c = b, a, -c
+            head, tail = exp[:i], exp[i + 2:]
             for k in range(a - b):      # (x_i x_(i+1))^b x_i^k x_(i+1)^(a-b-1-k)
-                e = exp[:i] + (b + k, a - 1 - k) + exp[i + 2:]
+                e = head + (b + k, a - 1 - k) + tail
                 out[e] = out.get(e, 0) + c
         elif exp[i] % 2:                # x_m^a -> x_m^(a-1) is one-to-one on odd a
             out[exp[:i] + (exp[i] - 1,)] = 2 * c

@@ -7,9 +7,10 @@ holds them, checked as they are built or read from JSON, and
 
     q_I = sum_P  m_I(w(P)) / prod_j w_j(P)
 
-over the points, with one integer table of m_R per fixed point: the m_I
-kernel of the localization route alone, apart from the one of the
-divided-difference route in `coadjoint`.
+over the points, with one integer table of m_R per fixed point, a list
+indexed by positions that a schedule memoized per (partition batch, n)
+assigns: the m_I kernel of the localization route alone, apart from the
+one of the divided-difference route in `coadjoint`.
 
 This module loads nothing else from the package at import time, so its
 JSON checks, all a `polytope` request uses, come without `symfunc` or the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -163,47 +165,51 @@ def relation_coefficients(fpd: FixedPointData,
                             v^e m_(R minus e)(w_1..w_(k-1)),
 
     updated longest R first, so that R minus e still holds its value at
-    k - 1.  The values at the points are summed as integers over the lcm of
-    the prod_j w_j(P), so each q_I costs one Fraction.  This kernel belongs
-    to the localization route alone: the divided-difference route evaluates
-    m_I with `symfunc.monomial_sym_eval`, so a fault in either shows as a
-    crosscheck mismatch.
+    k - 1.  The table is a list indexed by the positions that
+    `_table_steps` assigns, and its schedule is built once per partition
+    batch and n.  The values at the points are summed as integers over the
+    lcm of the prod_j w_j(P), so each q_I costs one Fraction.  This kernel
+    belongs to the localization route alone: the divided-difference route
+    evaluates m_I with `symfunc.monomial_sym_eval`, so a fault in either
+    shows as a crosscheck mismatch.
     """
     from .symfunc import check_partition
 
-    parts = [check_partition(I) if I else () for I in partitions]
+    parts = tuple(check_partition(I) if I else () for I in partitions)
     if any(len(I) > fpd.n for I in parts):
         raise ValueError("partition has more parts than there are weights")
-    steps, closure = _table_steps(parts, fpd.n)
-    top = max((I[0] for I in parts if I), default=0)
+    steps, size, slots, top = _table_steps(parts, fpd.n)
     dens = [prod(weights) for weights in fpd.points]
     common = lcm(*dens)
     totals = [0] * len(parts)
     for weights, den in zip(fpd.points, dens):
-        table = dict.fromkeys(closure, 0)
-        table[()] = 1
+        table = [1] + [0] * (size - 1)
         for v, active in zip(weights, steps):
             powers = [1, v]
             for _ in range(top - 1):
                 powers.append(powers[-1] * v)
-            for R, pairs in active:
-                total = table[R]
+            for r, pairs in active:
+                total = table[r]
                 for e, rest in pairs:
                     total += powers[e] * table[rest]
-                table[R] = total
+                table[r] = total
         scale = common // den
-        totals = [t + scale * table[I] for t, I in zip(totals, parts)]
+        totals = [t + scale * table[s] for t, s in zip(totals, slots)]
     return [Fraction(t, common) for t in totals]
 
 
-def _table_steps(parts: Sequence[Partition], n: int):
-    """The update schedule of the m_R table for n weights, and its keys.
+@lru_cache(maxsize=128)
+def _table_steps(parts: tuple[Partition, ...], n: int):
+    """The update schedule of the m_R table for n weights: the schedule, the
+    table's size, the position of each requested I and the largest part.
 
-    Entry k - 1 lists the R to update at weight k, longest first, each with
-    its (e, R minus e) pairs over the distinct parts e.  An R updates at
-    weight k when it has at most k parts (m_R is 0 before) and can still
-    grow into a requested I: a requested I that contains R has at most
-    n - k more parts.
+    The table holds m_R for every sub-multiset R of the partitions, R = ()
+    at position 0.  Entry k - 1 of the schedule lists the positions of the R
+    to update at weight k, longest first, each with its (e, position of
+    R minus e) pairs over the distinct parts e.  An R updates at weight k
+    when it has at most k parts (m_R is 0 before) and can still grow into a
+    requested I: a requested I that contains R has at most n - k more parts.
+    Memoized, so that a process that repeats a batch builds its schedule once.
     """
     by_length: list[dict] = [{} for _ in range(max(map(len, parts), default=0) + 1)]
     for I in parts:
@@ -219,7 +225,10 @@ def _table_steps(parts: Sequence[Partition], n: int):
                 rest = R[:i] + R[i + 1:]
                 pairs[R].append((e, rest))
                 shorter[rest] = min(shorter.get(rest, slack + 1), slack + 1)
-    steps = [[(R, pairs[R]) for length in range(min(k, len(by_length) - 1), 0, -1)
-              for R, slack in by_length[length].items() if k <= n - slack]
-             for k in range(1, n + 1)]
-    return steps, [*pairs, ()]
+    position = {R: r for r, R in enumerate([(), *pairs])}
+    steps = tuple(tuple((position[R], tuple((e, position[rest]) for e, rest in pairs[R]))
+                        for length in range(min(k, len(by_length) - 1), 0, -1)
+                        for R, slack in by_length[length].items() if k <= n - slack)
+                  for k in range(1, n + 1))
+    top = max((I[0] for I in parts if I), default=0)
+    return steps, len(position), tuple(position[I] for I in parts), top

@@ -12,6 +12,7 @@ terms, printing and the exact-division algorithm.  Instances are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .text import join_terms, power, term
@@ -140,10 +141,12 @@ class SparsePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        outer, inner = ((self.terms, o.terms) if len(self.terms) <= len(o.terms)
+                        else (o.terms, self.terms))
         out: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple([a + b for a, b in zip(e1, e2)])
+        for e1, c1 in outer.items():
+            for e2, c2 in inner.items():
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return SparsePoly._raw(self.vars, out)
 

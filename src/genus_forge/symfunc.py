@@ -20,6 +20,10 @@ the elementary basis by triangular elimination over partitions, in the
 monomial basis, with no polynomial in x_1..x_n built.  So f_lambda is read
 off those rows, as the sum over partitions I of n of [e_lambda] m_I * a_I,
 with each a_I formed once in the coefficients' own domain.
+
+The partitions of k with at most n parts are enumerated once per (k, n)
+and copied for each caller, and `check_partition` checks a partition with
+one sort.
 """
 
 from __future__ import annotations
@@ -35,10 +39,13 @@ Partition = tuple[int, ...]
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
-    p = tuple(int(x) for x in parts)
-    if any(x <= 0 for x in p):
+    """parts as a partition: a tuple of positive, non-increasing integers.
+    One sort decides both; a part <= 0 is reported before an increase."""
+    p = tuple(map(int, parts))
+    descending = tuple(sorted(p, reverse=True))
+    if descending and descending[-1] <= 0:
         raise ValueError("partition parts must be positive")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if p != descending:
         raise ValueError("partition parts must be non-increasing")
     return p
 
@@ -50,7 +57,13 @@ def partition_sort_key(parts: Sequence[int]):
 
 def partitions_at_most(k: int, n: int) -> list[Partition]:
     """All partitions of k with at most n parts, in display order:
-    [6], [5,1], [4,2], [3,3], [4,1,1], [3,2,1], [2,2,2] for (6, 3)."""
+    [6], [5,1], [4,2], [3,3], [4,1,1], [3,2,1], [2,2,2] for (6, 3).
+    A fresh list each call, copied from one enumeration per (k, n)."""
+    return list(_partitions_at_most(k, n))
+
+
+@lru_cache(maxsize=None)
+def _partitions_at_most(k: int, n: int) -> tuple[Partition, ...]:
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
     out: list[Partition] = []
@@ -67,8 +80,7 @@ def partitions_at_most(k: int, n: int) -> list[Partition]:
             prefix.pop()
 
     rec(k, k, [])
-    out.sort(key=partition_sort_key)
-    return out
+    return tuple(sorted(out, key=partition_sort_key))
 
 
 def all_partitions(k: int) -> list[Partition]:

@@ -25,6 +25,7 @@ from genus_forge.fixedpoints import FixedPointData, brief
 from genus_forge.localization import (Relation, build_relation, cpn_fixed_points,
                                       divides_chi_y)
 from genus_forge.modular import eisenstein_qexp, series_to_json
+from genus_forge.polytope import FHVectors
 from genus_forge.series import TruncSeries
 from genus_forge.sparsepoly import SparsePoly
 
@@ -100,40 +101,62 @@ def _counted(monkeypatch, cls, name):
 _ONE_FORM = [(0, ["eisenstein", "1", "12", "--prec", "24"]),
              (0, ["qn", "3", "--x-order", "4", "--prec", "6"]),
              (0, ["genus", "{cp2}", "3", "--prec", "6"]),
-             (1, ["relations", "{cp4}", "3", "4", "10", "--verify", "--prec", "30"])]
+             (1, ["relations", "{cp4}", "3", "4", "10", "--verify", "--prec", "30"]),
+             (0, ["chiy", "{cp3}", "--k0", "4"]),
+             (0, ["hilbert", "{cp2}", "3"]),
+             (0, ["coadjoint", "A", "3", "--xi", "4", "-2", "1", "7",
+                  "--partition", "4", "2", "1", "1"]),
+             (1, ["polytope", "{cube}", "--k0", "3"])]
+# what only the JSON form builds, what only the text form builds, and what
+# either form computes at most once per object
+_JSON_ONLY = [(modular, "series_to_json"), (Relation, "to_json"), (OrbitSpec, "to_json"),
+              (FixedPointData, "to_json"), (FHVectors, "describe")]
+_TEXT_ONLY = [(TruncSeries, "__str__"), (OrbitSpec, "__repr__")]
+_ONCE = [(SparsePoly, "__str__"), (FHVectors, "palindromic")]
+
+
+def _counted_once(monkeypatch):
+    """Count the _ONCE calls; a check that no object met one of them twice."""
+    calls = [_counted(monkeypatch, cls, name) for cls, name in _ONCE]
+    return lambda: all(len({id(args[0]) for args in c}) == len(c) for c in calls)
 
 
 @pytest.mark.parametrize("code,argv", _ONE_FORM,
                          ids=[argv[0] for _, argv in _ONE_FORM])
 def test_text_output_builds_no_json(code, argv, tmp_path, monkeypatch, capsys):
     # no JSON form is built, each relation is rendered once, and each
-    # series once, where it is printed
+    # series and polynomial once, where it is printed
     argv = [arg.format(**_golden_inputs(tmp_path)) for arg in argv]
     assert main(argv) == code
     want = capsys.readouterr().out
-    monkeypatch.setattr(modular, "series_to_json", _refuse)
-    monkeypatch.setattr(Relation, "to_json", _refuse)
+    for owner, name in _JSON_ONLY:
+        monkeypatch.setattr(owner, name, _refuse)
     renders = _counted(monkeypatch, Relation, "render")
     texts = _counted(monkeypatch, TruncSeries, "__str__")
+    once = _counted_once(monkeypatch)
     assert main(argv) == code
     assert capsys.readouterr().out == want
     assert len(renders) == sum(line.startswith("k=") for line in want.splitlines())
     assert len(texts) == want.count(" + O(")
+    assert once()
 
 
 @pytest.mark.parametrize("code,argv", _ONE_FORM,
                          ids=[argv[0] for _, argv in _ONE_FORM])
 def test_json_output_builds_no_text(code, argv, tmp_path, monkeypatch, capsys):
-    # no series text is built, and each relation is rendered once, for
-    # its "display"
+    # no series or orbit text is built, each relation is rendered once, for
+    # its "display", and each polynomial once
     argv = [arg.format(**_golden_inputs(tmp_path)) for arg in argv] + ["--json"]
     assert main(argv) == code
     want = capsys.readouterr().out
-    monkeypatch.setattr(TruncSeries, "__str__", _refuse)
+    for owner, name in _TEXT_ONLY:
+        monkeypatch.setattr(owner, name, _refuse)
     renders = _counted(monkeypatch, Relation, "render")
+    once = _counted_once(monkeypatch)
     assert main(argv) == code
     assert capsys.readouterr().out == want
     assert len(renders) == want.count('"display": ')
+    assert once()
 
 
 def test_chiy_divisibility_exit_codes(tmp_path, capsys):

@@ -191,6 +191,18 @@ def test_divided_difference_is_reflect_and_divide(data):
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
+def test_divided_difference_is_reflect_and_divide_over_fractions(data):
+    # rational coefficients, with up to 8 terms on up to 5 coordinates
+    rs = data.draw(st.sampled_from(_DIVIDED_DIFFERENCE_SYSTEMS))
+    exps = st.tuples(*[st.integers(0, 5)] * rs.dim)
+    coeffs = st.fractions(-3, 3, max_denominator=5)
+    P = SparsePoly(rs.variables(), data.draw(st.dictionaries(exps, coeffs, max_size=8)))
+    for j in range(1, rs.rank + 1):
+        assert divided_difference(rs, j, P) == _reflect_and_divide(rs, j, P)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
 def test_random_divided_differences_square_to_zero(data):
     rs = data.draw(st.sampled_from(_DIVIDED_DIFFERENCE_SYSTEMS))
     P = data.draw(_integer_polys(rs))

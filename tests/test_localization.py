@@ -1,14 +1,14 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus_forge import localization, modular, series
+from genus_forge import fixedpoints, localization, modular, series
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
                                    orbit_fixed_points)
 from genus_forge.localization import (FixedPointData, Relation,
@@ -140,6 +140,33 @@ def test_relation_coefficients_match_the_monomial_polynomial(data, n):
                  / prod(p) for p in points), Fraction(0)) for I in batch]
     assert relation_coefficients(fpd, batch) == want
     assert [relation_coefficient(fpd, I) for I in batch] == want
+
+
+def _brute_force_q(fpd, I):
+    """q_I as the sum over P of m_I(w(P)) / prod w(P), with m_I summed over
+    the distinct rearrangements of I padded with zeros."""
+    exponents = set(permutations(I + (0,) * (fpd.n - len(I))))
+    return sum((Fraction(sum(prod(w ** e for w, e in zip(p, exp)) for exp in exponents),
+                         prod(p)) for p in fpd.points), Fraction(0))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_relation_coefficients_match_a_brute_force_sum(seed):
+    # one batch (with a repeated partition) in two orders on one manifold,
+    # then the first order again on a second manifold of the same n, which
+    # reuses the first call's memoized schedule
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    first, second = (random_product_of_projective_spaces(rng, n) for _ in range(2))
+    batch = [I for k in range(n + 4) for I in partitions_at_most(k, n)]
+    batch.append(rng.choice(batch))
+    shuffled = rng.sample(batch, len(batch))
+    for fpd, parts in ((first, batch), (first, shuffled)):
+        assert relation_coefficients(fpd, parts) == [_brute_force_q(fpd, I) for I in parts]
+    hits = fixedpoints._table_steps.cache_info().hits
+    assert relation_coefficients(second, batch) == [_brute_force_q(second, I)
+                                                    for I in batch]
+    assert fixedpoints._table_steps.cache_info().hits == hits + 1
 
 
 def test_relation_coefficients_reject_long_partitions():

@@ -179,3 +179,39 @@ def test_ring_operations_do_not_revalidate(monkeypatch):
     monkeypatch.setattr(SparsePoly, "__init__", revalidate)
     for r in (p + q_, p - q_, p * q_, -p, divided_difference(rs, 1, p * q_)):
         assert isinstance(r, SparsePoly)
+
+
+def _dict_product(p, q_):
+    """p * q_ as a plain dict, every term of p against every term of q_."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q_.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_a_dict_product(data):
+    # small exponents and coefficients, so that terms often cancel; one
+    # operand short and one long, multiplied in both orders
+    nvars = data.draw(st.integers(1, 4))
+    names = tuple(f"x{i}" for i in range(nvars))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeffs = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+    short = SparsePoly(names, data.draw(st.dictionaries(exps, coeffs, max_size=2)))
+    long = SparsePoly(names, data.draw(st.dictionaries(exps, coeffs, min_size=3,
+                                                       max_size=8)))
+    want = _dict_product(short, long)
+    for product in (short * long, long * short):
+        assert product.terms == want
+        assert {e: type(c) for e, c in product.terms.items()} == {
+            e: type(c) for e, c in want.items()}
+
+
+def test_product_drops_the_terms_that_cancel():
+    # (x + y)(x - y): the two xy terms cancel; (x + 1/2)(x - 1/2) likewise
+    assert ((x() + y()) * (x() - y())).terms == {(2, 0): 1, (0, 2): -1}
+    assert (x() + Fraction(1, 2)) * (x() - Fraction(1, 2)) == P({(2, 0): 1,
+                                                                 (0, 0): Fraction(-1, 4)})

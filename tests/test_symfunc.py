@@ -25,6 +25,23 @@ def test_check_partition():
             check_partition(bad)
 
 
+def test_check_partition_messages():
+    # a part <= 0 is reported before an increase, wherever each one is
+    for bad in ((0, 3), (1, 2, 0)):
+        with pytest.raises(ValueError, match="^partition parts must be positive$"):
+            check_partition(bad)
+    with pytest.raises(ValueError, match="^partition parts must be non-increasing$"):
+        check_partition((1, 2))
+
+
+def test_partitions_at_most_returns_a_fresh_list():
+    first = partitions_at_most(6, 3)
+    first[0] = (1,) * 6
+    first.append((0,))
+    assert partitions_at_most(6, 3) == [(6,), (5, 1), (4, 2), (3, 3),
+                                        (4, 1, 1), (3, 2, 1), (2, 2, 2)]
+
+
 def test_partition_enumeration_order():
     # graded reverse-lex: by length, then larger parts first
     assert partitions_at_most(6, 3) == [(6,), (5, 1), (4, 2), (3, 3),
