@@ -367,24 +367,3 @@ def test_crosscheck_builds_one_table_and_one_fixed_point_set(monkeypatch):
     assert all(r["ok"] for r in reports)
     assert calls == {"orbit_fixed_points": 1, "monomial_sym_eval": 1}
 
-
-def test_broken_monomial_kernel_shows_as_a_crosscheck_mismatch(monkeypatch):
-    # the localization route has its own m_I table: breaking the kernel of
-    # the divided-difference route everywhere it is bound must not break both
-    from genus_forge import (acceptance, cli, coadjoint, fixedpoints, localization,
-                             symfunc)
-    original = symfunc.monomial_sym_eval
-    assert not hasattr(fixedpoints, "monomial_sym_eval")
-    assert not hasattr(localization, "monomial_sym_eval")
-
-    def doubled(partitions, values):
-        return [2 * v for v in original(partitions, values)]
-
-    for module in (symfunc, coadjoint, fixedpoints, localization, acceptance, cli):
-        if getattr(module, "monomial_sym_eval", None) is original:
-            monkeypatch.setattr(module, "monomial_sym_eval", doubled)
-    orbit = cpn_orbit(2)      # a fresh orbit keeps no q_I from earlier tests
-    reports = crosscheck_qI(orbit, [(2,), (1, 1), (3, 1)], (1, 5, -3))
-    assert [r["ok"] for r in reports] == [False, False, False]
-    assert [r["divided_difference"] for r in reports] == [
-        2 * r["localization"] for r in reports]

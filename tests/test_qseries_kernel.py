@@ -10,12 +10,9 @@ fails.  Products are compared at the kernel's cutoff (rebuilt with
 a factor.  The row product of `TruncSeries.__mul__` is compared in turn
 with a per-coefficient double loop on `CyclotomicNumber` written out here,
 and the CP^n relation check, which builds S(z)^n once for a whole range of
-k, with the per-k rebuild of S(z)^n from S(z)^0.  Broken kernels must make
-the two genus routes disagree, and each route must run with the other
-route's kernel made to raise.
+k, with the per-k rebuild of S(z)^n from S(z)^0.
 """
 
-import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -24,14 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus_forge import localization, modular, series
-from genus_forge.acceptance import (criterion_general_relation,
-                                    criterion_lemma_eisenstein, run_all)
-from genus_forge.cli import main
+from genus_forge.acceptance import criterion_general_relation
 from genus_forge.cyclotomic import CyclotomicNumber, euler_phi
 from genus_forge.localization import (FixedPointData, Relation, build_relation,
                                       cpn_fixed_points, eisenstein_product,
-                                      general_relation_cpn, genus_qexp,
-                                      genus_via_chern, verify_relation)
+                                      general_relation_cpn, verify_relation)
 from genus_forge.modular import eisenstein_qexp
 from genus_forge.series import TruncSeries, bernoulli, kronecker_product
 
@@ -254,162 +248,6 @@ def test_series_mixing_rationals_and_field_elements_match_the_loop(data, N, cuto
     for b in (a, field):
         assert a * b == _reference_product(a, b)
         assert str(a * b) == str(_reference_product(a, b))
-
-
-@pytest.fixture
-def broken_row_product(monkeypatch):
-    """A TruncSeries row product with one entry off by one: the first entry
-    of each product, which adds 1/(product of the denominators) to its
-    constant term.  The memoized unit series of the index limit are built
-    by such products, so they are dropped before and after."""
-    product = series._row_product
-
-    def off_by_one(level, a, b, cut):
-        out = product(level, a, b, cut)
-        out[0] += 1
-        return out
-
-    localization._unit_factor.cache_clear()
-    monkeypatch.setattr(series, "_row_product", off_by_one)
-    yield
-    monkeypatch.undo()
-    localization._unit_factor.cache_clear()
-
-
-@pytest.fixture
-def broken_kernel(monkeypatch):
-    """A Kronecker product that is off by one in its first entry."""
-    product = series.kronecker_product
-
-    def off_by_one(a, b):
-        c = product(a, b)
-        return TruncSeries._normalized(c.var, c.level, c.cutoff,
-                                       (c.entries[0] + c.denom,) + c.entries[1:], c.denom)
-
-    localization._packed_product.cache_clear()
-    monkeypatch.setattr(series, "kronecker_product", off_by_one)
-    yield
-    monkeypatch.undo()
-    localization._packed_product.cache_clear()
-
-
-def test_broken_kernel_makes_the_genus_routes_disagree(broken_kernel, tmp_path,
-                                                        capsys):
-    # genus_via_chern runs on TruncSeries alone, so it does not follow the
-    # broken product and the two routes no longer agree
-    path = tmp_path / "cp2.json"
-    path.write_text(json.dumps(cpn_fixed_points(2, (1, 3)).to_json()))
-    assert main(["genus", str(path), "2", "--prec", "5"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out.endswith("routes agree: NO\n")
-    assert captured.err.startswith("routes differ first at q^0: localization ")
-
-
-def test_broken_field_makes_the_genus_routes_disagree(broken_row_product, tmp_path,
-                                                     capsys):
-    # the localization route builds G_{k,N} and the G_I from integer rows
-    # and never calls the row product of TruncSeries.__mul__, so only the
-    # Chern route follows it
-    path = tmp_path / "cp2.json"
-    path.write_text(json.dumps(cpn_fixed_points(2, (1, 3)).to_json()))
-    assert main(["genus", str(path), "3", "--prec", "5"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out.endswith("routes agree: NO\n")
-    assert captured.err.startswith("routes differ first at q^0: localization ")
-
-
-def test_broken_field_fails_the_lemma_criterion(broken_row_product):
-    # the product route of criterion 3 loses a_0 = 1 and raises; run_all
-    # counts the crash as a failure
-    lines = []
-    assert not run_all(out=lines.append)
-    assert lines[2].startswith("FAIL   3. product expansion vs Eisenstein")
-    assert "a_0 != 1" in lines[2]
-
-
-@pytest.mark.parametrize("N", [3, 5, 12])
-def test_broken_row_product_splits_the_routes_and_the_lemma(broken_row_product, N):
-    # one wrong entry of the TruncSeries row product reaches the Chern route
-    # and the product route of the lemma, never the Kronecker product
-    fpd = cpn_fixed_points(3, (1, 2, 5))
-    assert genus_qexp(fpd, N, 8) != genus_via_chern(fpd, N, 8)
-    with pytest.raises(ArithmeticError, match="a_0 != 1"):
-        criterion_lemma_eisenstein()
-
-
-def _relations(fpd, N):
-    """The k = n+1 relation at level N, and a copy with one coefficient
-    shifted, so that one of the two fails."""
-    rel = build_relation(fpd, N, fpd.n + 1)
-    first = rel.terms[0][0]
-    shifted = Relation(rel.n, rel.k, rel.N,
-                       [(I, c + 1 if I == first else c) for I, c in rel.terms],
-                       rel.provenance)
-    return rel, shifted
-
-
-def test_localization_route_takes_no_field_arithmetic(monkeypatch):
-    # G_{k,N} (the k = 1 constant included), the G_I and their sum all come
-    # from integer rows, so field arithmetic or a fused field product that
-    # raises leaves genus_qexp and verify_relation as they were; the only
-    # input both routes share is G_{k,N}, which criterion 3 checks against
-    # the product route
-    fpd = cpn_fixed_points(2, (1, 3))
-    unasserted = FixedPointData(fpd.n, fpd.points)
-
-    def localization_route():
-        return ({N: genus_qexp(fpd, N, 6) for N in (3, 5, 12)},
-                [verify_relation(rel, 8) for data, N in ((fpd, 3), (unasserted, 5))
-                 for rel in _relations(data, N)])
-
-    want = localization_route()
-    assert [not residual for residual in want[1]] == [True, False, True, False]
-
-    def no_field_arithmetic(*args):
-        raise AssertionError("field arithmetic on the localization route")
-
-    caches = (eisenstein_qexp, localization._packed_product)
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(series, "_row_product", no_field_arithmetic)
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__neg__", "inverse"):
-        monkeypatch.setattr(CyclotomicNumber, name, no_field_arithmetic)
-    got = localization_route()
-    monkeypatch.undo()
-    for cache in caches:
-        cache.cache_clear()
-    assert got == want
-
-
-def test_chern_route_takes_no_packed_product(monkeypatch):
-    # genus_via_chern and general_relation_cpn multiply on TruncSeries (the
-    # row product), so a Kronecker product that raises leaves them as
-    # they were; G_{k,N} itself comes from the sieve, which neither
-    # multiplies nor packs
-    fpd = cpn_fixed_points(3, (1, 2, 5))
-
-    def chern_route():
-        return ({N: genus_via_chern(fpd, N, 8) for N in (2, 5, 12)},
-                [report for n in (2, 3)
-                 for report in general_relation_cpn(n, n + 1, (n, n + 2), 10)])
-
-    want = chern_route()
-    assert all(report["ok"] for report in want[1])
-
-    def no_kronecker_product(*args):
-        raise AssertionError("Kronecker product on the Chern route")
-
-    caches = (eisenstein_qexp, localization._packed_product)
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(series, "kronecker_product", no_kronecker_product)
-    monkeypatch.setattr(series, "_pack", no_kronecker_product)
-    got = chern_route()
-    monkeypatch.undo()
-    for cache in caches:
-        cache.cache_clear()
-    assert got == want
 
 
 def _general_relation_per_k(n, N, k, P):
