@@ -201,9 +201,13 @@ def cmd_relations(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from .fixedpoints import brief
     from .localization import hilbert_polynomial
 
     fpd = _load_fixed_points(args.fixed_points)
+    if fpd.asserted_index is not None and fpd.asserted_index % args.level:
+        raise ValueError(f"N={args.level} does not divide the asserted index "
+                         f"{brief(fpd.asserted_index)}")
     ms = [args.m] if args.m is not None else list(range(fpd.n + 1))
     hs = [(m, hilbert_polynomial(fpd, args.level, m)) for m in ms]
     if args.json:
@@ -274,6 +278,11 @@ COADJOINT_MAX_EXTRA_DEGREES = 2  # |I| - n, for --extra-degrees and --partition
 def _build_orbit(args) -> OrbitSpec:
     from .coadjoint import OrbitSpec, RootSystem, cpn_orbit, grassmannian_orbit
 
+    positional = args.family is not None or args.rank is not None
+    if (args.cpn is not None) + (args.grassmannian is not None) + positional > 1:
+        raise ValueError("give only one of --cpn, --grassmannian, or family and rank")
+    if args.J is not None and not positional:
+        raise ValueError("--J needs family and rank")
     if args.cpn is not None:
         family, rank, build = "A", args.cpn, cpn_orbit
     elif args.grassmannian is not None:
@@ -483,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
                               f"{QSERIES_MAX_DIM} in the fixed-point file.")
     p.add_argument("fixed_points")
     p.add_argument("level", type=_positive_int,
-                   help="index divisor for the line-bundle power")
+                   help="index divisor for the line-bundle power; it must "
+                        "divide the file's asserted index, if it has one")
     p.add_argument("--m", type=int, help="single exterior-power degree")
     common(p, with_prec=False)
     p.set_defaults(fn=cmd_hilbert)

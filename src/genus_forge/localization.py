@@ -440,7 +440,8 @@ def general_relation_cpn(n: int, N: int, ks: Sequence[int], q_precision: int) ->
     The sum over j starts at 0 with the convention G_{0,N} = 1.  The
     convention is fixed: it is never chosen by which convention verifies,
     and the report names it.  S(z) is held as its list of q-series
-    coefficients G_0..G_K, K = max(ks); n - 1 list convolutions of
+    coefficients G_0..G_K, K = max(ks), from `modular.genus_coefficients`
+    (a_0 = 1 and a_k = G_{k,N}); n - 1 list convolutions of
     `TruncSeries` products over Q(zeta_N), starting from S(z), give the
     coefficients of z^0..z^K in S(z)^n, each trusted through
     q^(q_precision-1).  They do not depend on k: one S(z)^n serves all of
@@ -454,13 +455,11 @@ def general_relation_cpn(n: int, N: int, ks: Sequence[int], q_precision: int) ->
         raise ValueError(f"N={N} does not divide n+1={n + 1}")
     if not ks or min(ks) < n:
         raise ValueError("relation degrees k must be given, each at least n")
-    from .cyclotomic import CyclotomicNumber
-    from .modular import eisenstein_qexp
+    from .modular import genus_coefficients
     from .series import TruncSeries
 
     top = max(ks)
-    G = [TruncSeries("q", {0: CyclotomicNumber.from_rational(N, 1)}, cutoff=q_precision)]
-    G += [eisenstein_qexp(j, N, q_precision) for j in range(1, top + 1)]
+    G = genus_coefficients(N, top, q_precision)
     # G_0 = 1 and [z^0] S(z)^r = 1, so a term with either factor of index 0
     # takes no product: the terms i = 0 and i = j of [z^j] S(z)^(r+1) are
     # power[j] + G[j], and the term l = 0 of the RHS is binom(k-1, n-1) G_k

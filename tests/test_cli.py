@@ -376,6 +376,16 @@ def test_hilbert(tmp_path, capsys):
     assert main(["hilbert", str(path), "2", "--m", "5"]) == 2
 
 
+def test_hilbert_level_must_divide_the_asserted_index(tmp_path, capsys):
+    path = tmp_path / "cp3.json"
+    path.write_text(json.dumps(cpn_fixed_points(3, (1, 2, 3)).to_json()))
+    assert main(["hilbert", str(path), "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: N=3 does not divide the asserted index 4\n"
+    for level in ("2", "4"):
+        assert main(["hilbert", str(path), level]) == 0
+
+
 def test_coadjoint_crosscheck(capsys):
     assert main(["coadjoint", "--cpn", "2", "--xi", "1", "5", "-3",
                  "--crosscheck"]) == 0
@@ -398,6 +408,18 @@ def test_coadjoint_usage_errors(capsys):
     capsys.readouterr()
     assert main(["coadjoint", "--cpn", "2", "--xi", "1", "1", "5"]) == 2
     assert "non-generic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["A", "3", "--cpn", "2"], "give only one of"),
+    (["--cpn", "2", "--grassmannian", "2"], "give only one of"),
+    (["B", "2", "--grassmannian", "2", "--J", "1"], "give only one of"),
+    (["--cpn", "2", "--J", "1"], "--J needs family and rank"),
+    (["--grassmannian", "2", "--J"], "--J needs family and rank")])
+def test_coadjoint_takes_one_orbit_selector(argv, message, capsys):
+    assert main(["coadjoint", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
 
 
 def test_coadjoint_extra_degrees_range(capsys):
