@@ -201,13 +201,10 @@ def cmd_relations(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    from .fixedpoints import brief
     from .localization import hilbert_polynomial
 
     fpd = _load_fixed_points(args.fixed_points)
-    if fpd.asserted_index is not None and fpd.asserted_index % args.level:
-        raise ValueError(f"N={args.level} does not divide the asserted index "
-                         f"{brief(fpd.asserted_index)}")
+    fpd.check_level(args.level)
     ms = [args.m] if args.m is not None else list(range(fpd.n + 1))
     hs = [(m, hilbert_polynomial(fpd, args.level, m)) for m in ms]
     if args.json:

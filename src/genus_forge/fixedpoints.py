@@ -69,6 +69,12 @@ class FixedPointData:
                                      "(fixed point would not be isolated)")
         return self
 
+    def check_level(self, N: int) -> None:
+        """Refuse a level N that does not divide the asserted index, if any."""
+        if self.asserted_index is not None and self.asserted_index % N:
+            raise ValueError(f"N={N} does not divide the asserted index "
+                             f"{brief(self.asserted_index)}")
+
     def __len__(self) -> int:
         return len(self.points)
 

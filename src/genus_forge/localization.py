@@ -47,7 +47,7 @@ from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 from typing import TYPE_CHECKING, Sequence
 
-from .fixedpoints import FixedPointData, brief, relation_coefficients
+from .fixedpoints import FixedPointData, relation_coefficients
 from .sparsepoly import SparsePoly
 from .symfunc import (Partition, all_partitions, check_partition, elementary_values,
                       genus_value, partition_sort_key, partition_str, partitions_at_most)
@@ -226,9 +226,7 @@ def build_relations(fpd: FixedPointData, N: int, ks: Sequence[int]) -> list[Rela
     for k in ks:
         if k < fpd.n:
             raise ValueError(f"below localization degree: k={k} < n={fpd.n}")
-    if fpd.asserted_index is not None and fpd.asserted_index % N:
-        raise ValueError(f"N={N} does not divide the asserted index "
-                         f"{brief(fpd.asserted_index)}")
+    fpd.check_level(N)
     groups = [partitions_at_most(k, fpd.n) for k in ks]
     coefficients = iter(relation_coefficients(fpd, [I for group in groups for I in group]))
     if fpd.asserted_index is not None:
