@@ -10,9 +10,11 @@ fails.  Products are compared at the kernel's cutoff (rebuilt with
 a factor.  The row product of `TruncSeries.__mul__` is compared in turn
 with a per-coefficient double loop on `CyclotomicNumber` written out here,
 and the CP^n relation check, which builds S(z)^n once for a whole range of
-k, with the per-k rebuild of S(z)^n from S(z)^0.
+k, with the per-k rebuild of S(z)^n from S(z)^0.  A broken row product
+must make the two genus routes disagree and the lemma's product route fail.
 """
 
+import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -21,11 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus_forge import localization, modular, series
-from genus_forge.acceptance import criterion_general_relation
+from genus_forge.acceptance import (criterion_general_relation,
+                                    criterion_lemma_eisenstein)
+from genus_forge.cli import main
 from genus_forge.cyclotomic import CyclotomicNumber, euler_phi
 from genus_forge.localization import (FixedPointData, Relation, build_relation,
                                       cpn_fixed_points, eisenstein_product,
-                                      general_relation_cpn, verify_relation)
+                                      general_relation_cpn, genus_qexp,
+                                      genus_via_chern, verify_relation)
 from genus_forge.modular import eisenstein_qexp
 from genus_forge.series import TruncSeries, bernoulli, kronecker_product
 
@@ -248,6 +253,49 @@ def test_series_mixing_rationals_and_field_elements_match_the_loop(data, N, cuto
     for b in (a, field):
         assert a * b == _reference_product(a, b)
         assert str(a * b) == str(_reference_product(a, b))
+
+
+@pytest.fixture
+def broken_row_product(monkeypatch):
+    """A TruncSeries row product with one entry off by one: the first entry
+    of each product, which adds 1/(product of the denominators) to its
+    constant term.  The memoized unit series of the index limit are built
+    by such products, so they are dropped before and after."""
+    product = series._row_product
+
+    def off_by_one(level, a, b, cut):
+        out = product(level, a, b, cut)
+        out[0] += 1
+        return out
+
+    localization._unit_factor.cache_clear()
+    monkeypatch.setattr(series, "_row_product", off_by_one)
+    yield
+    monkeypatch.undo()
+    localization._unit_factor.cache_clear()
+
+
+def test_broken_field_makes_the_genus_routes_disagree(broken_row_product, tmp_path,
+                                                     capsys):
+    # the localization route builds G_{k,N} and the G_I from integer rows
+    # and never calls the row product of TruncSeries.__mul__, so only the
+    # Chern route follows it
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(cpn_fixed_points(2, (1, 3)).to_json()))
+    assert main(["genus", str(path), "3", "--prec", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith("routes agree: NO\n")
+    assert captured.err.startswith("routes differ first at q^0: localization ")
+
+
+@pytest.mark.parametrize("N", [3, 5, 12])
+def test_broken_row_product_splits_the_routes_and_the_lemma(broken_row_product, N):
+    # one wrong entry of the TruncSeries row product reaches the Chern route
+    # and the product route of the lemma, never the Kronecker product
+    fpd = cpn_fixed_points(3, (1, 2, 5))
+    assert genus_qexp(fpd, N, 8) != genus_via_chern(fpd, N, 8)
+    with pytest.raises(ArithmeticError, match="a_0 != 1"):
+        criterion_lemma_eisenstein()
 
 
 def _general_relation_per_k(n, N, k, P):
