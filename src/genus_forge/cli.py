@@ -8,11 +8,16 @@ stdout pipe closed by its reader.  Input files, all read by `_read_json`,
 are checked as they are loaded: a path that cannot be read, a document
 nested too deeply to parse or a value of the wrong JSON shape exits 2 (a
 value is never coerced), and fixed-point data must have q_I = 0 for
-|I| < n, as every manifold does.
+|I| < n and an asserted index that divides g (`_load_fixed_points`), as
+every manifold does.
 
 The default q-precision is DEFAULT_PREC = 15; --prec sets another.
 Requests are capped by the *_MAX_* constants below: beyond a cap the
-request exits 2 with a message naming it.  All output is plain text, or
+request exits 2 with a message naming it.  A cap on one argument is the
+bound of that argument's argparse type (`_add_int`), which its --help
+states; a cap that needs more than one argument, or the input, is checked
+by `_check_cap`.  A level that the fixed-point data refutes is refused
+with exit 2 as well (`_check_level`).  All output is plain text, or
 JSON under --json, with entries sorted so runs are reproducible byte for
 byte.
 
@@ -50,15 +55,19 @@ def _read_json(path: str):
 
 
 def _load_fixed_points(path: str) -> FixedPointData:
-    """Fixed-point data from a JSON file, checked to be a manifold's; a
-    dimension n above QSERIES_MAX_DIM is refused before that check."""
+    """Fixed-point data from a JSON file, checked to be a manifold's: its
+    asserted index, if any, divides g (`FixedPointData.index_bound`), and
+    q_I = 0 for |I| < n.  A dimension n above QSERIES_MAX_DIM is refused
+    before these checks."""
     from .fixedpoints import FixedPointData, brief, relation_coefficients
     from .symfunc import partition_str, partitions_at_most
 
     fpd = FixedPointData.from_json(_read_json(path))
-    if fpd.n > QSERIES_MAX_DIM:
-        raise ValueError(f"dimension n = {fpd.n} exceeds the cap "
-                         f"QSERIES_MAX_DIM = {QSERIES_MAX_DIM}")
+    _check_cap("dimension n", fpd.n, "QSERIES_MAX_DIM")
+    g = fpd.index_bound()
+    if fpd.asserted_index is not None and g % fpd.asserted_index:
+        raise ValueError(f"asserted index {brief(fpd.asserted_index)} does not "
+                         f"divide {_bound_text(g)}")
     low = [I for k in range(fpd.n) for I in partitions_at_most(k, fpd.n)]
     for I, value in zip(low, relation_coefficients(fpd, low)):
         if value:
@@ -66,6 +75,21 @@ def _load_fixed_points(path: str) -> FixedPointData:
                              f"q_{partition_str(I)} = {brief(value)}, but q_I = 0 "
                              f"for every |I| < n = {fpd.n}")
     return fpd
+
+
+def _bound_text(g: int) -> str:
+    from .fixedpoints import brief
+    return (f"g = {brief(g)}, the gcd of the differences of the weight sums at "
+            "the fixed points, which a manifold's index divides")
+
+
+def _check_level(fpd: FixedPointData, N: int) -> None:
+    """Refuse a level N that the data refutes, as `relations` and `hilbert`
+    do: one that does not divide the asserted index, if any, or g."""
+    fpd.check_level(N)
+    g = fpd.index_bound()
+    if g % N:
+        raise ValueError(f"N={N} does not divide {_bound_text(g)}")
 
 
 def _print_json(payload: dict) -> None:
@@ -78,8 +102,6 @@ def _print_json(payload: dict) -> None:
 def cmd_eisenstein(args) -> int:
     from .modular import eisenstein_qexp, series_to_json
 
-    _check_qseries_caps(args)
-    _check_weight("weight", args.weight)
     series = eisenstein_qexp(args.weight, args.level, args.prec)
     if args.json:
         _print_json({"series": series_to_json(series)})
@@ -92,13 +114,7 @@ def cmd_qn(args) -> int:
     from .cyclotomic import euler_phi
     from .modular import qn_expansion_via_product, series_to_json
 
-    _check_qseries_caps(args)
-    if args.x_order > QN_MAX_X_ORDER:
-        raise ValueError(f"--x-order {args.x_order} exceeds the cap "
-                         f"QN_MAX_X_ORDER = {QN_MAX_X_ORDER}")
-    if euler_phi(args.level) * args.prec > QN_MAX_PHI_PREC:
-        raise ValueError(f"phi(N) * --prec = {euler_phi(args.level) * args.prec} "
-                         f"exceeds the cap QN_MAX_PHI_PREC = {QN_MAX_PHI_PREC}")
+    _check_cap("phi(N) * --prec", euler_phi(args.level) * args.prec, "QN_MAX_PHI_PREC")
     qn = qn_expansion_via_product(args.level, args.x_order, args.prec)
     if args.json:
         _print_json({"level": args.level,
@@ -114,7 +130,6 @@ def cmd_genus(args) -> int:
     from .localization import genus_qexp, genus_via_chern
     from .modular import series_to_json
 
-    _check_qseries_caps(args)
     fpd = _load_fixed_points(args.fixed_points)
     via_loc = genus_qexp(fpd, args.level, args.prec)
     via_chern = genus_via_chern(fpd, args.level, args.prec)
@@ -158,9 +173,8 @@ def cmd_chiy(args) -> int:
 def cmd_relations(args) -> int:
     from .localization import build_relations, verify_relation
 
-    _check_qseries_caps(args)
-    _check_weight("k-max", args.k_max)
     fpd = _load_fixed_points(args.fixed_points)
+    _check_level(fpd, args.level)
     if args.k_max < args.k_min:
         raise ValueError("k-max must be >= k-min")
     code = 0
@@ -204,7 +218,7 @@ def cmd_hilbert(args) -> int:
     from .localization import hilbert_polynomial
 
     fpd = _load_fixed_points(args.fixed_points)
-    fpd.check_level(args.level)
+    _check_level(fpd, args.level)
     ms = [args.m] if args.m is not None else list(range(fpd.n + 1))
     hs = [(m, hilbert_polynomial(fpd, args.level, m)) for m in ms]
     if args.json:
@@ -241,21 +255,6 @@ QSERIES_MAX_WEIGHT = 20       # eisenstein weight k, and relations k-max
 QSERIES_MAX_DIM = 7           # n of any fixed-point file a subcommand reads
 
 
-def _check_qseries_caps(args) -> None:
-    if args.prec > QSERIES_MAX_PREC:
-        raise ValueError(f"--prec {args.prec} exceeds the cap "
-                         f"QSERIES_MAX_PREC = {QSERIES_MAX_PREC}")
-    if args.level > QSERIES_MAX_LEVEL:
-        raise ValueError(f"level N = {args.level} exceeds the cap "
-                         f"QSERIES_MAX_LEVEL = {QSERIES_MAX_LEVEL}")
-
-
-def _check_weight(name: str, k: int) -> None:
-    if k > QSERIES_MAX_WEIGHT:
-        raise ValueError(f"{name} {k} exceeds the cap "
-                         f"QSERIES_MAX_WEIGHT = {QSERIES_MAX_WEIGHT}")
-
-
 # Caps on one coadjoint request, so that every accepted request finishes
 # well inside a minute.  Medians of 3 fresh processes, shared 2-core x86-64:
 # - an orbit has one coset, and with --xi one fixed point, per element of
@@ -272,6 +271,21 @@ COADJOINT_MAX_ORBIT_DIM = 8      # n, when --crosscheck or --partition is given
 COADJOINT_MAX_EXTRA_DEGREES = 2  # |I| - n, for --extra-degrees and --partition
 
 
+def _cap(name: str, key: str | None = None) -> tuple[str, int]:
+    """The cap constant `name`, or its entry `key` for a per-family cap, as
+    the label a refusal prints and the limit."""
+    limit = globals()[name]
+    return (name, limit) if key is None else (f"{name}[{key!r}]", limit[key])
+
+
+def _check_cap(what: str, value: int, name: str, key: str | None = None) -> None:
+    """Refuse a request whose `what` is past its cap: the check of every cap
+    that needs more than one argument, or the input."""
+    label, limit = _cap(name, key)
+    if value > limit:
+        raise ValueError(f"{what} = {value} exceeds the cap {label} = {limit}")
+
+
 def _build_orbit(args) -> OrbitSpec:
     from .coadjoint import OrbitSpec, RootSystem, cpn_orbit, grassmannian_orbit
 
@@ -281,40 +295,25 @@ def _build_orbit(args) -> OrbitSpec:
     if args.J is not None and not positional:
         raise ValueError("--J needs family and rank")
     if args.cpn is not None:
-        family, rank, build = "A", args.cpn, cpn_orbit
-    elif args.grassmannian is not None:
-        family, rank, build = "B", args.grassmannian, grassmannian_orbit
-    elif args.family is None or args.rank is None:
+        return cpn_orbit(args.cpn)
+    if args.grassmannian is not None:
+        return grassmannian_orbit(args.grassmannian)
+    if args.family is None or args.rank is None:
         raise ValueError("give either --cpn, --grassmannian, or family and rank")
-    else:
-        family, rank = args.family, args.rank
-        build = lambda r: OrbitSpec(RootSystem(family, r), args.J or [])
-    cap = COADJOINT_MAX_RANK[family]
-    if rank > cap:
-        raise ValueError(f"rank {rank} exceeds the type-{family} cap "
-                         f"COADJOINT_MAX_RANK[{family!r}] = {cap}")
-    return build(rank)
+    _check_cap("rank", args.rank, "COADJOINT_MAX_RANK", args.family)
+    return OrbitSpec(RootSystem(args.family, args.rank), args.J or [])
 
 
 def cmd_coadjoint(args) -> int:
     from .coadjoint import crosscheck_qI, orbit_fixed_points, q_I_via_divided_diff
     from .symfunc import partition_str, partitions_at_most
 
-    if not 0 <= args.extra_degrees <= COADJOINT_MAX_EXTRA_DEGREES:
-        raise ValueError(f"--extra-degrees must be between 0 and the cap "
-                         f"COADJOINT_MAX_EXTRA_DEGREES = "
-                         f"{COADJOINT_MAX_EXTRA_DEGREES}, got {args.extra_degrees}")
     orbit = _build_orbit(args)
-    if ((args.crosscheck or args.partition is not None)
-            and orbit.n > COADJOINT_MAX_ORBIT_DIM):
-        raise ValueError(f"orbit dimension n = {orbit.n} exceeds the cap "
-                         f"COADJOINT_MAX_ORBIT_DIM = {COADJOINT_MAX_ORBIT_DIM} "
-                         "for --crosscheck and --partition")
-    if (args.partition is not None
-            and sum(args.partition) - orbit.n > COADJOINT_MAX_EXTRA_DEGREES):
-        raise ValueError(f"partition of {sum(args.partition)} exceeds n + "
-                         f"COADJOINT_MAX_EXTRA_DEGREES = "
-                         f"{orbit.n + COADJOINT_MAX_EXTRA_DEGREES}")
+    if args.crosscheck or args.partition is not None:
+        _check_cap("orbit dimension n", orbit.n, "COADJOINT_MAX_ORBIT_DIM")
+    if args.partition is not None:
+        _check_cap("--partition degree |I| - n", sum(args.partition) - orbit.n,
+                   "COADJOINT_MAX_EXTRA_DEGREES")
     fpd = orbit_fixed_points(orbit, args.xi) if args.xi else None
     poly = None if args.partition is None else q_I_via_divided_diff(orbit, [args.partition])[0]
     if args.crosscheck and not args.xi:
@@ -407,18 +406,25 @@ def cmd_selftest(args) -> int:
 # -- parser ------------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _add_int(p, *flags, low: int = 1, cap: str | None = None, key: str | None = None,
+             help: str | None = None, **kwargs) -> None:
+    """Add an int argument of at least `low` and, given a cap (see `_cap`), at
+    most its limit: the check of every cap on one argument.  argparse refuses
+    any other value with exit 2, and the argument's --help states the cap."""
+    label, high = _cap(cap, key) if cap else ("", None)
 
+    def bounded(text: str) -> int:
+        value = int(text)
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}" if high is None else
+                f"must be between {low} and the cap {label} = {high}, got {value}")
+        return value
 
-def _level(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("level N must be >= 2")
-    return value
+    bounded.__name__ = "int"   # so that argparse reads "invalid int value: 'x'"
+    if cap:
+        help = f"{help + '; ' if help else ''}{low} to {high}, the cap {label}"
+    p.add_argument(*flags, type=bounded, help=help, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,52 +437,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_prec=True):
         if with_prec:
-            p.add_argument("--prec", type=_positive_int, default=DEFAULT_PREC,
-                           help=f"q-series precision (default {DEFAULT_PREC})")
+            _add_int(p, "--prec", cap="QSERIES_MAX_PREC", default=DEFAULT_PREC,
+                     help=f"q-series precision (default {DEFAULT_PREC})")
         p.add_argument("--json", action="store_true", help="JSON output")
 
-    caps = (f"Caps (exit 2 beyond them): --prec <= {QSERIES_MAX_PREC}; "
-            f"level N <= {QSERIES_MAX_LEVEL}.")
+    def level(p, help=None):
+        _add_int(p, "level", low=2, cap="QSERIES_MAX_LEVEL", help=help)
 
-    p = sub.add_parser("eisenstein", help="q-expansion of G[k,N]",
-                       epilog=f"{caps} Weight k <= {QSERIES_MAX_WEIGHT}.")
-    p.add_argument("weight", type=_positive_int)
-    p.add_argument("level", type=_level)
+    p = sub.add_parser("eisenstein", help="q-expansion of G[k,N]")
+    _add_int(p, "weight", cap="QSERIES_MAX_WEIGHT")
+    level(p)
     common(p)
     p.set_defaults(fn=cmd_eisenstein)
 
-    p = sub.add_parser("qn", help="x-coefficients of the level-N expansion",
-                       epilog=f"{caps} For qn also --x-order <= {QN_MAX_X_ORDER} "
-                              f"and phi(N) * --prec <= {QN_MAX_PHI_PREC}.")
-    p.add_argument("level", type=_level)
-    p.add_argument("--x-order", type=_positive_int, default=7)
+    p = sub.add_parser("qn", help="x-coefficients of the level-N expansion")
+    level(p)
+    _add_int(p, "--x-order", cap="QN_MAX_X_ORDER", default=7)
     common(p)
     p.set_defaults(fn=cmd_qn)
 
-    p = sub.add_parser("genus", help="level-N genus q-expansion, two routes",
-                       epilog=f"{caps} Dimension n <= {QSERIES_MAX_DIM} "
-                              "in the fixed-point file.")
+    p = sub.add_parser("genus", help="level-N genus q-expansion, two routes")
     p.add_argument("fixed_points", help="fixed-point data JSON file")
-    p.add_argument("level", type=_level)
+    level(p)
     common(p)
     p.set_defaults(fn=cmd_genus)
 
-    p = sub.add_parser("chiy", help="chi_y genus from fixed-point counts",
-                       epilog=f"Cap (exit 2 beyond it): dimension n <= "
-                              f"{QSERIES_MAX_DIM} in the fixed-point file.")
+    p = sub.add_parser("chiy", help="chi_y genus from fixed-point counts")
     p.add_argument("fixed_points")
-    p.add_argument("--k0", type=_positive_int,
-                   help="also test divisibility at this index")
+    _add_int(p, "--k0", help="also test divisibility at this index")
     common(p, with_prec=False)
     p.set_defaults(fn=cmd_chiy)
 
-    p = sub.add_parser("relations", help="Eisenstein-product relations",
-                       epilog=f"{caps} k-max <= {QSERIES_MAX_WEIGHT}; dimension "
-                              f"n <= {QSERIES_MAX_DIM} in the fixed-point file.")
+    p = sub.add_parser("relations", help="Eisenstein-product relations")
     p.add_argument("fixed_points")
-    p.add_argument("level", type=_level)
-    p.add_argument("k_min", type=_positive_int)
-    p.add_argument("k_max", type=_positive_int)
+    level(p, "level N; it must divide g and the file's asserted index, if "
+             "it has one (see hilbert)")
+    _add_int(p, "k_min")
+    _add_int(p, "k_max", cap="QSERIES_MAX_WEIGHT")
     p.add_argument("--verify", action="store_true",
                    help="check each relation vanishes as a q-series")
     p.add_argument("--raw", action="store_true",
@@ -484,13 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_relations)
 
-    p = sub.add_parser("hilbert", help="twisted-index polynomials H_m(x)",
-                       epilog=f"Cap (exit 2 beyond it): dimension n <= "
-                              f"{QSERIES_MAX_DIM} in the fixed-point file.")
+    p = sub.add_parser("hilbert", help="twisted-index polynomials H_m(x)")
     p.add_argument("fixed_points")
-    p.add_argument("level", type=_positive_int,
-                   help="index divisor for the line-bundle power; it must "
-                        "divide the file's asserted index, if it has one")
+    _add_int(p, "level", help="index divisor for the line-bundle power; it must "
+                              "divide g, the gcd of the differences of the weight "
+                              "sums at the fixed points, and the file's asserted "
+                              "index, if it has one")
     p.add_argument("--m", type=int, help="single exterior-power degree")
     common(p, with_prec=False)
     p.set_defaults(fn=cmd_hilbert)
@@ -498,36 +494,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "coadjoint", help="orbit cosets, fixed points, crosschecks",
         description="Cosets of W/W_J, fixed points at a circle direction, and "
-                    "the divided-difference vs localization crosscheck of q_I.",
-        epilog=f"Caps (exit 2 beyond them): rank <= "
-               f"{COADJOINT_MAX_RANK['A']} for type A and "
-               f"<= {COADJOINT_MAX_RANK['B']} for type B; orbit dimension "
-               f"n <= {COADJOINT_MAX_ORBIT_DIM} with --crosscheck or "
-               f"--partition; 0 <= --extra-degrees <= "
-               f"{COADJOINT_MAX_EXTRA_DEGREES}; a --partition of at most "
-               f"n + {COADJOINT_MAX_EXTRA_DEGREES}.")
+                    "the divided-difference vs localization crosscheck of q_I.")
     p.add_argument("family", nargs="?", choices=("A", "B"))
-    p.add_argument("rank", nargs="?", type=_positive_int)
+    _add_int(p, "rank", nargs="?", help="at most the family's COADJOINT_MAX_RANK, "
+                                        "which --cpn and --grassmannian show")
     p.add_argument("--J", type=int, nargs="*", help="simple-root indices")
-    p.add_argument("--cpn", type=_positive_int,
-                   help="projective-space orbit of this dimension")
-    p.add_argument("--grassmannian", type=_positive_int,
-                   help="oriented 2-planes in R^(2m+1), give m")
+    _add_int(p, "--cpn", cap="COADJOINT_MAX_RANK", key="A",
+             help="projective-space orbit of this dimension")
+    _add_int(p, "--grassmannian", cap="COADJOINT_MAX_RANK", key="B",
+             help="oriented 2-planes in R^(2m+1), give m")
     p.add_argument("--xi", type=int, nargs="*", help="circle direction")
     p.add_argument("--partition", type=int, nargs="*",
                    help="print q_I for this partition")
     p.add_argument("--crosscheck", action="store_true",
                    help="compare both q_I routes for |I| = n..n+extra")
-    p.add_argument("--extra-degrees", type=int, default=2,
-                   help="degrees above n to crosscheck (default 2, "
-                        f"at most {COADJOINT_MAX_EXTRA_DEGREES})")
+    _add_int(p, "--extra-degrees", low=0, cap="COADJOINT_MAX_EXTRA_DEGREES", default=2,
+             help="degrees above n to crosscheck (default 2)")
     common(p, with_prec=False)
     p.set_defaults(fn=cmd_coadjoint)
 
     p = sub.add_parser("polytope", help="h-vector, index, divisibility, pattern")
     p.add_argument("input", help='JSON file with "f" and/or "edges"')
-    p.add_argument("--k0", type=_positive_int,
-                   help="index to test against (default: from edges)")
+    _add_int(p, "--k0", help="index to test against (default: from edges)")
     common(p, with_prec=False)
     p.set_defaults(fn=cmd_polytope)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -74,6 +74,12 @@ class FixedPointData:
         if self.asserted_index is not None and self.asserted_index % N:
             raise ValueError(f"N={N} does not divide the asserted index "
                              f"{brief(self.asserted_index)}")
+
+    def index_bound(self) -> int:
+        """g = gcd over the points P of W(P) - W(P_0), W the weight sum (c_1 at
+        the fixed points).  A manifold's index divides g; 0 means no bound."""
+        sums = [sum(weights) for weights in self.points]
+        return gcd(*(w - sums[0] for w in sums))
 
     def __len__(self) -> int:
         return len(self.points)

@@ -15,10 +15,7 @@ from hypothesis import strategies as st
 
 import genus_forge
 from genus_forge import modular
-from genus_forge.cli import (COADJOINT_MAX_EXTRA_DEGREES, COADJOINT_MAX_ORBIT_DIM,
-                             COADJOINT_MAX_RANK, QN_MAX_PHI_PREC, QN_MAX_X_ORDER,
-                             QSERIES_MAX_DIM, QSERIES_MAX_LEVEL, QSERIES_MAX_PREC,
-                             QSERIES_MAX_WEIGHT, main)
+from genus_forge.cli import main
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
                                   orbit_fixed_points)
 from genus_forge.fixedpoints import FixedPointData, brief
@@ -95,13 +92,13 @@ def _counted(monkeypatch, cls, name):
     return calls
 
 
-# each request with its exit code; the relations request is CP^4 with no
-# asserted index at level 3: a k = n genus line and three FAILED lines, each
-# printing its residual
+# each request with its exit code; the relations request is Gr(2,4) at level
+# 12, which divides g = 12 but not the index 4: a k = n genus line, two
+# "0 = 0" lines and two FAILED lines, each printing its residual
 _ONE_FORM = [(0, ["eisenstein", "1", "12", "--prec", "24"]),
              (0, ["qn", "3", "--x-order", "4", "--prec", "6"]),
              (0, ["genus", "{cp2}", "3", "--prec", "6"]),
-             (1, ["relations", "{cp4}", "3", "4", "10", "--verify", "--prec", "30"]),
+             (1, ["relations", "{gr24}", "12", "4", "8", "--verify", "--prec", "20"]),
              (0, ["chiy", "{cp3}", "--k0", "4"]),
              (0, ["hilbert", "{cp2}", "3"]),
              (0, ["coadjoint", "A", "3", "--xi", "4", "-2", "1", "7",
@@ -200,8 +197,9 @@ def test_relations_verified(tmp_path, capsys):
 
 def test_relations_failure_names_the_first_coefficient(tmp_path, capsys):
     # without an asserted index, level 2 is accepted on the projective plane
-    # (index 3), and the k = 4 relation fails first at q^1
-    data = cpn_fixed_points(2, (1, 3)).to_json()
+    # (index 3) with weights 2 and 6, where g = 6, and the k = 4 relation
+    # fails first at q^1
+    data = cpn_fixed_points(2, (2, 6)).to_json()
     del data["asserted_index"]
     path = tmp_path / "cp2.json"
     path.write_text(json.dumps(data))
@@ -386,6 +384,35 @@ def test_hilbert_level_must_divide_the_asserted_index(tmp_path, capsys):
         assert main(["hilbert", str(path), level]) == 0
 
 
+def test_asserted_index_must_divide_the_index_bound(tmp_path, capsys):
+    # g = 4 on CP^3 with weights 1, 2, 3, so no manifold with these fixed
+    # points has index 8; every subcommand that reads the file refuses it
+    path = tmp_path / "cp3.json"
+    path.write_text(json.dumps({**cpn_fixed_points(3, (1, 2, 3)).to_json(),
+                                "asserted_index": 8}))
+    for argv in (["genus", str(path), "2"], ["chiy", str(path), "--k0", "8"],
+                 ["relations", str(path), "2", "3", "4"], ["hilbert", str(path), "2"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: asserted index 8 does not divide g = 4, ")
+
+
+def test_level_must_divide_the_index_bound(tmp_path, capsys):
+    # Gr(2,4) at xi = (1, 2, 3, 4) carries no index, and g = 4 there: level 3
+    # used to print H_0(x) = 64/243*x^4 - ... with exit 0
+    path = tmp_path / "gr24.json"
+    path.write_text(json.dumps(orbit_fixed_points(OrbitSpec(RootSystem("A", 3), (1, 3)),
+                                                  (1, 2, 3, 4)).to_json()))
+    for argv in (["hilbert", str(path), "3"], ["relations", str(path), "3", "4", "5"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: N=3 does not divide g = 4, ")
+    for level in ("2", "4"):
+        assert main(["hilbert", str(path), level]) == 0
+    # genus keeps every level
+    assert main(["genus", str(path), "3", "--prec", "2"]) == 0
+
+
 def test_coadjoint_crosscheck(capsys):
     assert main(["coadjoint", "--cpn", "2", "--xi", "1", "5", "-3",
                  "--crosscheck"]) == 0
@@ -422,115 +449,81 @@ def test_coadjoint_takes_one_orbit_selector(argv, message, capsys):
     assert out == "" and err.startswith(f"error: {message}")
 
 
-def test_coadjoint_extra_degrees_range(capsys):
-    # a negative value used to exit 0 after checking nothing
-    for bad in ("-1", str(COADJOINT_MAX_EXTRA_DEGREES + 1)):
-        assert main(["coadjoint", "A", "2", "--xi", "1", "2", "3", "--crosscheck",
-                     "--extra-degrees", bad]) == 2
-        assert "COADJOINT_MAX_EXTRA_DEGREES" in capsys.readouterr().err
-    assert main(["coadjoint", "A", "2", "--xi", "1", "2", "3", "--crosscheck",
-                 "--extra-degrees", "0"]) == 0
-    assert "[ok]" in capsys.readouterr().out
+def _exit_code(argv) -> int:
+    """main's exit code, whether it returns it or argparse raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
-def test_coadjoint_rank_cap(capsys):
-    assert COADJOINT_MAX_RANK == {"A": 6, "B": 5}
-    for argv in (["A", "7"], ["B", "6"], ["--cpn", "7"], ["--grassmannian", "6"]):
-        assert main(["coadjoint", *argv]) == 2
-        assert "COADJOINT_MAX_RANK" in capsys.readouterr().err
-    assert main(["coadjoint", "--grassmannian", "5"]) == 0
-    assert "n=9" in capsys.readouterr().out
-
-
-def test_coadjoint_orbit_dimension_cap(capsys):
-    # A4 with J = [1] has n = 9; the cap applies only to q_I work
-    xi = ["--xi", "1", "3", "-2", "7", "-5"]
-    for extra in (["--crosscheck"], ["--partition", "5", "4"]):
-        assert main(["coadjoint", "A", "4", "--J", "1", *xi, *extra]) == 2
-        assert "COADJOINT_MAX_ORBIT_DIM" in capsys.readouterr().err
-    assert main(["coadjoint", "A", "4", "--J", "1", *xi]) == 0
-    capsys.readouterr()
-    # A4 with J = [1, 3] has n = 8, at the cap
-    assert main(["coadjoint", "A", "4", "--J", "1", "3", "--partition",
-                 str(COADJOINT_MAX_ORBIT_DIM)]) == 0
-    assert "q_[8] = " in capsys.readouterr().out
-
-
-def test_coadjoint_partition_degree_cap(capsys):
-    # A2 has n = 3, so |I| may reach 3 + COADJOINT_MAX_EXTRA_DEGREES = 5
-    assert main(["coadjoint", "A", "2", "--partition", "3", "2", "1"]) == 2
-    assert "COADJOINT_MAX_EXTRA_DEGREES" in capsys.readouterr().err
-    assert main(["coadjoint", "A", "2", "--partition", "3", "2"]) == 0
-
-
-def test_qseries_precision_cap(tmp_path, capsys):
-    assert QSERIES_MAX_PREC == 60
-    path = _write_cp2(tmp_path)
-    over = str(QSERIES_MAX_PREC + 1)
-    for argv in (["eisenstein", "3", "2"], ["qn", "2", "--x-order", "1"],
-                 ["genus", path, "2"], ["relations", path, "3", "4", "4", "--verify"]):
-        assert main(argv + ["--prec", over]) == 2
-        assert "QSERIES_MAX_PREC" in capsys.readouterr().err
-    assert main(["eisenstein", "3", "2", "--prec", str(QSERIES_MAX_PREC)]) == 0
-    assert "O(q^60)" in capsys.readouterr().out
-
-
-def test_qseries_level_cap(tmp_path, capsys):
-    assert QSERIES_MAX_LEVEL == 12
-    data = cpn_fixed_points(2, (1, 3)).to_json()
-    del data["asserted_index"]
-    path = tmp_path / "cp2.json"
-    path.write_text(json.dumps(data))
-    over = str(QSERIES_MAX_LEVEL + 1)
-    for argv in (["eisenstein", "3", over], ["qn", over, "--x-order", "1"],
-                 ["genus", str(path), over], ["relations", str(path), over, "4", "4"]):
-        assert main(argv + ["--prec", "2"]) == 2
-        assert "QSERIES_MAX_LEVEL" in capsys.readouterr().err
-    assert main(["eisenstein", "3", str(QSERIES_MAX_LEVEL), "--prec", "2"]) == 0
-
-
-def test_qseries_weight_cap(tmp_path, capsys):
-    assert QSERIES_MAX_WEIGHT == 20
-    path = _write_cp2(tmp_path)
-    over = str(QSERIES_MAX_WEIGHT + 1)
-    for argv in (["eisenstein", over, "3"], ["relations", path, "3", "4", over]):
-        assert main(argv + ["--prec", "2"]) == 2
-        assert "QSERIES_MAX_WEIGHT" in capsys.readouterr().err
-    assert main(["eisenstein", str(QSERIES_MAX_WEIGHT), "3", "--prec", "2"]) == 0
-    assert main(["relations", path, "3", str(QSERIES_MAX_WEIGHT),
-                 str(QSERIES_MAX_WEIGHT), "--prec", "2"]) == 0
-
-
-def test_qseries_dimension_cap(tmp_path, capsys):
-    assert QSERIES_MAX_DIM == 7
-    over = tmp_path / "over.json"
-    over.write_text(json.dumps(cpn_fixed_points(8, range(1, 9)).to_json()))
-    # every subcommand that reads a fixed-point file applies the cap
-    for argv in (["genus", str(over), "3", "--prec", "2"],
-                 ["relations", str(over), "3", "8", "8", "--prec", "2"],
-                 ["chiy", str(over)], ["chiy", str(over), "--k0", "3"],
-                 ["hilbert", str(over), "2"], ["hilbert", str(over), "2", "--m", "0"]):
-        assert main(argv) == 2
-        assert "QSERIES_MAX_DIM" in capsys.readouterr().err
-    at_cap = tmp_path / "at_cap.json"
-    at_cap.write_text(json.dumps(cpn_fixed_points(7, range(1, 8)).to_json()))
-    assert main(["relations", str(at_cap), "2", "7", "7", "--prec", "2"]) == 0
-    assert main(["chiy", str(at_cap)]) == 0
-
-
-def test_qn_x_order_cap(capsys):
-    assert QN_MAX_X_ORDER == 10
-    assert main(["qn", "2", "--x-order", str(QN_MAX_X_ORDER + 1), "--prec", "2"]) == 2
-    assert "QN_MAX_X_ORDER" in capsys.readouterr().err
-    assert main(["qn", "2", "--x-order", str(QN_MAX_X_ORDER), "--prec", "2"]) == 0
-
-
-def test_qn_field_precision_cap(capsys):
+_XI = "--xi 1 3 -2 7 -5"
+# (the cap and its limit, a request at the limit, a request one past it);
+# "{cp2}" and the like name the files of _golden_inputs, and "{cp8}" one
+# past QSERIES_MAX_DIM.  Caps on one argument leave through argparse.
+_CAPS = [
+    ("QSERIES_MAX_PREC = 60", "eisenstein 3 2 --prec 60", "eisenstein 3 2 --prec 61"),
+    ("QSERIES_MAX_PREC = 60", "qn 2 --x-order 1 --prec 60", "qn 2 --x-order 1 --prec 61"),
+    ("QSERIES_MAX_PREC = 60", "genus {cp2} 2 --prec 60", "genus {cp2} 2 --prec 61"),
+    ("QSERIES_MAX_PREC = 60", "relations {cp2} 3 4 4 --verify --prec 60",
+     "relations {cp2} 3 4 4 --verify --prec 61"),
+    ("QSERIES_MAX_LEVEL = 12", "eisenstein 3 12 --prec 2", "eisenstein 3 13 --prec 2"),
+    ("QSERIES_MAX_LEVEL = 12", "qn 12 --x-order 1 --prec 2", "qn 13 --x-order 1 --prec 2"),
+    ("QSERIES_MAX_LEVEL = 12", "genus {cp4} 12 --prec 2", "genus {cp4} 13 --prec 2"),
+    ("QSERIES_MAX_LEVEL = 12", "relations {gr24} 12 4 4 --prec 2",   # g = 12
+     "relations {gr24} 13 4 4 --prec 2"),
+    ("QSERIES_MAX_WEIGHT = 20", "eisenstein 20 3 --prec 2", "eisenstein 21 3 --prec 2"),
+    ("QSERIES_MAX_WEIGHT = 20", "relations {cp2} 3 20 20 --prec 2",
+     "relations {cp2} 3 4 21 --prec 2"),
+    ("QSERIES_MAX_DIM = 7", "genus {cp7} 3 --prec 2", "genus {cp8} 3 --prec 2"),
+    ("QSERIES_MAX_DIM = 7", "relations {cp7} 2 7 7 --prec 2", "relations {cp8} 3 8 8 --prec 2"),
+    ("QSERIES_MAX_DIM = 7", "chiy {cp7}", "chiy {cp8}"),
+    ("QSERIES_MAX_DIM = 7", "chiy {cp7} --k0 4", "chiy {cp8} --k0 3"),
+    ("QSERIES_MAX_DIM = 7", "hilbert {cp7} 2", "hilbert {cp8} 2"),
+    ("QSERIES_MAX_DIM = 7", "hilbert {cp7} 2 --m 0", "hilbert {cp8} 2 --m 0"),
+    ("QN_MAX_X_ORDER = 10", "qn 2 --x-order 10 --prec 2", "qn 2 --x-order 11 --prec 2"),
     # phi(11) = 10, so level 11 admits the default precision 15 and not 16
-    assert QN_MAX_PHI_PREC == 150
-    assert main(["qn", "11", "--x-order", "1", "--prec", "16"]) == 2
-    assert "QN_MAX_PHI_PREC" in capsys.readouterr().err
-    assert main(["qn", "11", "--x-order", "1"]) == 0
+    ("QN_MAX_PHI_PREC = 150", "qn 11 --x-order 1", "qn 11 --x-order 1 --prec 16"),
+    ("COADJOINT_MAX_EXTRA_DEGREES = 2", "coadjoint A 2 --xi 1 2 3 --crosscheck --extra-degrees 2",
+     "coadjoint A 2 --xi 1 2 3 --crosscheck --extra-degrees 3"),
+    # a negative value used to exit 0 after checking nothing
+    ("COADJOINT_MAX_EXTRA_DEGREES = 2", "coadjoint A 2 --xi 1 2 3 --crosscheck --extra-degrees 0",
+     "coadjoint A 2 --xi 1 2 3 --crosscheck --extra-degrees -1"),
+    # A2 has n = 3, so |I| may reach 3 + 2 = 5
+    ("COADJOINT_MAX_EXTRA_DEGREES = 2", "coadjoint A 2 --partition 3 2",
+     "coadjoint A 2 --partition 3 2 1"),
+    ("COADJOINT_MAX_RANK['A'] = 6", "coadjoint A 6", "coadjoint A 7"),
+    ("COADJOINT_MAX_RANK['B'] = 5", "coadjoint B 5", "coadjoint B 6"),
+    ("COADJOINT_MAX_RANK['A'] = 6", "coadjoint --cpn 6", "coadjoint --cpn 7"),
+    ("COADJOINT_MAX_RANK['B'] = 5", "coadjoint --grassmannian 5", "coadjoint --grassmannian 6"),
+    # A4 has n = 8 with J = [1, 3] and n = 9 with J = [1]; the cap applies
+    # only to q_I work
+    ("COADJOINT_MAX_ORBIT_DIM = 8", "coadjoint A 4 --J 1 3 --partition 8",
+     "coadjoint A 4 --J 1 --partition 5 4"),
+    ("COADJOINT_MAX_ORBIT_DIM = 8", f"coadjoint A 4 --J 1 3 {_XI} --crosscheck --extra-degrees 0",
+     f"coadjoint A 4 --J 1 {_XI} --crosscheck"),
+    ("COADJOINT_MAX_ORBIT_DIM = 8", f"coadjoint A 4 --J 1 {_XI}",
+     f"coadjoint A 4 --J 1 {_XI} --partition 5 4"),
+]
+# what some requests at the limit print
+_SHOWN = {"eisenstein 3 2 --prec 60": "O(q^60)", "coadjoint --grassmannian 5": "n=9",
+          "coadjoint A 2 --xi 1 2 3 --crosscheck --extra-degrees 0": "[ok]",
+          "coadjoint A 4 --J 1 3 --partition 8": "q_[8] = "}
+
+
+@pytest.mark.parametrize("cap, at, past", _CAPS, ids=[re.sub("[{}]", "", past).replace(" ", "_")
+                                                      for _, _, past in _CAPS])
+def test_request_caps(cap, at, past, tmp_path, capsys):
+    # at the limit a request runs; one past it exits 2 with nothing on stdout
+    # and names the cap and its limit on stderr
+    paths = _golden_inputs(tmp_path)
+    paths["cp8"] = tmp_path / "cp8.json"
+    paths["cp8"].write_text(json.dumps(cpn_fixed_points(8, range(1, 9)).to_json()))
+    assert _exit_code([arg.format(**paths) for arg in at.split()]) == 0
+    assert _SHOWN.get(at, "") in capsys.readouterr().out
+    assert _exit_code([arg.format(**paths) for arg in past.split()]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and cap in err
 
 
 _DATA = Path(__file__).parent / "data"
@@ -541,10 +534,11 @@ _DATA = Path(__file__).parent / "data"
 # drift; the two --partition files print a q_I polynomial of degree 2.  The
 # others pin every subcommand's text and JSON form, among them negative
 # leading coefficients and non-rational Q(zeta_N) coefficients, so the
-# rendering of signs is pinned too.  relations_cp4_3 pins the k = n genus
-# line, relations whose q_I are all zero ("0 = 0") and failed residuals
-# over Q(zeta_3), on CP^4 with no asserted index.  "{cp2}" and the like name the
-# input files written by _golden_inputs.
+# rendering of signs is pinned too.  relations_gr24_12 pins relations whose
+# q_I are all zero ("0 = 0") and failed residuals over Q(zeta_12), on
+# Gr(2,4) at a level that divides g = 12 but not the index 4; relations_cp4_3
+# pins that a level that does not divide g (CP^4 has g = 5) prints nothing.
+# "{cp2}" and the like name the input files written by _golden_inputs.
 _GOLDEN = {
     "coadjoint_cpn4": (0, ["coadjoint", "--cpn", "4", "--xi", "5", "1", "-2",
                            "3", "-4", "--crosscheck"]),
@@ -570,8 +564,10 @@ _GOLDEN = {
                           "--prec", "8"]),
     "relations_cp2_raw": (0, ["relations", "{cp2}", "3", "4", "5", "--verify",
                               "--raw", "--prec", "6"]),
-    "relations_cp4_3": (1, ["relations", "{cp4}", "3", "4", "10", "--verify",
+    "relations_cp4_3": (2, ["relations", "{cp4}", "3", "4", "10", "--verify",
                             "--prec", "30"]),
+    "relations_gr24_12": (1, ["relations", "{gr24}", "12", "5", "8", "--verify",
+                              "--prec", "20"]),
     "hilbert_cp1": (0, ["hilbert", "{cp1}", "2"]),
     "hilbert_cp2": (0, ["hilbert", "{cp2}", "3"]),
     "hilbert_q3": (0, ["hilbert", "{q3}", "3"]),

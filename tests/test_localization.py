@@ -109,6 +109,19 @@ def test_degree_vanishing_on_manifold_models():
                 assert relation_coefficient(fpd, I) == 0
 
 
+def test_asserted_index_divides_the_index_bound_on_manifold_models():
+    # a manifold's index divides g, the gcd of W(P) - W(P_0); on CP^n with
+    # weights w, g = (n + 1) gcd(w)
+    assert [cpn_fixed_points(n, range(1, n + 1)).index_bound() for n in (3, 4, 7)] == [4, 5, 8]
+    assert cpn_fixed_points(3, (2, 4, 6)).index_bound() == 8
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        weights = rng.sample([w for w in range(-9, 10) if w], n)
+        for fpd in (random_product_of_projective_spaces(rng, n), cpn_fixed_points(n, weights)):
+            assert fpd.index_bound() % fpd.asserted_index == 0, fpd.points
+
+
 def test_degree_vanishing_fails_on_non_manifold_data():
     # single fixed point: not a closed manifold; the sum is honestly nonzero
     data = FixedPointData(2, [(1, 2)], ["pt"])
