@@ -2,7 +2,8 @@
 
 Each criterion function returns (ok, detail).  `run_all` prints one line
 per criterion and reports overall success; the CLI `selftest` subcommand
-and tests/test_acceptance.py are thin wrappers around it.
+is a thin wrapper around it, while tests/test_acceptance.py calls each
+criterion of `CRITERIA` directly, one test apiece.
 
 Everything here is a second pass over results the unit tests already
 cover piecemeal; the value of the suite is that it runs the headline

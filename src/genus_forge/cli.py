@@ -17,9 +17,18 @@ request exits 2 with a message naming it.  A cap on one argument is the
 bound of that argument's argparse type (`_add_int`), which its --help
 states; a cap that needs more than one argument, or the input, is checked
 by `_check_cap`.  A level that the fixed-point data refutes is refused
-with exit 2 as well (`_check_level`).  All output is plain text, or
-JSON under --json, with entries sorted so runs are reproducible byte for
-byte.
+with exit 2 as well (`_check_level`), and so is `polytope --k0` on a file
+without an "f" entry.  All output is plain text, or JSON under --json,
+with entries sorted so runs are reproducible byte for byte.
+
+No request ends with the interpreter's own refusal to convert a long
+integer to or from text (`_digit_limit`, 4 300 digits by default): an
+input integer past it is refused as it is read (`_json_int`), and a
+subcommand whose numbers no cap bounds checks every integer, numerator
+and denominator it will print before it writes its first line
+(`_check_printable`; `relations` checks its coefficients before --verify
+starts and each residual before it prints it).  Either refusal exits 2
+with nothing on stdout.
 
 Each subcommand imports the library modules it runs inside its own
 function, so a request loads only those: `eisenstein` loads no orbit
@@ -49,9 +58,25 @@ def _read_json(path: str):
     for the parser is a ValueError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer literal as an int: one of more digits than the
+    interpreter converts (`_digit_limit`) is a ValueError that says so."""
+    digits, limit = len(text.lstrip("-")), _digit_limit()
+    if limit and digits > limit:
+        raise ValueError(f"a JSON integer of {digits} digits is past the "
+                         f"{limit}-digit limit of text-to-integer conversion")
+    return int(text)
+
+
+def _digit_limit() -> int:
+    """The most digits the interpreter converts between int and text, 0 for
+    no limit (and on an interpreter without one)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def _load_fixed_points(path: str) -> FixedPointData:
@@ -93,6 +118,37 @@ def _check_level(fpd: FixedPointData, N: int) -> None:
     g = fpd.index_bound()
     if g % N:
         raise ValueError(f"N={N} does not divide {_bound_text(g)}")
+
+
+def _numbers(value):
+    """The ints and Fractions that `value` prints: itself, or those of its
+    entries, coefficients (`TruncSeries`, `CyclotomicNumber`) or terms
+    (`SparsePoly`, `Relation`).  Text and None hold none."""
+    if isinstance(value, (int, Fraction)):
+        yield value
+    elif isinstance(value, (list, tuple, dict)):
+        for entry in value.values() if isinstance(value, dict) else value:
+            yield from _numbers(entry)
+    elif hasattr(value, "coeffs"):
+        yield from _numbers(value.coeffs)
+    elif hasattr(value, "terms"):
+        yield from _numbers(value.terms)
+
+
+def _check_printable(*values) -> None:
+    """Refuse a request whose output would hold an integer, numerator or
+    denominator of more digits than the interpreter converts to text
+    (`_digit_limit`).  Each subcommand whose numbers no cap bounds calls it
+    on what it prints, before it writes its first line."""
+    from .fixedpoints import _digit_count, brief
+
+    limit = _digit_limit()
+    if not limit:
+        return
+    for x in _numbers(values):
+        if max(map(_digit_count, x.as_integer_ratio())) > limit:
+            raise ValueError(f"the output would hold {brief(x)}, past the "
+                             f"{limit}-digit limit of integer-to-text conversion")
 
 
 def _print_json(payload: dict) -> None:
@@ -137,6 +193,7 @@ def cmd_genus(args) -> int:
     via_loc = genus_qexp(fpd, args.level, args.prec)
     via_chern = genus_via_chern(fpd, args.level, args.prec)
     difference = via_loc - via_chern
+    _check_printable(via_loc, via_chern)
     if difference:
         first = difference.valuation()
         print(f"routes differ first at q^{first}: localization "
@@ -180,12 +237,14 @@ def cmd_relations(args) -> int:
     _check_level(fpd, args.level)
     if args.k_max < args.k_min:
         raise ValueError("k-max must be >= k-min")
+    rels = build_relations(fpd, args.level, range(args.k_min, args.k_max + 1))
+    if not args.raw:
+        rels = [rel.primitive() for rel in rels]
+    _check_printable(rels)
     code = 0
     out = []   # one JSON entry or one text line per relation
-    for rel in build_relations(fpd, args.level, range(args.k_min, args.k_max + 1)):
+    for rel in rels:
         k = rel.k
-        if not args.raw:
-            rel = rel.primitive()
         residual = verify_relation(rel, args.prec) if args.verify else None
         genus = k == fpd.n   # the sum over |I| = n is the level-N genus, not a relation
         code |= bool(residual) and not genus
@@ -200,6 +259,7 @@ def cmd_relations(args) -> int:
         line = f"k={k}: {rel.render()}"
         if residual:
             e = residual.valuation()
+            _check_printable(residual.coeff(e) if genus else residual)
             if genus:
                 line += (f"   [k = n: the level-N genus (up to scale), nonzero at "
                          f"q^{e}: {residual.coeff(e)}; N | index "
@@ -223,13 +283,15 @@ def cmd_hilbert(args) -> int:
     fpd = _load_fixed_points(args.fixed_points)
     _check_level(fpd, args.level)
     ms = [args.m] if args.m is not None else list(range(fpd.n + 1))
-    hs = [(m, hilbert_polynomial(fpd, args.level, m)) for m in ms]
+    polys = [hilbert_polynomial(fpd, args.level, m) for m in ms]
+    hs = [(m, h, h.evaluate([Fraction(0)])) for m, h in zip(ms, polys)]
+    _check_printable(hs)
     if args.json:
-        _print_json({"hilbert": [{"m": m, "polynomial": str(h),
-                                  "at_zero": str(h.evaluate([Fraction(0)]))} for m, h in hs]})
+        _print_json({"hilbert": [{"m": m, "polynomial": str(h), "at_zero": str(h0)}
+                                 for m, h, h0 in hs]})
     else:
-        for m, h in hs:
-            print(f"H_{m}(x) = {h}   (H_{m}(0) = {h.evaluate([Fraction(0)])})")
+        for m, h, h0 in hs:
+            print(f"H_{m}(x) = {h}   (H_{m}(0) = {h0})")
     return 0
 
 
@@ -283,6 +345,16 @@ COADJOINT_MAX_RANK = {"A": 6, "B": 5}
 COADJOINT_MAX_ORBIT_DIM = 8      # n, when --crosscheck or --partition is given
 COADJOINT_MAX_EXTRA_DEGREES = 2  # |I| - n, for --extra-degrees and --partition
 
+# Cap on one polytope request, so that it finishes well inside a minute:
+# h_from_f's O(n^2) binomial sums run over n-bit numbers.  Medians of 3
+# fresh processes, shared 2-core x86-64: the slowest admitted requests
+# found have edges, --k0 and a palindromic h-vector of 4 000-digit entries
+# (f entries up to 4 149 digits), and take 1.7 s at n = 500 with --k0 500
+# (1.35 s with --k0 250); an f of 501 ones takes 0.5 s.  Past the cap, the
+# same requests at n = 1 000 took 10 s (one run each), and an f of 2 000
+# ones 57.5 s.
+POLYTOPE_MAX_DIM = 500           # n = len(f) - 1 of the "f" entry
+
 
 def _cap(name: str, key: str | None = None) -> tuple[str, int]:
     """The cap constant `name`, or its entry `key` for a per-family cap, as
@@ -296,7 +368,8 @@ def _check_cap(what: str, value: int, name: str, key: str | None = None) -> None
     that needs more than one argument, or the input."""
     label, limit = _cap(name, key)
     if value > limit:
-        raise ValueError(f"{what} = {value} exceeds the cap {label} = {limit}")
+        from .fixedpoints import brief
+        raise ValueError(f"{what} = {brief(value)} exceeds the cap {label} = {limit}")
 
 
 def _build_orbit(args) -> OrbitSpec:
@@ -334,6 +407,7 @@ def cmd_coadjoint(args) -> int:
     degrees = range(orbit.n, orbit.n + 1 + args.extra_degrees)
     checks = (crosscheck_qI(orbit, [I for k in degrees for I in partitions_at_most(k, orbit.n)],
                             args.xi) if args.crosscheck else [])
+    _check_printable(args.xi, fpd and fpd.points, poly, checks)
     if args.json:
         payload = {"orbit": orbit.to_json(), "n": orbit.n,
                    "longest_word": list(orbit.longest_rep.word)}
@@ -371,7 +445,9 @@ def cmd_polytope(args) -> int:
         raise ValueError("input JSON must be an object")
     if "edges" not in data and "f" not in data:
         raise ValueError('input JSON needs an "f" or "edges" entry')
-    k0, index, h, report, pattern = args.k0, None, None, None, None
+    if args.k0 is not None and "f" not in data:
+        raise ValueError('--k0 needs an "f" entry')
+    k0, index, f, h, report, pattern = args.k0, None, None, None, None, None
     if "edges" in data:
         edges = data["edges"]
         if not (isinstance(edges, list)
@@ -382,10 +458,12 @@ def cmd_polytope(args) -> int:
         k0 = index if k0 is None else k0
     if "f" in data:
         f = json_int_list(data["f"], '"f"')
+        _check_cap("dimension n = len(f) - 1", len(f) - 1, "POLYTOPE_MAX_DIM")
         h = h_from_f(f, len(f) - 1)
         if k0 is not None:
             report = h_divisibility(h, k0)
             pattern = betti_pattern(len(f) - 1, k0, h)
+    _check_printable(index, f, h, report, pattern)
     if args.json:
         payload = {} if index is None else {"index": index}
         if h is not None:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -367,11 +368,9 @@ def test_closed_stdout_pipe_exits_2(failing, tmp_path, monkeypatch, capsys):
 
 
 def test_hilbert(tmp_path, capsys):
+    # the golden hilbert_cp1 pins the output without --m; m = 5 > n is refused
     path = tmp_path / "cp1.json"
     path.write_text(json.dumps(cpn_fixed_points(1, (1,)).to_json()))
-    assert main(["hilbert", str(path), "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 and lines[0].startswith("H_0(x) =")
     assert main(["hilbert", str(path), "2", "--m", "5"]) == 2
 
 
@@ -516,13 +515,16 @@ _CAPS = [
      f"coadjoint A 4 --J 1 {_XI} --crosscheck"),
     ("COADJOINT_MAX_ORBIT_DIM = 8", f"coadjoint A 4 --J 1 {_XI}",
      f"coadjoint A 4 --J 1 {_XI} --partition 5 4"),
+    ("POLYTOPE_MAX_DIM = 500", "polytope {dim500}", "polytope {dim501}"),
 ]
 # the inputs of the rows besides the golden ones; CP^1 with the weights
 # +-2^8191 has 2 x 8192 weight bits, and one more bit passes the cap
 _CAP_INPUTS = {"cp8": cpn_fixed_points(8, range(1, 9)).to_json(),
                "bits16384": cpn_fixed_points(1, (2 ** 8191,)).to_json(),
                "bits16385": {"n": 1, "points": [{"weights": [2 ** 8192]},
-                                                {"weights": [-2 ** 8191]}]}}
+                                                {"weights": [-2 ** 8191]}]},
+               "dim500": {"f": [1] * 501},
+               "dim501": {"f": [1] * 502}}
 # what some requests at the limit print
 _SHOWN = {"eisenstein 3 2 --prec 60": "O(q^60)", "coadjoint --grassmannian 5": "n=9",
           "coadjoint A 2 --xi 1 2 3 --crosscheck --extra-degrees 0": "[ok]",
@@ -639,26 +641,6 @@ def test_golden_output(stem, fmt, tmp_path, capsys):
     _check_golden(stem, fmt, capsys, _golden_inputs(tmp_path))
 
 
-def test_polytope_simplex(tmp_path, capsys):
-    from genus_forge.polytope import simplex_edges, simplex_f_vector
-    data = {"f": simplex_f_vector(2),
-            "edges": simplex_edges(2, dilation=3)}
-    path = tmp_path / "simplex.json"
-    path.write_text(json.dumps(data))
-    assert main(["polytope", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "combinatorial index = 3" in out
-    assert "quotient [1]" in out
-
-
-def test_polytope_divisibility_failure(tmp_path, capsys):
-    from genus_forge.polytope import cube_f_vector
-    path = tmp_path / "cube.json"
-    path.write_text(json.dumps({"f": cube_f_vector(2)}))
-    assert main(["polytope", str(path), "--k0", "3"]) == 1
-    assert "NOT divisible" in capsys.readouterr().out
-
-
 def test_polytope_huge_k0_is_not_divisible(tmp_path, capsys):
     # the divisor 1 + ... + y^(k0-1) is never built, so a k0 far beyond
     # memory reports the h-vector itself as the remainder
@@ -670,6 +652,18 @@ def test_polytope_huge_k0_is_not_divisible(tmp_path, capsys):
     assert "NOT divisible by 1 + ... + y^999999999999999999: remainder [1, 1, 1]" \
         in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_polytope_k0_needs_an_f_vector(json_flag, tmp_path, capsys):
+    # --k0 on an edges-only simplex used to be ignored: it printed the index
+    # 3 with exit 0
+    from genus_forge.polytope import simplex_edges
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps({"edges": simplex_edges(2, dilation=3)}))
+    assert main(["polytope", str(path), "--k0", "5", *json_flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == 'error: --k0 needs an "f" entry\n'
 
 
 def test_palindromic_is_reported_not_assumed(tmp_path, capsys):
@@ -747,6 +741,45 @@ def test_fixed_point_file_past_the_bit_cap_is_refused_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 2
     assert "summed weight bits = 315000 exceeds the cap FIXED_POINT_MAX_BITS" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["relations", "{}", "2", "1", "20", "--raw"], _CAP_INPUTS["bits16384"]),
+    (["relations", "{}", "3", "2", "8", "--verify"], cpn_fixed_points(2, (1, 2 ** 4000)).to_json()),
+    (["coadjoint", "A", "2", "--xi", *(str(c * 10 ** 3999 + 1) for c in (1, 2, 5)),
+      "--crosscheck"], None),
+    (["polytope", "{}"], {"f": [10 ** 4290] * 40 + [1]}),
+    (["polytope", "{}"], '{"f": [1' + "0" * 4301 + ", 1]}"),
+], ids=["relations-raw", "relations-verify", "coadjoint", "polytope", "json-integer"])
+def test_numbers_past_the_digit_limit_are_refused_at_once(argv, data, tmp_path, capsys):
+    # each request ended with Python's own "Exceeds the limit (4300 digits)"
+    # line, coadjoint after writing 84 kB of stdout; the relations
+    # coefficients are checked before --verify starts
+    path = tmp_path / "big.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    start = time.perf_counter()
+    assert main([arg.format(path) for arg in argv]) == 2
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_numbers_below_the_digit_limit_still_print(tmp_path, capsys):
+    # CP^7 with one 1 154-bit weight (16 376 weight bits, just below
+    # FIXED_POINT_MAX_BITS): the k = 17 relation has coefficients of up to
+    # 3 465 digits, and prints the 701 739 bytes it printed before the rule
+    path = tmp_path / "cp7.json"
+    path.write_text(json.dumps(cpn_fixed_points(7, (11, 22, 33, 44, 55, 66,
+                                                    11 * 2 ** 1150)).to_json()))
+    assert main(["relations", str(path), "8", "17", "17"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 701_739
+    assert hashlib.sha256(out).hexdigest() == (
+        "797a9cb4236fb9d0cbe9f6a762b509b2ced2cc9d38267f283cbef6b30e3b6b11")
 
 
 def _cp1(**change):
