@@ -19,7 +19,6 @@ q-series stack that `localization` builds on.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -135,6 +134,8 @@ def _shown(value) -> str:
     """A JSON number, boolean or null as itself (an integer through `brief`);
     a string, array or object by its type alone, so that an error line stays
     short whatever it holds."""
+    import json
+
     name = {str: "a string", list: "an array", dict: "an object"}.get(type(value))
     return name or (brief(value) if type(value) is int else json.dumps(value))
 

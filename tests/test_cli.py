@@ -958,7 +958,10 @@ def test_selftest_default_seed_is_2026(capsys):
 # modules that one request leaves in sys.modules of a fresh interpreter,
 # keyed by a stem of _GOLDEN (None: importing the CLI and building its
 # parser, as the benchmark's start-up does).  A module-level import added
-# to the CLI or to a library module changes some set here.
+# to the CLI or to a library module changes some set here.  The stdlib
+# `json` is loaded exactly by the requests that read an input file
+# (_READS_JSON; none of these writes --json), and importing the CLI leaves
+# its start-up objects frozen with the collector still on.
 _CLI = {"genus_forge", "genus_forge.cli"}
 _QSERIES = _CLI | {f"genus_forge.{m}" for m in ("cyclotomic", "modular", "series", "text")}
 _FIXED_POINTS = {f"genus_forge.{m}" for m in ("fixedpoints", "symfunc", "sparsepoly", "text")}
@@ -980,17 +983,23 @@ _IMPORTED = {
     "selftest": _LOCALIZATION | _ORBITS | {"genus_forge.acceptance",
                                            "genus_forge.polytope"},
 }
+_READS_JSON = {"genus_cp2_4", "relations_cp2", "chiy_cp3_k3", "hilbert_q3",
+               "polytope_cube_k3"}
 _REQUEST = """
-import json, sys
+import gc, sys
 from genus_forge import cli
+frozen, collecting = gc.get_freeze_count() > 0, gc.isenabled()
 out, argv = sys.argv[1], sys.argv[2:]
 if argv:
     code = cli.main(argv)
 else:
     cli.build_parser()
     code = 0
+loaded_json = "json" in sys.modules
+import json
 with open(out, "w") as fh:
-    json.dump(sorted(m for m in sys.modules if m.partition(".")[0] == "genus_forge"), fh)
+    json.dump({"modules": [m for m in sys.modules if m.partition(".")[0] == "genus_forge"],
+               "json": loaded_json, "frozen": frozen, "collecting": collecting}, fh)
 sys.exit(code)
 """
 
@@ -1013,4 +1022,6 @@ def test_each_request_imports_only_the_modules_it_runs(stem, tmp_path):
     proc = subprocess.run([sys.executable, "-c", _REQUEST, str(out), *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (code, golden), proc.stderr
-    assert set(json.loads(out.read_text())) == _IMPORTED[stem]
+    report = json.loads(out.read_text())
+    assert set(report.pop("modules")) == _IMPORTED[stem]
+    assert report == {"json": stem in _READS_JSON, "frozen": True, "collecting": True}
