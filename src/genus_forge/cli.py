@@ -8,8 +8,8 @@ stdout pipe closed by its reader.  Input files, all read by `_read_json`,
 are checked as they are loaded: a path that cannot be read, a document
 nested too deeply to parse or a value of the wrong JSON shape exits 2 (a
 value is never coerced), and fixed-point data must have q_I = 0 for
-|I| < n and an asserted index that divides g (`_load_fixed_points`), as
-every manifold does.
+|I| < n and an asserted index that divides g, as every manifold does
+(`FixedPointData.check_manifold`).
 
 The default q-precision is DEFAULT_PREC = 15; --prec sets another.
 Requests are capped by the *_MAX_* constants below: beyond a cap the
@@ -17,9 +17,10 @@ request exits 2 with a message naming it.  A cap on one argument is the
 bound of that argument's argparse type (`_add_int`), which its --help
 states; a cap that needs more than one argument, or the input, is checked
 by `_check_cap`.  A level that the fixed-point data refutes is refused
-with exit 2 as well (`_check_level`), and so is `polytope --k0` on a file
-without an "f" entry.  All output is plain text, or JSON under --json,
-with entries sorted so runs are reproducible byte for byte.
+with exit 2 as well (`FixedPointData.check_level`), and so is
+`polytope --k0` on a file without an "f" entry.  All output is plain
+text, or JSON under --json, with entries sorted so runs are reproducible
+byte for byte.
 
 No request ends with the interpreter's own refusal to convert a long
 integer to or from text (`_digit_limit`, 4 300 digits by default): an
@@ -93,44 +94,17 @@ def _digit_limit() -> int:
 
 
 def _load_fixed_points(path: str) -> FixedPointData:
-    """Fixed-point data from a JSON file, checked to be a manifold's: its
-    asserted index, if any, divides g (`FixedPointData.index_bound`), and
-    q_I = 0 for |I| < n.  A dimension n above QSERIES_MAX_DIM, or weights
-    of more than FIXED_POINT_MAX_BITS bits in all, are refused before these
-    checks."""
-    from .fixedpoints import FixedPointData, brief, relation_coefficients
-    from .symfunc import partition_str, partitions_at_most
+    """Fixed-point data from a JSON file, checked to be a manifold's
+    (`FixedPointData.check_manifold`).  A dimension n above QSERIES_MAX_DIM,
+    or weights of more than FIXED_POINT_MAX_BITS bits in all, are refused
+    before that check."""
+    from .fixedpoints import FixedPointData
 
     fpd = FixedPointData.from_json(_read_json(path))
     _check_cap("dimension n", fpd.n, "QSERIES_MAX_DIM")
     _check_cap("summed weight bits", sum(abs(w).bit_length() for p in fpd.points for w in p),
                "FIXED_POINT_MAX_BITS")
-    g = fpd.index_bound()
-    if fpd.asserted_index is not None and g % fpd.asserted_index:
-        raise ValueError(f"asserted index {brief(fpd.asserted_index)} does not "
-                         f"divide {_bound_text(g)}")
-    low = [I for k in range(fpd.n) for I in partitions_at_most(k, fpd.n)]
-    for I, value in zip(low, relation_coefficients(fpd, low)):
-        if value:
-            raise ValueError(f"not the fixed points of a manifold: "
-                             f"q_{partition_str(I)} = {brief(value)}, but q_I = 0 "
-                             f"for every |I| < n = {fpd.n}")
-    return fpd
-
-
-def _bound_text(g: int) -> str:
-    from .fixedpoints import brief
-    return (f"g = {brief(g)}, the gcd of the differences of the weight sums at "
-            "the fixed points, which a manifold's index divides")
-
-
-def _check_level(fpd: FixedPointData, N: int) -> None:
-    """Refuse a level N that the data refutes, as `relations` and `hilbert`
-    do: one that does not divide the asserted index, if any, or g."""
-    fpd.check_level(N)
-    g = fpd.index_bound()
-    if g % N:
-        raise ValueError(f"N={N} does not divide {_bound_text(g)}")
+    return fpd.check_manifold()
 
 
 def _numbers(value):
@@ -249,7 +223,7 @@ def cmd_relations(args) -> int:
     from .localization import build_relations, verify_relation
 
     fpd = _load_fixed_points(args.fixed_points)
-    _check_level(fpd, args.level)
+    fpd.check_level(args.level)
     if args.k_max < args.k_min:
         raise ValueError("k-max must be >= k-min")
     rels = build_relations(fpd, args.level, range(args.k_min, args.k_max + 1))
@@ -296,7 +270,7 @@ def cmd_hilbert(args) -> int:
     from .localization import hilbert_polynomial
 
     fpd = _load_fixed_points(args.fixed_points)
-    _check_level(fpd, args.level)
+    fpd.check_level(args.level)
     ms = [args.m] if args.m is not None else list(range(fpd.n + 1))
     polys = [hilbert_polynomial(fpd, args.level, m) for m in ms]
     hs = [(m, h, h.evaluate([Fraction(0)])) for m, h in zip(ms, polys)]
@@ -409,7 +383,7 @@ def _build_orbit(args) -> OrbitSpec:
 
 def cmd_coadjoint(args) -> int:
     from .coadjoint import crosscheck_qI, orbit_fixed_points, q_I_via_divided_diff
-    from .symfunc import partition_str, partitions_at_most
+    from .symfunc import partition_str
 
     orbit = _build_orbit(args)
     if args.crosscheck or args.partition is not None:
@@ -422,8 +396,7 @@ def cmd_coadjoint(args) -> int:
     if args.crosscheck and args.xi is None:
         raise ValueError("--crosscheck needs --xi")
     degrees = range(orbit.n, orbit.n + 1 + args.extra_degrees)
-    checks = (crosscheck_qI(orbit, [I for k in degrees for I in partitions_at_most(k, orbit.n)],
-                            args.xi) if args.crosscheck else [])
+    checks = crosscheck_qI(orbit, degrees, args.xi) if args.crosscheck else []
     _check_printable(args.xi, fpd and fpd.points, poly, checks)
     if args.json:
         payload = {"orbit": orbit.to_json(), "n": orbit.n,

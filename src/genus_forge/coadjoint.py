@@ -38,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 from .fixedpoints import FixedPointData, relation_coefficients
 from .sparsepoly import SparsePoly
-from .symfunc import check_partition, monomial_sym_eval, partition_str
+from .symfunc import check_partition, monomial_sym_eval, partition_str, partitions_at_most
 
 
 class RootSystem:
@@ -383,12 +383,13 @@ def orbit_fixed_points(orbit: OrbitSpec, xi: Sequence[int]) -> FixedPointData:
     return FixedPointData(orbit.n, points, labels)
 
 
-def crosscheck_qI(orbit: OrbitSpec, partitions: Sequence[Sequence[int]],
+def crosscheck_qI(orbit: OrbitSpec, degrees: Iterable[int],
                   xi: Sequence[int]) -> list[dict]:
-    """Both routes to q_I, for each I in partitions: divided differences vs
-    localization at xi, each route with one m_I table for the whole batch.
-    Each q_I, of degree |I| - n, is evaluated at xi by `SparsePoly.evaluate`."""
-    parts = [check_partition(I) for I in partitions]
+    """Both routes to q_I, for each partition I of each degree in `degrees`
+    with at most n parts: divided differences vs localization at xi, each
+    route with one m_I table for the whole batch.  Each q_I, of degree
+    |I| - n, is evaluated at xi by `SparsePoly.evaluate`."""
+    parts = [I for k in degrees for I in partitions_at_most(k, orbit.n)]
     algebraic = q_I_via_divided_diff(orbit, parts)
     localized = relation_coefficients(orbit_fixed_points(orbit, xi), parts)
     reports = []

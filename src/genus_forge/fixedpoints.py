@@ -68,11 +68,34 @@ class FixedPointData:
                                      "(fixed point would not be isolated)")
         return self
 
+    def check_manifold(self) -> "FixedPointData":
+        """Refuse data that no manifold has: an asserted index that does not
+        divide g (`index_bound`), or some q_I != 0 with |I| < n, the degrees
+        below n in which the localization sum of every manifold vanishes."""
+        from .symfunc import partition_str, partitions_at_most
+
+        g = self.index_bound()
+        if self.asserted_index is not None and g % self.asserted_index:
+            raise ValueError(f"asserted index {brief(self.asserted_index)} does not "
+                             f"divide {_bound_text(g)}")
+        low = [I for k in range(self.n) for I in partitions_at_most(k, self.n)]
+        for I, value in zip(low, relation_coefficients(self, low)):
+            if value:
+                raise ValueError(f"not the fixed points of a manifold: "
+                                 f"q_{partition_str(I)} = {brief(value)}, but q_I = 0 "
+                                 f"for every |I| < n = {self.n}")
+        return self
+
     def check_level(self, N: int) -> None:
-        """Refuse a level N that does not divide the asserted index, if any."""
+        """Refuse a level N that the data refutes: the relations
+        sum_I q_I G_{I,N} = 0 hold when N divides the manifold's index, and the
+        index divides the asserted index, if any, and g (`index_bound`)."""
         if self.asserted_index is not None and self.asserted_index % N:
             raise ValueError(f"N={N} does not divide the asserted index "
                              f"{brief(self.asserted_index)}")
+        g = self.index_bound()
+        if g % N:
+            raise ValueError(f"N={N} does not divide {_bound_text(g)}")
 
     def index_bound(self) -> int:
         """g = gcd over the points P of W(P) - W(P_0), W the weight sum (c_1 at
@@ -115,6 +138,11 @@ class FixedPointData:
                    [json_int_list(p.get("weights"), f"point {i} weights")
                     for i, p in enumerate(points)],
                    [p.get("label", f"P{i}") for i, p in enumerate(points)], index)
+
+
+def _bound_text(g: int) -> str:
+    return (f"g = {brief(g)}, the gcd of the differences of the weight sums at "
+            "the fixed points, which a manifold's index divides")
 
 
 def json_int(value, what: str) -> int:

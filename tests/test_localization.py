@@ -215,6 +215,15 @@ def test_build_relation_guards():
         build_relation(fpd, 2, 4)
 
 
+def test_build_relation_applies_the_whole_level_rule():
+    # without an asserted index, g = 3 on CP^2 with weights 1, 3 still
+    # refutes level 2, as the relations and hilbert subcommands do
+    fpd = FixedPointData(2, cpn_fixed_points(2, (1, 3)).points)
+    with pytest.raises(ValueError, match="^N=2 does not divide g = 3, "):
+        build_relation(fpd, 2, 3)
+    assert build_relation(fpd, 3, 3).N == 3
+
+
 def test_cp2_relation_displays_and_verification():
     fpd = cpn_fixed_points(2, (1, 3))
     displays = {

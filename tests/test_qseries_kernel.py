@@ -27,12 +27,13 @@ from genus_forge.acceptance import (criterion_general_relation,
                                     criterion_lemma_eisenstein)
 from genus_forge.cli import main
 from genus_forge.cyclotomic import CyclotomicNumber, euler_phi
-from genus_forge.localization import (FixedPointData, Relation, build_relation,
-                                      cpn_fixed_points, eisenstein_product,
-                                      general_relation_cpn, genus_qexp,
-                                      genus_via_chern, verify_relation)
+from genus_forge.localization import (FixedPointData, Relation, cpn_fixed_points,
+                                      eisenstein_product, general_relation_cpn,
+                                      genus_qexp, genus_via_chern,
+                                      relation_coefficients, verify_relation)
 from genus_forge.modular import eisenstein_qexp
 from genus_forge.series import TruncSeries, bernoulli, kronecker_product
+from genus_forge.symfunc import partitions_at_most
 
 _LEVELS = (2, 3, 4, 5, 7, 9, 12)
 
@@ -146,6 +147,13 @@ def test_products_match_a_fold(I, N, P):
         assert got == _fold(I[:end], N, P)
 
 
+def _relation(fpd, N, k):
+    """The raw relation sum_I q_I G_{I,N} = 0 of degree k, built from its q_I
+    at any level N: `build_relations` refuses a level that the data refutes."""
+    parts = partitions_at_most(k, fpd.n)
+    return Relation(fpd.n, k, N, list(zip(parts, relation_coefficients(fpd, parts))), "")
+
+
 @given(st.integers(1, 3), st.sampled_from((2, 3, 4, 5, 7)), st.integers(0, 2),
        st.integers(1, 12), st.fractions(min_value=-3, max_value=3, max_denominator=5),
        st.randoms(use_true_random=False))
@@ -153,8 +161,8 @@ def test_products_match_a_fold(I, N, P):
 def test_failing_residual_matches_a_fold(n, N, extra, P, shift, rng):
     weights = rng.sample([w for w in range(-9, 10) if w], n)
     points = cpn_fixed_points(n, weights).points
-    # no asserted index: N need not divide n + 1, so the relation may fail
-    rel = build_relation(FixedPointData(n, points), N, n + extra)
+    # built past the level rule: N need not divide n + 1, so the relation may fail
+    rel = _relation(FixedPointData(n, points), N, n + extra)
     first = rel.terms[0][0]
     rel = Relation(rel.n, rel.k, rel.N,
                    [(I, c + shift if I == first else c) for I, c in rel.terms],
@@ -360,8 +368,8 @@ def test_general_relation_criterion_builds_each_power_once(monkeypatch):
 
 
 def test_relation_with_every_q_I_zero_sums_to_the_level_N_zero_series():
-    # CP^4 at level 3 without an asserted index: every q_I of k = 5 is 0
-    rel = build_relation(FixedPointData(4, cpn_fixed_points(4, (1, 2, 3, 4)).points), 3, 5)
+    # CP^4 at level 3, which g = 5 refutes: every q_I of k = 5 is 0
+    rel = _relation(cpn_fixed_points(4, (1, 2, 3, 4)), 3, 5)
     assert not any(c for _, c in rel.terms)
     total = localization._relation_sum(rel.terms, 3, 30)
     assert (total.level, total.cutoff, total.entries, total.denom) == (3, 30, (0,) * 60, 1)

@@ -22,7 +22,7 @@ import pytest
 from genus_forge import acceptance, cli, fixedpoints, localization, symfunc
 from genus_forge.coadjoint import (cpn_orbit, grassmannian_orbit, orbit_fixed_points,
                                    q_I_via_divided_diff)
-from genus_forge.localization import (FixedPointData, Relation, build_relation, chern_number,
+from genus_forge.localization import (FixedPointData, Relation, chern_number,
                                       chi_y_from_counts, cpn_fixed_points, general_relation_cpn,
                                       genus_qexp, genus_via_chern, relation_coefficients,
                                       verify_relation)
@@ -39,12 +39,15 @@ _LEADING_PLUS_ONE = lambda poly: poly + SparsePoly.monomial(poly.vars, max(poly.
 _CP2, _CP3 = cpn_fixed_points(2, (1, 3)), cpn_fixed_points(3, (1, 2, 5))
 _ORBITS = ((cpn_orbit, 2, (1, 5, -3)), (grassmannian_orbit, 2, (5, 2)))
 _BATCH = [(2,), (1, 1), (3, 1)]
+_DEGREE_3 = [(3,), (2, 1)]
 
 
 def _localization_route():
-    residuals = []   # a relation and one with a shifted coefficient, with and without an index
+    # a relation and one with a shifted coefficient, with an index and without,
+    # at a level that g = 3 refutes: built from the q_I past the level rule
+    residuals = []
     for data, N in ((_CP2, 3), (FixedPointData(2, _CP2.points), 5)):
-        rel = build_relation(data, N, 3)
+        rel = Relation(2, 3, N, list(zip(_DEGREE_3, relation_coefficients(data, _DEGREE_3))), "")
         first = rel.terms[0][0]
         shifted = Relation(2, 3, N, [(I, c + 1 if I == first else c) for I, c in rel.terms], "")
         residuals += [verify_relation(rel, 8), verify_relation(shifted, 8)]
