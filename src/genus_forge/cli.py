@@ -9,7 +9,9 @@ are checked as they are loaded: a path that cannot be read, a document
 nested too deeply to parse or a value of the wrong JSON shape exits 2 (a
 value is never coerced), and fixed-point data must have q_I = 0 for
 |I| < n and an asserted index that divides g, as every manifold does
-(`FixedPointData.check_manifold`).
+(`FixedPointData.check_manifold`); g is the gcd of the differences of the
+weight sums at the fixed points over the gcd of all weights, which the
+index of a manifold divides (`FixedPointData.index_bound`).
 
 The default q-precision is DEFAULT_PREC = 15; --prec sets another.
 Requests are capped by the *_MAX_* constants below: beyond a cap the
@@ -289,12 +291,11 @@ def cmd_hilbert(args) -> int:
 # x86-64 VM (median of 3 runs), with the level at 11
 # (phi = 10, the widest field below the level cap):
 # - eisenstein at precision 60 takes 0.13 s for weight 20;
-# - relations --verify at precision 60 takes 0.43 s for CP^4, k = 4..12
-#   (weights 11, 22, 33, 44 without an asserted index, so that level 11
-#   divides g = 55), and 5-9 s for CP^7, k = 7..20 (10-14 s for the A4
-#   orbit with J = {1, 2}, n = 7 with 20 fixed points; ranges over 8 runs,
-#   as the VM's speed swings), growing with k and n: k = 7..24 takes 24 s
-#   in-process;
+# - relations runs only at a level that divides g, which is n + 1 on CP^n,
+#   so it is measured at that level: --verify at precision 60 takes 0.20 s
+#   for CP^4 at level 5, k = 4..12, and, for k = n..20, 1.5 s for CP^7 at
+#   level 8 and 2.6 s for CP^6 at level 7 (phi = 6), growing with k and n:
+#   CP^7 at level 8, k = 7..24, takes 6.3 s in-process;
 # - genus at precision 60 takes 0.2 s for CP^3, 0.2 s for CP^4 and 0.6 s
 #   for CP^7 (0.5 s for that A4 orbit); the Chern-number route, which grows
 #   fast with the dimension n of the data, is 0.2 s of it on CP^7;
@@ -313,11 +314,13 @@ QSERIES_MAX_DIM = 7           # n of any fixed-point file a subcommand reads
 # lcm and gcds of the load-time q_I check: past the cap, 300 points of
 # seven 150-bit weights (104 KB, 315 000 bits) took 5.2 s to be refused as
 # no manifold's.  At the cap, with the other caps at their limits, the
-# slowest admitted files measured are disjoint unions of manifolds:
-# relations --verify at level 11, k = 7..20, takes 11.2 s on CP^7 with one
-# weight of 1 154 bits (16 376 bits in all); genus at level 11 2.7 s,
-# hilbert at level 2 1.3 s and chiy 0.15 s on 18 copies of (CP^1)^7 with
-# weights +-1 (2 304 points).
+# slowest admitted files measured are these: relations --verify at
+# precision 60 takes 4.7 s at level 8, k = 7..20, on CP^7 with one weight
+# of 1 154 bits (16 376 bits in all), and 5.2 s at level 7, k = 6..20, on
+# CP^6 with one weight of 903 bits (10 960 bits; a longer weight makes
+# numbers too long to print); genus at level 11 2.7 s, hilbert at level 2
+# 1.3 s and chiy 0.15 s on 18 copies of (CP^1)^7 with weights +-1 (2 304
+# points), a disjoint union of manifolds.
 FIXED_POINT_MAX_BITS = 16384  # summed bit_length() of every weight in the file
 
 
@@ -547,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relations", help="Eisenstein-product relations")
     p.add_argument("fixed_points")
-    level(p, "level N; it must divide g and the file's asserted index, if "
-             "it has one (see hilbert)")
+    level(p, "level N; it must divide g, the index bound of the circle "
+             "action (see hilbert), and the file's asserted index, if it has one")
     _add_int(p, "k_min")
     _add_int(p, "k_max", cap="QSERIES_MAX_WEIGHT")
     p.add_argument("--verify", action="store_true",
@@ -562,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fixed_points")
     _add_int(p, "level", help="index divisor for the line-bundle power; it must "
                               "divide g, the gcd of the differences of the weight "
-                              "sums at the fixed points, and the file's asserted "
-                              "index, if it has one")
+                              "sums at the fixed points over the gcd of all "
+                              "weights, and the file's asserted index, if it has one")
     p.add_argument("--m", type=int, help="single exterior-power degree")
     common(p, with_prec=False)
     p.set_defaults(fn=cmd_hilbert)

@@ -98,10 +98,18 @@ class FixedPointData:
             raise ValueError(f"N={N} does not divide {_bound_text(g)}")
 
     def index_bound(self) -> int:
-        """g = gcd over the points P of W(P) - W(P_0), W the weight sum (c_1 at
-        the fixed points).  A manifold's index divides g; 0 means no bound."""
+        """g = gcd over the points P of W(P) - W(P_0), divided by d, the gcd of
+        all weights; W is the weight sum (c_1 at the fixed points).  A
+        manifold's index divides g; 0 means no bound.
+
+        The circle acts through S^1/Z_d, with the weights w/d and the same
+        index, so g is that of this effective action.  The gcd of the weights
+        at one point is the same at every point of a connected manifold, as
+        a subgroup that fixes a neighbourhood of one fixed point fixes all of
+        it; data whose per-point gcds differ is not connected, and no load
+        check refuses it yet."""
         sums = [sum(weights) for weights in self.points]
-        return gcd(*(w - sums[0] for w in sums))
+        return gcd(*(w - sums[0] for w in sums)) // gcd(*(w for p in self.points for w in p))
 
     def __repr__(self) -> str:
         return f"<FixedPointData n={self.n}, {len(self.points)} points>"
@@ -141,8 +149,8 @@ class FixedPointData:
 
 
 def _bound_text(g: int) -> str:
-    return (f"g = {brief(g)}, the gcd of the differences of the weight sums at "
-            "the fixed points, which a manifold's index divides")
+    return (f"g = {brief(g)}, the gcd of the weight-sum differences over the gcd of "
+            "all weights, which a manifold's index divides")
 
 
 def json_int(value, what: str) -> int:

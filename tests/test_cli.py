@@ -23,7 +23,7 @@ from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
                                   orbit_fixed_points)
 from genus_forge.fixedpoints import FixedPointData, brief
 from genus_forge.localization import (Relation, build_relation, cpn_fixed_points,
-                                      divides_chi_y)
+                                      divides_chi_y, product_fixed_points)
 from genus_forge.modular import eisenstein_qexp, series_to_json
 from genus_forge.series import TruncSeries
 from genus_forge.sparsepoly import SparsePoly
@@ -94,13 +94,13 @@ def _counted(monkeypatch, cls, name):
     return calls
 
 
-# each request with its exit code; the relations request is Gr(2,4) at level
-# 12, which divides g = 12 but not the index 4: a k = n genus line, two
-# "0 = 0" lines and two FAILED lines, each printing its residual
+# each request with its exit code; the relations request is CP^3 x CP^2 at
+# level 12, which divides g = 12 but not the index 1: a k = n genus line, two
+# "0 = 0" lines and a FAILED line that prints its residual
 _ONE_FORM = [(0, ["eisenstein", "1", "12", "--prec", "24"]),
              (0, ["qn", "3", "--x-order", "4", "--prec", "6"]),
              (0, ["genus", "{cp2}", "3", "--prec", "6"]),
-             (1, ["relations", "{gr24}", "12", "4", "8", "--verify", "--prec", "20"]),
+             (1, ["relations", "{cp3xcp2}", "12", "5", "8", "--verify", "--prec", "20"]),
              (0, ["chiy", "{cp3}", "--k0", "4"]),
              (0, ["hilbert", "{cp2}", "3"]),
              (0, ["coadjoint", "A", "3", "--xi", "4", "-2", "1", "7",
@@ -198,18 +198,18 @@ def test_relations_verified(tmp_path, capsys):
 
 
 def test_relations_failure_names_the_first_coefficient(tmp_path, capsys):
-    # without an asserted index, level 2 is accepted on the projective plane
-    # (index 3) with weights 2 and 6, where g = 6, and the k = 4 relation
-    # fails first at q^1
-    data = cpn_fixed_points(2, (2, 6)).to_json()
-    del data["asserted_index"]
-    path = tmp_path / "cp2.json"
-    path.write_text(json.dumps(data))
-    assert main(["relations", str(path), "2", "4", "4", "--verify",
+    # without an asserted index, level 6 is accepted on CP^1 x CP^2 (index 1)
+    # with weights 3 and 2, 4, where g = 6, and the k = 5 relation fails
+    # first at q^1
+    path = tmp_path / "cp1xcp2.json"
+    path.write_text(json.dumps(FixedPointData(3, product_fixed_points(
+        cpn_fixed_points(1, (3,)), cpn_fixed_points(2, (2, 4))).points).to_json()))
+    assert main(["relations", str(path), "6", "5", "5", "--verify",
                  "--prec", "4"]) == 1
     assert capsys.readouterr().out == (
-        "k=4: 4*G[1,2]*G[3,2] + G[2,2]^2 + 5*G[4,2] = 0   [FAILED: q^1 "
-        "coefficient (2) @ Q(zeta_2); residual 2*q + 16*q^2 + 56*q^3 + O(q^4)]\n")
+        "k=5: 25*G[1,6]^2*G[3,6] + 4*G[1,6]*G[2,6]^2 + 20*G[1,6]*G[4,6] + "
+        "9*G[2,6]*G[3,6] = 0   [FAILED: q^1 coefficient (11 - 22*z) @ Q(zeta_6); "
+        "residual (11 - 22*z)*q + (101 - 202*z)*q^2 + (474 - 948*z)*q^3 + O(q^4)]\n")
 
 
 def test_relations_at_k_equal_n_report_the_genus_on_the_quadric(tmp_path, capsys):
@@ -413,6 +413,37 @@ def test_level_must_divide_the_index_bound(tmp_path, capsys):
     assert main(["genus", str(path), "3", "--prec", "2"]) == 0
 
 
+def test_level_must_divide_the_index_bound_of_the_effective_action(tmp_path, capsys):
+    # CP^4 with weights 11, 22, 33, 44 is CP^4 with weights 1..4 under the
+    # action of S^1/Z_11: the weight sums differ by multiples of 55, but the
+    # index is 5.  Level 11 used to be admitted and to fail verification
+    # (exit 1) on the even k
+    path = tmp_path / "cp4.json"
+    path.write_text(json.dumps(FixedPointData(4, cpn_fixed_points(4, (11, 22, 33, 44))
+                                              .points).to_json()))
+    assert main(["relations", str(path), "11", "4", "12", "--verify", "--prec", "60"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: N=11 does not divide g = 5, ")
+    assert main(["relations", str(path), "5", "4", "6", "--verify", "--prec", "6"]) == 0
+
+
+def test_an_integrality_failure_exits_1(tmp_path, capsys):
+    # the q_I of degree below n = 2 vanish on these four points, so the file
+    # loads, but no manifold has them: the Chern number C_[1,1] is not an
+    # integer, and genus reports a verification failure.  A load check that
+    # every Z_k-fixed submanifold localizes too would refuse the file instead
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"n": 2, "points": [
+        {"weights": [-3, -3]}, {"weights": [-3, -3]}, {"weights": [-3, 1]},
+        {"weights": [3, 3]}]}))
+    assert main(["genus", str(path), "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("verification failure: localization integrality violated: "
+                          "C_[1,1] = 32/3")
+    assert err.count("\n") == 1
+
+
 def test_coadjoint_crosscheck(capsys):
     assert main(["coadjoint", "--cpn", "2", "--xi", "1", "5", "-3",
                  "--crosscheck"]) == 0
@@ -479,8 +510,8 @@ _CAPS = [
     ("QSERIES_MAX_LEVEL = 12", "eisenstein 3 12 --prec 2", "eisenstein 3 13 --prec 2"),
     ("QSERIES_MAX_LEVEL = 12", "qn 12 --x-order 1 --prec 2", "qn 13 --x-order 1 --prec 2"),
     ("QSERIES_MAX_LEVEL = 12", "genus {cp4} 12 --prec 2", "genus {cp4} 13 --prec 2"),
-    ("QSERIES_MAX_LEVEL = 12", "relations {gr24} 12 4 4 --prec 2",   # g = 12
-     "relations {gr24} 13 4 4 --prec 2"),
+    ("QSERIES_MAX_LEVEL = 12", "relations {cp3xcp2} 12 5 5 --prec 2",   # g = 12
+     "relations {cp3xcp2} 13 5 5 --prec 2"),
     ("QSERIES_MAX_WEIGHT = 20", "eisenstein 20 3 --prec 2", "eisenstein 21 3 --prec 2"),
     ("QSERIES_MAX_WEIGHT = 20", "relations {cp2} 3 20 20 --prec 2",
      "relations {cp2} 3 4 21 --prec 2"),
@@ -555,10 +586,11 @@ _DATA = Path(__file__).parent / "data"
 # drift; the two --partition files print a q_I polynomial of degree 2.  The
 # others pin every subcommand's text and JSON form, among them negative
 # leading coefficients and non-rational Q(zeta_N) coefficients, so the
-# rendering of signs is pinned too.  relations_gr24_12 pins relations whose
-# q_I are all zero ("0 = 0") and failed residuals over Q(zeta_12), on
-# Gr(2,4) at a level that divides g = 12 but not the index 4; relations_cp4_3
-# pins that a level that does not divide g (CP^4 has g = 5) prints nothing.
+# rendering of signs is pinned too.  relations_cp3xcp2_12 pins relations
+# whose q_I are all zero ("0 = 0") and a failed residual over Q(zeta_12), on
+# CP^3 x CP^2 with weights 3, 6, 9 and 4, 8, at a level that divides g = 12
+# but not the index 1; relations_cp4_3 pins that a level that does not divide
+# g (CP^4 has g = 5) prints nothing.
 # "{cp2}" and the like name the input files written by _golden_inputs.
 _GOLDEN = {
     "coadjoint_cpn4": (0, ["coadjoint", "--cpn", "4", "--xi", "5", "1", "-2",
@@ -587,8 +619,8 @@ _GOLDEN = {
                               "--raw", "--prec", "6"]),
     "relations_cp4_3": (2, ["relations", "{cp4}", "3", "4", "10", "--verify",
                             "--prec", "30"]),
-    "relations_gr24_12": (1, ["relations", "{gr24}", "12", "5", "8", "--verify",
-                              "--prec", "20"]),
+    "relations_cp3xcp2_12": (1, ["relations", "{cp3xcp2}", "12", "5", "8", "--verify",
+                                 "--prec", "20"]),
     "hilbert_cp1": (0, ["hilbert", "{cp1}", "2"]),
     "hilbert_cp2": (0, ["hilbert", "{cp2}", "3"]),
     "hilbert_q3": (0, ["hilbert", "{q3}", "3"]),
@@ -608,6 +640,8 @@ def _golden_inputs(tmp_path) -> dict:
             "q3": orbit_fixed_points(grassmannian_orbit(2), (5, 2)).to_json(),
             "gr24": orbit_fixed_points(OrbitSpec(RootSystem("A", 3), (1, 3)),
                                        (4, -2, 1, 7)).to_json(),
+            "cp3xcp2": FixedPointData(5, product_fixed_points(
+                cpn_fixed_points(3, (3, 6, 9)), cpn_fixed_points(2, (4, 8))).points).to_json(),
             "simplex": {"f": simplex_f_vector(2),
                         "edges": simplex_edges(2, dilation=3)},
             "cube": {"f": cube_f_vector(2)}}

@@ -110,10 +110,10 @@ def test_degree_vanishing_on_manifold_models():
 
 
 def test_asserted_index_divides_the_index_bound_on_manifold_models():
-    # a manifold's index divides g, the gcd of W(P) - W(P_0); on CP^n with
-    # weights w, g = (n + 1) gcd(w)
+    # a manifold's index divides g, the gcd of W(P) - W(P_0) over the gcd of
+    # all weights; on CP^n, g = n + 1 whatever the weights
     assert [cpn_fixed_points(n, range(1, n + 1)).index_bound() for n in (3, 4, 7)] == [4, 5, 8]
-    assert cpn_fixed_points(3, (2, 4, 6)).index_bound() == 8
+    assert cpn_fixed_points(3, (2, 4, 6)).index_bound() == 4
     rng = random.Random(32)
     for _ in range(200):
         n = rng.randint(1, 6)

@@ -170,7 +170,7 @@ def _symbolic(n):
     return [SparsePoly.variable(v, avars) for v in avars]
 
 
-def test_genus_spec_basics():
+def test_genus_coefficients_must_reach_a_n():
     # a genus is read from its coefficient list a_0..a_m, which must reach a_n
     a = [Fraction(1), Fraction(0), Fraction(1, 12)]
     for fn in (f_lambda_values, genus_polynomials):
@@ -283,7 +283,7 @@ def test_chi_y_series_matches_the_bernoulli_convolution():
     assert chi_y_power_series(12) == want
 
 
-def test_genus_spec_immutable():
+def test_genus_coefficients_are_read_not_changed():
     # the coefficient list is read, never changed, and a tuple works alike
     a = _symbolic(2)
     before = list(a)
