@@ -225,7 +225,6 @@ def cmd_relations(args) -> int:
     from .localization import build_relations, verify_relation
 
     fpd = _load_fixed_points(args.fixed_points)
-    fpd.check_level(args.level)
     if args.k_max < args.k_min:
         raise ValueError("k-max must be >= k-min")
     rels = build_relations(fpd, args.level, range(args.k_min, args.k_max + 1))
@@ -317,10 +316,10 @@ QSERIES_MAX_DIM = 7           # n of any fixed-point file a subcommand reads
 # slowest admitted files measured are these: relations --verify at
 # precision 60 takes 4.7 s at level 8, k = 7..20, on CP^7 with one weight
 # of 1 154 bits (16 376 bits in all), and 5.2 s at level 7, k = 6..20, on
-# CP^6 with one weight of 903 bits (10 960 bits; a longer weight makes
-# numbers too long to print); genus at level 11 2.7 s, hilbert at level 2
-# 1.3 s and chiy 0.15 s on 18 copies of (CP^1)^7 with weights +-1 (2 304
-# points), a disjoint union of manifolds.
+# CP^6 with one weight of 903 bits (10 960 bits; with one of 1 333 bits the
+# output is refused as too long to print); genus at level 11 2.7 s,
+# hilbert at level 2 1.3 s and chiy 0.15 s on 18 copies of (CP^1)^7 with
+# weights +-1 (2 304 points), a disjoint union of manifolds.
 FIXED_POINT_MAX_BITS = 16384  # summed bit_length() of every weight in the file
 
 

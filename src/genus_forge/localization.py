@@ -216,17 +216,17 @@ def build_relations(fpd: FixedPointData, N: int, ks: Sequence[int]) -> list[Rela
     each k in ks, with every q_I from one `relation_coefficients` table.
 
     For k > n a relation holds when N divides the index of the underlying
-    manifold; the weights alone cannot certify that, so the assumption is
-    recorded (or checked against an asserted index when the data carries
-    one).  For k = n the sum is the level-N genus itself, which N | index
+    manifold; the weights alone cannot certify that, so a level that the
+    data refutes is refused (`FixedPointData.check_level`) and one it
+    admits is recorded as an assumption.  For k = n the sum is the level-N genus itself, which N | index
     does not make vanish: it does on CP^n, but not on the quadric Q^3 at N = 3.
     """
     if N < 2:
         raise ValueError("Eisenstein level must be at least 2")
+    fpd.check_level(N)
     for k in ks:
         if k < fpd.n:
             raise ValueError(f"below localization degree: k={k} < n={fpd.n}")
-    fpd.check_level(N)
     groups = [partitions_at_most(k, fpd.n) for k in ks]
     coefficients = iter(relation_coefficients(fpd, [I for group in groups for I in group]))
     if fpd.asserted_index is not None:

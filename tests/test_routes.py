@@ -43,8 +43,9 @@ _DEGREE_3 = [(3,), (2, 1)]
 
 
 def _localization_route():
-    # a relation and one with a shifted coefficient, with an index and without,
-    # at a level that g = 3 refutes: built from the q_I past the level rule
+    # a relation and one with a shifted coefficient: with an index at level 3,
+    # and without one at level 5, which g = 3 refutes, so each is built from
+    # its q_I, past the level rule of build_relations
     residuals = []
     for data, N in ((_CP2, 3), (FixedPointData(2, _CP2.points), 5)):
         rel = Relation(2, 3, N, list(zip(_DEGREE_3, relation_coefficients(data, _DEGREE_3))), "")
