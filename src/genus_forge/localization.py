@@ -218,8 +218,9 @@ def build_relations(fpd: FixedPointData, N: int, ks: Sequence[int]) -> list[Rela
     For k > n a relation holds when N divides the index of the underlying
     manifold; the weights alone cannot certify that, so a level that the
     data refutes is refused (`FixedPointData.check_level`) and one it
-    admits is recorded as an assumption.  For k = n the sum is the level-N genus itself, which N | index
-    does not make vanish: it does on CP^n, but not on the quadric Q^3 at N = 3.
+    admits is recorded as an assumption.  For k = n the sum is the level-N
+    genus itself, which N | index does not make vanish: it does on CP^n,
+    but not on the quadric Q^3 at N = 3.
     """
     if N < 2:
         raise ValueError("Eisenstein level must be at least 2")
