@@ -33,10 +33,20 @@ and denominator it will print before it writes its first line
 starts and each residual before it prints it).  Either refusal exits 2
 with nothing on stdout.
 
-Each subcommand imports the library modules it runs inside its own
-function, so a request loads only those: `eisenstein` loads no orbit
-code, and `coadjoint` none of the q-series stack.  The stdlib `json` is
-loaded only by a request that reads an input file or writes --json.
+A request pays only for its own subcommand.  `main` passes the name in
+argv[0] to `build_parser`, which then builds that one subparser; with no
+name, `-h` or an unknown name it builds all nine (`_SUBCOMMANDS`), so that
+help and errors list every subcommand.  Each subcommand imports the
+library modules it runs inside its own function, so a request loads only
+those: `eisenstein` and `qn` the q-series stack (`cyclotomic`, `series`,
+`modular`); `relations` that and `fixedpoints`, which owns the partitions
+and the q_I, and `localization`, but neither `symfunc` nor `sparsepoly`;
+`genus` `symfunc` besides, for the Chern-number route; `chiy`
+`fixedpoints`, `localization` and `sparsepoly`, and `hilbert` those and the
+s-series (`series`, `cyclotomic`), with no `symfunc` or `modular`;
+`coadjoint` the orbit code and none of the q-series stack; `polytope`
+`fixedpoints` and `polytope` alone.  The stdlib `json` is loaded only by
+a request that reads an input file or writes --json.
 
 Importing this module freezes the importing process's objects once: the
 module body ends with `gc.freeze()`, which moves the objects of the
@@ -385,7 +395,7 @@ def _build_orbit(args) -> OrbitSpec:
 
 def cmd_coadjoint(args) -> int:
     from .coadjoint import crosscheck_qI, orbit_fixed_points, q_I_via_divided_diff
-    from .symfunc import partition_str
+    from .fixedpoints import partition_str
 
     orbit = _build_orbit(args)
     if args.crosscheck or args.partition is not None:
@@ -506,72 +516,79 @@ def _add_int(p, *flags, low: int = 1, cap: str | None = None, key: str | None = 
     p.add_argument(*flags, type=bounded, help=help, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="genus-forge",
-        description="Exact arithmetic for level-N elliptic genera: Eisenstein "
-                    "series, fixed-point localization, relations, and the "
-                    "polytope combinatorics they constrain.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, with_prec=True) -> None:
+    if with_prec:
+        _add_int(p, "--prec", cap="QSERIES_MAX_PREC", default=DEFAULT_PREC,
+                 help=f"q-series precision (default {DEFAULT_PREC})")
+    p.add_argument("--json", action="store_true", help="JSON output")
 
-    def common(p, with_prec=True):
-        if with_prec:
-            _add_int(p, "--prec", cap="QSERIES_MAX_PREC", default=DEFAULT_PREC,
-                     help=f"q-series precision (default {DEFAULT_PREC})")
-        p.add_argument("--json", action="store_true", help="JSON output")
 
-    def level(p, help=None):
-        _add_int(p, "level", low=2, cap="QSERIES_MAX_LEVEL", help=help)
+def _level(p, help=None) -> None:
+    _add_int(p, "level", low=2, cap="QSERIES_MAX_LEVEL", help=help)
 
-    p = sub.add_parser("eisenstein", help="q-expansion of G[k,N]")
+
+def _eisenstein_parser(sub, name) -> None:
+    p = sub.add_parser(name, help="q-expansion of G[k,N]")
     _add_int(p, "weight", cap="QSERIES_MAX_WEIGHT")
-    level(p)
-    common(p)
+    _level(p)
+    _common(p)
     p.set_defaults(fn=cmd_eisenstein)
 
-    p = sub.add_parser("qn", help="x-coefficients of the level-N expansion")
-    level(p)
+
+def _qn_parser(sub, name) -> None:
+    p = sub.add_parser(name, help="x-coefficients of the level-N expansion")
+    _level(p)
     _add_int(p, "--x-order", cap="QN_MAX_X_ORDER", default=7)
-    common(p)
+    _common(p)
     p.set_defaults(fn=cmd_qn)
 
-    p = sub.add_parser("genus", help="level-N genus q-expansion, two routes")
+
+def _genus_parser(sub, name) -> None:
+    p = sub.add_parser(name, help="level-N genus q-expansion, two routes")
     p.add_argument("fixed_points", help="fixed-point data JSON file")
-    level(p)
-    common(p)
+    _level(p)
+    _common(p)
     p.set_defaults(fn=cmd_genus)
 
-    p = sub.add_parser("chiy", help="chi_y genus from fixed-point counts")
+
+def _chiy_parser(sub, name) -> None:
+    p = sub.add_parser(name, help="chi_y genus from fixed-point counts")
     p.add_argument("fixed_points")
     _add_int(p, "--k0", help="also test divisibility at this index")
-    common(p, with_prec=False)
+    _common(p, with_prec=False)
     p.set_defaults(fn=cmd_chiy)
 
-    p = sub.add_parser("relations", help="Eisenstein-product relations")
+
+def _relations_parser(sub, name) -> None:
+    p = sub.add_parser(name, help="Eisenstein-product relations")
     p.add_argument("fixed_points")
-    level(p, "level N; it must divide g, the index bound of the circle "
-             "action (see hilbert), and the file's asserted index, if it has one")
+    _level(p, "level N; it must divide g, the index bound of the circle "
+              "action (see hilbert), and the file's asserted index, if it has one")
     _add_int(p, "k_min")
     _add_int(p, "k_max", cap="QSERIES_MAX_WEIGHT")
     p.add_argument("--verify", action="store_true",
                    help="check each relation vanishes as a q-series")
     p.add_argument("--raw", action="store_true",
                    help="keep raw localization coefficients (no content division)")
-    common(p)
+    _common(p)
     p.set_defaults(fn=cmd_relations)
 
-    p = sub.add_parser("hilbert", help="twisted-index polynomials H_m(x)")
+
+def _hilbert_parser(sub, name) -> None:
+    p = sub.add_parser(name, help="twisted-index polynomials H_m(x)")
     p.add_argument("fixed_points")
     _add_int(p, "level", help="index divisor for the line-bundle power; it must "
                               "divide g, the gcd of the differences of the weight "
                               "sums at the fixed points over the gcd of all "
                               "weights, and the file's asserted index, if it has one")
     p.add_argument("--m", type=int, help="single exterior-power degree")
-    common(p, with_prec=False)
+    _common(p, with_prec=False)
     p.set_defaults(fn=cmd_hilbert)
 
+
+def _coadjoint_parser(sub, name) -> None:
     p = sub.add_parser(
-        "coadjoint", help="orbit cosets, fixed points, crosschecks",
+        name, help="orbit cosets, fixed points, crosschecks",
         description="Cosets of W/W_J, fixed points at a circle direction, and "
                     "the divided-difference vs localization crosscheck of q_I.")
     p.add_argument("family", nargs="?", choices=("A", "B"))
@@ -589,27 +606,59 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare both q_I routes for |I| = n..n+extra")
     _add_int(p, "--extra-degrees", low=0, cap="COADJOINT_MAX_EXTRA_DEGREES", default=2,
              help="degrees above n to crosscheck (default 2)")
-    common(p, with_prec=False)
+    _common(p, with_prec=False)
     p.set_defaults(fn=cmd_coadjoint)
 
-    p = sub.add_parser("polytope", help="h-vector, index, divisibility, pattern")
+
+def _polytope_parser(sub, name) -> None:
+    p = sub.add_parser(name, help="h-vector, index, divisibility, pattern")
     p.add_argument("input", help='JSON file with "f" and/or "edges"')
     _add_int(p, "--k0", help="index to test against (default: from edges)")
-    common(p, with_prec=False)
+    _common(p, with_prec=False)
     p.set_defaults(fn=cmd_polytope)
 
-    p = sub.add_parser("selftest", help="run the acceptance suite",
+
+def _selftest_parser(sub, name) -> None:
+    p = sub.add_parser(name, help="run the acceptance suite",
                        description="Run the ten acceptance criteria; the "
                                    "report goes to stdout and each criterion's "
                                    "wall-clock time to stderr.")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(fn=cmd_selftest)
 
+
+# Every subcommand by name, in the order --help lists them, with the
+# function that adds its subparser: the one place the names are declared.
+_SUBCOMMANDS = {"eisenstein": _eisenstein_parser, "qn": _qn_parser, "genus": _genus_parser,
+                "chiy": _chiy_parser, "relations": _relations_parser,
+                "hilbert": _hilbert_parser, "coadjoint": _coadjoint_parser,
+                "polytope": _polytope_parser, "selftest": _selftest_parser}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Given the name of a subcommand it adds that
+    subparser alone, which parses, helps and refuses as the full parser
+    does; given no name, or any other text (`-h`, an unknown name), it adds
+    all of them, so that help and errors list every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="genus-forge",
+        description="Exact arithmetic for level-N elliptic genera: Eisenstein "
+                    "series, fixed-point localization, relations, and the "
+                    "polytope combinatorics they constrain.")
+    one = command in _SUBCOMMANDS
+    # with one subparser, the usage that a top-level error prints (an
+    # unrecognized argument) still names every subcommand; the full parser
+    # keeps the default, as its missing-subcommand error names the metavar
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_SUBCOMMANDS) + "}" if one else None)
+    for name in [command] if one else _SUBCOMMANDS:
+        _SUBCOMMANDS[name](sub, name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()   # a closed pipe raises here, not at exit

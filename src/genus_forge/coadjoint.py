@@ -36,9 +36,10 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
-from .fixedpoints import FixedPointData, relation_coefficients
+from .fixedpoints import (FixedPointData, check_partition, partition_str, partitions_at_most,
+                          relation_coefficients)
 from .sparsepoly import SparsePoly
-from .symfunc import check_partition, monomial_sym_eval, partition_str, partitions_at_most
+from .symfunc import monomial_sym_eval
 
 
 class RootSystem:

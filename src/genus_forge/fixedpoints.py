@@ -12,9 +12,16 @@ indexed by positions that a schedule memoized per (partition batch, n)
 assigns: the m_I kernel of the localization route alone, apart from the
 one of the divided-difference route in `coadjoint`.
 
+The partitions that index the q_I are owned here too: `check_partition`
+checks one with one sort, and the partitions of k with at most n parts are
+enumerated once per (k, n) and copied for each caller.  `symfunc`,
+`localization` and `coadjoint` take them from this module.
+
 This module loads nothing else from the package at import time, so its
 JSON checks, all a `polytope` request uses, come without `symfunc` or the
-q-series stack that `localization` builds on.
+q-series stack that `localization` builds on, and a `relations` request,
+whose q_I and partitions all come from here, loads neither `symfunc` nor
+`sparsepoly`.
 """
 
 from __future__ import annotations
@@ -22,10 +29,62 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-if TYPE_CHECKING:
-    from .symfunc import Partition
+Partition = tuple[int, ...]
+
+
+def check_partition(parts: Iterable[int]) -> Partition:
+    """parts as a partition: a tuple of positive, non-increasing integers.
+    One sort decides both; a part <= 0 is reported before an increase."""
+    p = tuple(map(int, parts))
+    descending = tuple(sorted(p, reverse=True))
+    if descending and descending[-1] <= 0:
+        raise ValueError("partition parts must be positive")
+    if p != descending:
+        raise ValueError("partition parts must be non-increasing")
+    return p
+
+
+def partition_sort_key(parts: Sequence[int]):
+    """Graded reverse-lexicographic: by length, then reverse-lex on parts."""
+    return (len(parts), tuple(-x for x in parts))
+
+
+def partitions_at_most(k: int, n: int) -> list[Partition]:
+    """All partitions of k with at most n parts, in display order:
+    [6], [5,1], [4,2], [3,3], [4,1,1], [3,2,1], [2,2,2] for (6, 3).
+    A fresh list each call, copied from one enumeration per (k, n)."""
+    return list(_partitions_at_most(k, n))
+
+
+@lru_cache(maxsize=None)
+def _partitions_at_most(k: int, n: int) -> tuple[Partition, ...]:
+    if k < 0 or n < 1:
+        raise ValueError("need k >= 0 and n >= 1")
+    out: list[Partition] = []
+
+    def rec(remaining: int, max_part: int, prefix: list[int]) -> None:
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        if len(prefix) == n:
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            prefix.append(part)
+            rec(remaining - part, part, prefix)
+            prefix.pop()
+
+    rec(k, k, [])
+    return tuple(sorted(out, key=partition_sort_key))
+
+
+def all_partitions(k: int) -> list[Partition]:
+    return partitions_at_most(k, max(k, 1))
+
+
+def partition_str(parts: Sequence[int]) -> str:
+    return "[" + ",".join(str(x) for x in parts) + "]"
 
 
 class FixedPointData:
@@ -72,8 +131,6 @@ class FixedPointData:
         """Refuse data that no manifold has: an asserted index that does not
         divide g (`index_bound`), or some q_I != 0 with |I| < n, the degrees
         below n in which the localization sum of every manifold vanishes."""
-        from .symfunc import partition_str, partitions_at_most
-
         g = self.index_bound()
         if self.asserted_index is not None and g % self.asserted_index:
             raise ValueError(f"asserted index {brief(self.asserted_index)} does not "
@@ -219,8 +276,6 @@ def relation_coefficients(fpd: FixedPointData,
     evaluates m_I with `symfunc.monomial_sym_eval`, so a fault in either
     shows as a crosscheck mismatch.
     """
-    from .symfunc import check_partition
-
     parts = tuple(check_partition(I) if I else () for I in partitions)
     if any(len(I) > fpd.n for I in parts):
         raise ValueError("partition has more parts than there are weights")

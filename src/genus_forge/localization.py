@@ -34,8 +34,12 @@ t^(-x W(P)/N) expanded in x, so each coefficient of x is read off directly.
 
 Everything is exact; an unexpected non-integer or a surviving pole is
 reported as bad input data, never rounded away.  The q- and s-series
-modules are imported by the functions that run them, so a chi_y request
-loads none of them and a Hilbert request no `modular`.
+modules, `symfunc` and `sparsepoly` are imported by the functions that run
+them, and the partitions come from `fixedpoints`.  So a request loads only
+what it runs: `relations` no `symfunc` and no `sparsepoly`, `genus`
+`symfunc` (for the Chern-number route) but no `sparsepoly`, `chiy`
+`sparsepoly` alone, and `hilbert` `sparsepoly` and the s-series but no
+`modular`.
 """
 
 from __future__ import annotations
@@ -47,14 +51,14 @@ from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 from typing import TYPE_CHECKING, Sequence
 
-from .fixedpoints import FixedPointData, relation_coefficients
-from .sparsepoly import SparsePoly
-from .symfunc import (Partition, all_partitions, check_partition, elementary_values,
-                      genus_value, partition_sort_key, partition_str, partitions_at_most)
+from .fixedpoints import (FixedPointData, Partition, all_partitions, check_partition,
+                          partition_sort_key, partition_str, partitions_at_most,
+                          relation_coefficients)
 from .text import join_terms, power, term
 
 if TYPE_CHECKING:
     from .series import TruncSeries
+    from .sparsepoly import SparsePoly
 
 
 def cpn_fixed_points(n: int, weights: Sequence[int]) -> FixedPointData:
@@ -119,6 +123,8 @@ def random_product_of_projective_spaces(rng: random.Random, n: int) -> FixedPoin
 
 def chern_number(fpd: FixedPointData, lam: Sequence[int]) -> Fraction:
     """C_lambda by localization; must come out an integer."""
+    from .symfunc import elementary_values
+
     lam = check_partition(lam)
     if sum(lam) != fpd.n:
         raise ValueError("Chern numbers pair partitions of weight n "
@@ -139,6 +145,8 @@ def chern_number(fpd: FixedPointData, lam: Sequence[int]) -> Fraction:
 
 def chi_y_from_counts(fpd: FixedPointData) -> SparsePoly:
     """The chi_y genus from negative-weight counts: sum over P of (-y)^#neg."""
+    from .sparsepoly import SparsePoly
+
     terms: dict[tuple, Fraction] = {}
     for weights in fpd.points:
         j = sum(1 for w in weights if w < 0)
@@ -301,6 +309,7 @@ def genus_via_chern(fpd: FixedPointData, N: int, q_precision: int) -> TruncSerie
     """Independent route to the same genus: sum of f_lambda * C_lambda by
     `symfunc.genus_value`, so it shares no product with `genus_qexp`."""
     from .modular import genus_coefficients
+    from .symfunc import genus_value
 
     chern = {lam: chern_number(fpd, lam) for lam in all_partitions(fpd.n)}
     return genus_value(genus_coefficients(N, fpd.n, q_precision), chern, fpd.n)
@@ -382,6 +391,7 @@ def hilbert_polynomial(fpd: FixedPointData, N: int, m: int) -> SparsePoly:
     if not 0 <= m <= fpd.n:
         raise ValueError("exterior power degree out of range")
     from .series import TruncSeries
+    from .sparsepoly import SparsePoly
 
     n = fpd.n
     terms = []   # (-W(P), P's localized e_m term)
@@ -400,6 +410,8 @@ def hilbert_polynomial(fpd: FixedPointData, N: int, m: int) -> SparsePoly:
 def cpn_hilbert_closed_form(n: int, m: int) -> SparsePoly:
     """H_m(x) for projective n-space:
     (-1)^n/(m!(n-m)!) * (x-1)...(x-(n-m)) * (x+1)...(x+m)."""
+    from .sparsepoly import SparsePoly
+
     poly = SparsePoly.constant(("x",), Fraction((-1) ** n,
                                                 factorial(m) * factorial(n - m)))
     for i in range(1, n - m + 1):
@@ -418,6 +430,8 @@ def divides_chi_y(chi_y: SparsePoly, k0: int) -> dict:
     zero and chi_y is the remainder, as the division would find."""
     if k0 < 1:
         raise ValueError("index must be positive")
+    from .sparsepoly import SparsePoly
+
     chi_y = chi_y.with_vars(("y",))
     if k0 - 1 > chi_y.degree():
         quotient, remainder = SparsePoly.zero(("y",)), chi_y

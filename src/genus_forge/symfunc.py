@@ -21,9 +21,11 @@ monomial basis, with no polynomial in x_1..x_n built.  So f_lambda is read
 off those rows, as the sum over partitions I of n of [e_lambda] m_I * a_I,
 with each a_I formed once in the coefficients' own domain.
 
-The partitions of k with at most n parts are enumerated once per (k, n)
-and copied for each caller, and `check_partition` checks a partition with
-one sort.
+The partitions themselves belong to `fixedpoints`, the q_I layer, which
+this module imports.  `SparsePoly` is imported only by the functions that
+build one, so the Chern-number route of a `genus` request, on q-series
+coefficients, loads no `sparsepoly`; no `chiy`, `hilbert` or `relations`
+request loads this module at all.
 """
 
 from __future__ import annotations
@@ -31,64 +33,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .sparsepoly import SparsePoly
+from .fixedpoints import (Partition, all_partitions, check_partition, partition_str,
+                          partitions_at_most)
 
-Partition = tuple[int, ...]
-
-
-def check_partition(parts: Iterable[int]) -> Partition:
-    """parts as a partition: a tuple of positive, non-increasing integers.
-    One sort decides both; a part <= 0 is reported before an increase."""
-    p = tuple(map(int, parts))
-    descending = tuple(sorted(p, reverse=True))
-    if descending and descending[-1] <= 0:
-        raise ValueError("partition parts must be positive")
-    if p != descending:
-        raise ValueError("partition parts must be non-increasing")
-    return p
-
-
-def partition_sort_key(parts: Sequence[int]):
-    """Graded reverse-lexicographic: by length, then reverse-lex on parts."""
-    return (len(parts), tuple(-x for x in parts))
-
-
-def partitions_at_most(k: int, n: int) -> list[Partition]:
-    """All partitions of k with at most n parts, in display order:
-    [6], [5,1], [4,2], [3,3], [4,1,1], [3,2,1], [2,2,2] for (6, 3).
-    A fresh list each call, copied from one enumeration per (k, n)."""
-    return list(_partitions_at_most(k, n))
-
-
-@lru_cache(maxsize=None)
-def _partitions_at_most(k: int, n: int) -> tuple[Partition, ...]:
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
-    out: list[Partition] = []
-
-    def rec(remaining: int, max_part: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if len(prefix) == n:
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(k, k, [])
-    return tuple(sorted(out, key=partition_sort_key))
-
-
-def all_partitions(k: int) -> list[Partition]:
-    return partitions_at_most(k, max(k, 1))
-
-
-def partition_str(parts: Sequence[int]) -> str:
-    return "[" + ",".join(str(x) for x in parts) + "]"
+if TYPE_CHECKING:
+    from .sparsepoly import SparsePoly
 
 
 def monomial_sym_eval(partitions: Sequence[Sequence[int]], values: Sequence) -> list:
@@ -147,6 +99,8 @@ def monomial_sym_eval(partitions: Sequence[Sequence[int]], values: Sequence) -> 
 
 def monomial_sym_poly(I: Sequence[int], variables: Sequence[str]) -> SparsePoly:
     """m_I as an explicit polynomial in the given variables."""
+    from .sparsepoly import SparsePoly
+
     I = check_partition(I) if I else ()
     vs = tuple(variables)
     if len(vs) < len(I):
@@ -156,6 +110,8 @@ def monomial_sym_poly(I: Sequence[int], variables: Sequence[str]) -> SparsePoly:
 
 
 def elementary_sym_poly(m: int, variables: Sequence[str]) -> SparsePoly:
+    from .sparsepoly import SparsePoly
+
     vs = tuple(variables)
     if not 0 <= m <= len(vs):
         raise ValueError("elementary symmetric index out of range")
@@ -192,8 +148,11 @@ def _zero_one_matrices(rows: Partition, cols: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def monomial_to_elementary(I: Partition, n: int) -> SparsePoly:
-    """The unique polynomial expressing m_I(x_1..x_n) in e_1..e_n.
+def monomial_to_elementary(I: Partition, n: int) -> Mapping[tuple[int, ...], int]:
+    """The unique polynomial expressing m_I(x_1..x_n) in e_1..e_n, as a
+    read-only table {(j_1, ..., j_n): c} of its nonzero terms
+    c * e_1^j_1 * ... * e_n^j_n, with c an int.  Memoized per (I, n), so
+    every caller shares one table.
 
     Triangular elimination in the monomial basis, on a map nu -> [m_nu] of
     the remainder, from m_I: the largest alpha left (tuple order refines
@@ -216,7 +175,7 @@ def monomial_to_elementary(I: Partition, n: int) -> SparsePoly:
         if alpha in remainder:
             raise ArithmeticError(f"elimination left m_{partition_str(alpha)}")
         terms[tuple(conj.count(m) for m in range(1, n + 1))] = c
-    return SparsePoly(tuple(f"e{i}" for i in range(1, n + 1)), terms)
+    return MappingProxyType(terms)
 
 
 # -- genera from the coefficients a_0..a_m of Q(x) ----------------------------------
@@ -245,7 +204,7 @@ def f_lambda_values(a: Sequence, n: int) -> dict[Partition, object]:
             if factors[:m] not in products:
                 products[factors[:m]] = a[k] if a_I is None else a_I * a[k]
             a_I = products[factors[:m]]
-        for e_exp, c in monomial_to_elementary(I, n).terms.items():
+        for e_exp, c in monomial_to_elementary(I, n).items():
             lam = tuple(j for j in range(n, 0, -1) for _ in range(e_exp[j - 1]))
             terms.setdefault(lam, []).append((c, a_I))
     return {lam: _combine(terms[lam]) for lam in partitions}
@@ -264,6 +223,8 @@ def _combine(terms):
 
 def f_lambda_symbolic(n: int) -> dict[Partition, SparsePoly]:
     """f_lambda for all partitions of n, as polynomials in a_0..a_n."""
+    from .sparsepoly import SparsePoly
+
     avars = tuple(f"a{k}" for k in range(n + 1))
     return f_lambda_values([SparsePoly.variable(v, avars) for v in avars], n)
 
@@ -278,6 +239,8 @@ def genus_polynomials(a: Sequence, n: int) -> list[SparsePoly]:
     must be polynomial (Fraction or SparsePoly); for q-series coefficients
     use f_lambda_values/genus_value instead.
     """
+    from .sparsepoly import SparsePoly
+
     if len(a) <= n:
         raise ValueError(f"genus series stops at a_{len(a) - 1}, need a_{n}")
     extra = tuple(dict.fromkeys(v for c in a if isinstance(c, SparsePoly)
@@ -310,6 +273,7 @@ def chi_y_power_series(k_max: int) -> list[SparsePoly]:
     is the Todd series x/(1 - e^{-x}) plus y x/(e^x - 1), so
     a_k = (-1)^k B_k/k! + y * B_k/k!."""
     from .series import bernoulli, todd_coefficient  # series pulls in no symfunc
+    from .sparsepoly import SparsePoly
     from math import factorial
 
     return [SparsePoly(("y",), {(0,): todd_coefficient(k),

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genus_forge
-from genus_forge import modular
+from genus_forge import cli, modular
 from genus_forge.cli import main
 from genus_forge.coadjoint import (OrbitSpec, RootSystem, grassmannian_orbit,
                                   orbit_fixed_points)
@@ -675,6 +676,69 @@ def test_golden_output(stem, fmt, tmp_path, capsys):
     _check_golden(stem, fmt, capsys, _golden_inputs(tmp_path))
 
 
+# A request builds the subparser of its subcommand alone (cli.build_parser
+# given argv[0]); it must parse, help and refuse as the full parser does.
+# Per subcommand: an argument past its cap or bound, a bad int, and an
+# argument no subparser knows, whose error prints the top-level usage.
+_REFUSED = {"eisenstein": ["eisenstein 3 2 --prec 61", "eisenstein x 2"],
+            "qn": ["qn 2 --x-order 11", "qn 2 --prec x"],
+            "genus": ["genus f.json 13", "genus f.json two"],
+            "chiy": ["chiy f.json --k0 0", "chiy f.json --k0 x"],
+            "relations": ["relations f.json 3 4 21", "relations f.json 3 x 5"],
+            "hilbert": ["hilbert f.json 0", "hilbert f.json 2 --m x"],
+            "coadjoint": ["coadjoint --cpn 7", "coadjoint A x"],
+            "polytope": ["polytope f.json --k0 0", "polytope f.json --k0 x"],
+            "selftest": ["selftest --seed x"]}
+
+
+def _parsed(parser, argv, capsys):
+    """What parser.parse_args(argv) gives: its namespace, or its exit code
+    with what it printed."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+def test_every_subcommand_is_refused_and_pinned():
+    assert list(_REFUSED) == list(cli._SUBCOMMANDS)
+    assert {argv[0] for _, argv in _GOLDEN.values()} | {"selftest"} == set(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name", list(_REFUSED))
+def test_one_subparser_parses_as_the_full_parser(name, tmp_path, capsys):
+    one, full = cli.build_parser(name), cli.build_parser()
+    paths = _golden_inputs(tmp_path)
+    argvs = [[arg.format(**paths) for arg in argv] for _, argv in _GOLDEN.values()
+             if argv[0] == name] + [[name, "--seed", "3"]] * (name == "selftest")
+    refused = [argv.split() for argv in _REFUSED[name]] + [[name, "--bogus"]]
+    for argv in [[name, "--help"], *argvs, *refused]:
+        want = _parsed(full, argv, capsys)
+        assert _parsed(one, argv, capsys) == want, argv
+        assert isinstance(want, dict) == (argv in argvs), argv
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nosuch"]], ids=str)
+def test_no_subcommand_name_builds_the_full_parser(argv, capsys):
+    got = _exit_code(argv), capsys.readouterr()
+    assert got == _parsed(cli.build_parser(), argv, capsys)
+    assert "{" + ",".join(cli._SUBCOMMANDS) + "}" in got[1].out + got[1].err
+
+
+def test_a_subcommand_builds_one_subparser(monkeypatch):
+    built, real = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser("genus")
+    assert built == ["genus-forge", "genus-forge genus"]
+    cli.build_parser()
+    assert len(built) == 2 + 10
+
+
 def test_polytope_huge_k0_is_not_divisible(tmp_path, capsys):
     # the divisor 1 + ... + y^(k0-1) is never built, so a k0 far beyond
     # memory reports the h-vector itself as the remainder
@@ -998,24 +1062,23 @@ def test_selftest_default_seed_is_2026(capsys):
 # its start-up objects frozen with the collector still on.
 _CLI = {"genus_forge", "genus_forge.cli"}
 _QSERIES = _CLI | {f"genus_forge.{m}" for m in ("cyclotomic", "modular", "series", "text")}
-_FIXED_POINTS = {f"genus_forge.{m}" for m in ("fixedpoints", "symfunc", "sparsepoly", "text")}
-_LOCALIZATION = _QSERIES | _FIXED_POINTS | {"genus_forge.localization"}
-_CHIY = _CLI | _FIXED_POINTS | {"genus_forge.localization"}
-_HILBERT = _CHIY | {f"genus_forge.{m}" for m in ("cyclotomic", "series")}
-_ORBITS = _CLI | _FIXED_POINTS | {"genus_forge.coadjoint"}
+_LOCALIZATION = {f"genus_forge.{m}" for m in ("fixedpoints", "localization", "text")}
+_RELATIONS = _QSERIES | _LOCALIZATION                # no symfunc, no sparsepoly
+_CHIY = _CLI | _LOCALIZATION | {"genus_forge.sparsepoly"}
+_ORBITS = _CLI | {f"genus_forge.{m}" for m in ("fixedpoints", "symfunc", "sparsepoly", "text",
+                                                "coadjoint")}
 _IMPORTED = {
     None: _CLI,
     "eisenstein_3_5": _QSERIES,
     "qn_5": _QSERIES,
-    "genus_cp2_4": _LOCALIZATION,
-    "relations_cp2": _LOCALIZATION,
-    "chiy_cp3_k3": _CHIY,                # no q-series module
-    "hilbert_q3": _HILBERT,              # s-series, no modular
+    "genus_cp2_4": _RELATIONS | {"genus_forge.symfunc"},   # Chern route, no sparsepoly
+    "relations_cp2": _RELATIONS,
+    "chiy_cp3_k3": _CHIY,                # no q-series module, no symfunc
+    "hilbert_q3": _CHIY | {f"genus_forge.{m}" for m in ("cyclotomic", "series")},  # no modular
     "coadjoint_a3": _ORBITS,             # --xi and --crosscheck
     "coadjoint_a3_q4211": _ORBITS,       # no --xi
     "polytope_cube_k3": _CLI | {"genus_forge.fixedpoints", "genus_forge.polytope"},
-    "selftest": _LOCALIZATION | _ORBITS | {"genus_forge.acceptance",
-                                           "genus_forge.polytope"},
+    "selftest": _RELATIONS | _ORBITS | {"genus_forge.acceptance", "genus_forge.polytope"},
 }
 _READS_JSON = {"genus_cp2_4", "relations_cp2", "chiy_cp3_k3", "hilbert_q3",
                "polytope_cube_k3"}

@@ -13,7 +13,8 @@ from genus_forge.coadjoint import (OrbitSpec, RootSystem, WeylElement,
                                    weyl_group)
 from genus_forge.localization import cpn_fixed_points, relation_coefficient
 from genus_forge.sparsepoly import SparsePoly
-from genus_forge.symfunc import monomial_sym_eval, partitions_at_most
+from genus_forge.fixedpoints import partitions_at_most
+from genus_forge.symfunc import monomial_sym_eval
 
 
 def _poly_degree(poly):

@@ -24,7 +24,8 @@ from genus_forge.localization import (FixedPointData, Relation,
                                       verify_relation)
 from genus_forge.series import TruncSeries
 from genus_forge.sparsepoly import SparsePoly
-from genus_forge.symfunc import monomial_sym_poly, partitions_at_most
+from genus_forge.fixedpoints import partitions_at_most
+from genus_forge.symfunc import monomial_sym_poly
 
 
 def test_cpn_fixed_points_shape():

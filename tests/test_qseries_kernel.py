@@ -33,7 +33,7 @@ from genus_forge.localization import (FixedPointData, Relation, cpn_fixed_points
                                       relation_coefficients, verify_relation)
 from genus_forge.modular import eisenstein_qexp
 from genus_forge.series import TruncSeries, bernoulli, kronecker_product
-from genus_forge.symfunc import partitions_at_most
+from genus_forge.fixedpoints import partitions_at_most
 
 _LEVELS = (2, 3, 4, 5, 7, 9, 12)
 

@@ -27,15 +27,15 @@ from genus_forge.localization import (FixedPointData, Relation, chern_number,
                                       genus_qexp, genus_via_chern, relation_coefficients,
                                       verify_relation)
 from genus_forge.modular import eisenstein_qexp, qn_expansion_via_product
-from genus_forge.sparsepoly import SparsePoly
-from genus_forge.symfunc import all_partitions, chi_y_power_series, genus_value
+from genus_forge.fixedpoints import all_partitions
+from genus_forge.symfunc import chi_y_power_series, genus_value
 
 Route = namedtuple("Route", "name run kernels")
 Check = namedtuple("Check", "name routes caches fails neither shows", defaults=((), {}))
 _PLUS_ONE = partial(add, 1)
 _FIRST_ROW_PLUS_ONE = lambda rows: [rows[0] + 1, *rows[1:]]
 _LAST_DOUBLED = lambda values: values[:-1] + [2 * v for v in values[-1:]]  # data still loads
-_LEADING_PLUS_ONE = lambda poly: poly + SparsePoly.monomial(poly.vars, max(poly.terms))
+_LEADING_PLUS_ONE = lambda table: {**table, max(table): table[max(table)] + 1}
 _CP2, _CP3 = cpn_fixed_points(2, (1, 3)), cpn_fixed_points(3, (1, 2, 5))
 _ORBITS = ((cpn_orbit, 2, (1, 5, -3)), (grassmannian_orbit, 2, (5, 2)))
 _BATCH = [(2,), (1, 1), (3, 1)]

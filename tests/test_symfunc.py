@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from genus_forge.series import bernoulli
 from genus_forge.sparsepoly import SparsePoly
-from genus_forge.symfunc import (all_partitions, check_partition,
-                                 chi_y_power_series, elementary_sym_poly,
+from genus_forge.fixedpoints import (all_partitions, check_partition, partition_sort_key,
+                                     partition_str, partitions_at_most)
+from genus_forge.symfunc import (chi_y_power_series, elementary_sym_poly,
                                  elementary_values, f_lambda_symbolic,
                                  f_lambda_values, genus_polynomials, genus_value,
                                  monomial_sym_eval, monomial_sym_poly,
-                                 monomial_to_elementary, partition_sort_key,
-                                 partition_str, partitions_at_most)
+                                 monomial_to_elementary)
 
 
 def test_check_partition():
@@ -140,16 +140,32 @@ def test_elementary_values_running_product():
     assert vals == [1, 6, 11, 6]  # (1+x)(1+2x)(1+3x)
 
 
+def _substitute(table, e_values, one):
+    """sum of c * e_1^j_1 * ... * e_n^j_n over the {(j_1, ..., j_n): c} table
+    of `monomial_to_elementary`, at the values e_1..e_n."""
+    total = one * 0
+    for exponents, c in table.items():
+        term = one * c
+        for e, j in zip(e_values, exponents):
+            term = term * e ** j if j else term
+        total = total + term
+    return total
+
+
 def test_monomial_to_elementary_roundtrip():
     rng = random.Random(11)
     for n in range(1, 5):
         for I in partitions_at_most(4, n):
             if len(I) > n:
                 continue
-            expr = monomial_to_elementary(I, n)
+            table = monomial_to_elementary(I, n)
+            assert all(len(exp) == n and type(c) is int and c for exp, c in table.items())
             values = [Fraction(rng.randint(-6, 6)) for _ in range(n)]
             e_vals = elementary_values(values)[1:]  # e_1..e_n
-            assert [expr.evaluate(e_vals)] == monomial_sym_eval([I], values)
+            assert [_substitute(table, e_vals, Fraction(1))] == monomial_sym_eval([I], values)
+    # the memoized table is shared by every caller, so none can change it
+    with pytest.raises(TypeError):
+        monomial_to_elementary((2, 1), 2)[(1, 0)] = 0
 
 
 def test_monomial_to_elementary_substitutes_back_exactly():
@@ -160,8 +176,8 @@ def test_monomial_to_elementary_substitutes_back_exactly():
         one = SparsePoly.constant(xs, 1)
         for k in range(n + 2):
             for I in partitions_at_most(k, n):
-                expr = monomial_to_elementary(I, n)
-                assert expr.evaluate(elem, one) == monomial_sym_poly(I, xs), (I, n)
+                table = monomial_to_elementary(I, n)
+                assert _substitute(table, elem, one) == monomial_sym_poly(I, xs), (I, n)
 
 
 def _symbolic(n):
